@@ -189,7 +189,7 @@ def _certified_single_seed(config: ExperimentConfig, seed: int) -> CertifiedRun:
                                             user_constant=config.user_constant,
                                             measured_error=h2)
         rows.append((step, loss, report.bound, h2, h1, l2))
-        if report.certified and h2 * (1.0 - report.headroom) > report.bound:
+        if report.certified and not report.bound_holds():
             violations.append((step, h2, report.bound))
 
     state, best = train(spec, problem, cfg, _schedule(config), on_checkpoint=checkpoint)

@@ -160,108 +160,110 @@ def load_params(path):
 
 # -- jet-space forward / backward ---------------------------------------------
 #
-# Jet batches are arrays (N, C, width): one packed coefficient layout per
-# coefficient slot c, so linear layers are a single matmul over the width
-# axis and activations act on (N, width) slices per coefficient.
+# Internally a jet batch is slot-major, an array (C, N, width): slot c of the
+# packed coefficient layout is one contiguous (N, width) block, so each
+# per-slot activation update runs on contiguous memory and a linear layer is
+# still a single (C*N, width) matmul.  Only forward_jets' (N, C) return value
+# and backward_jets' (N, C) cotangent are node-major.
 
 
 def input_jets(X, order: int, scale, shift) -> np.ndarray:
-    """Jets of the affine input map z_i = scale_i * x_i + shift_i."""
+    """Slot-major jets (C, N, d) of the affine input map z_i = scale_i * x_i + shift_i."""
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     lay = coeff_layout(d, order)
-    A = np.zeros((n, lay.size, d))
-    A[:, 0, :] = X * scale + shift
+    A = np.zeros((lay.size, n, d))
+    A[0] = X * scale + shift
     if order >= 1:
         for i in range(d):
-            A[:, 1 + i, i] = scale[i]
+            A[1 + i, :, i] = scale[i]
     return A
 
 
-def _tanh_derivs(t):
+def _tanh_jet_forward(Z, lay, order):
+    """Jets of tanh(Z), plus (t, f1, f2, f3): tanh and its first three
+    derivatives at Z[0], which the backward pass reuses."""
+    t = np.tanh(Z[0])
     f1 = 1.0 - t * t
     f2 = -2.0 * t * f1
     f3 = f1 * (6.0 * t * t - 2.0)
-    f4 = f1 * (16.0 * t - 24.0 * t**3)
-    return f1, f2, f3, f4
-
-
-def _tanh_jet_forward(Z, lay, order):
-    t = np.tanh(Z[:, 0, :])
-    f1, f2, f3, _ = _tanh_derivs(t)
     Y = np.empty_like(Z)
-    Y[:, 0, :] = t
+    Y[0] = t
     d = lay.dim
     if order >= 1:
-        Y[:, 1:1 + d, :] = f1[:, None, :] * Z[:, 1:1 + d, :]
+        np.multiply(f1, Z[1:1 + d], out=Y[1:1 + d])
     if order >= 2:
         for c, (i, j) in enumerate(lay.pairs(), start=lay.hess_offset):
-            Y[:, c, :] = f1 * Z[:, c, :] + f2 * Z[:, 1 + i, :] * Z[:, 1 + j, :]
+            Y[c] = f1 * Z[c] + f2 * Z[1 + i] * Z[1 + j]
     if order >= 3:
         pos = lay.position
         for c, (i, j, k) in enumerate(lay.triples(), start=lay.third_offset):
-            gi, gj, gk = Z[:, 1 + i, :], Z[:, 1 + j, :], Z[:, 1 + k, :]
-            Y[:, c, :] = (
-                f1 * Z[:, c, :]
-                + f2 * (gi * Z[:, pos((j, k)), :]
-                        + gj * Z[:, pos((i, k)), :]
-                        + gk * Z[:, pos((i, j)), :])
+            gi, gj, gk = Z[1 + i], Z[1 + j], Z[1 + k]
+            Y[c] = (
+                f1 * Z[c]
+                + f2 * (gi * Z[pos((j, k))] + gj * Z[pos((i, k))] + gk * Z[pos((i, j))])
                 + f3 * gi * gj * gk
             )
-    return Y, t
+    return Y, (t, f1, f2, f3)
 
 
-def _tanh_jet_backward(Z, t, Ybar, lay, order):
-    f1, f2, f3, f4 = _tanh_derivs(t)
-    Zbar = np.zeros_like(Z)
-    z0bar = Ybar[:, 0, :] * f1
+def _tanh_jet_backward(Z, derivs, Ybar, lay, order):
+    """Cotangent on Z from the cotangent Ybar on the jets of tanh(Z)."""
+    t, f1, f2, f3 = derivs
+    Zbar = np.empty_like(Z)  # every slot is assigned before it is accumulated into
+    z0bar = Ybar[0] * f1
     d = lay.dim
     if order >= 1:
-        g = Z[:, 1:1 + d, :]
-        gb = Ybar[:, 1:1 + d, :]
-        Zbar[:, 1:1 + d, :] += f1[:, None, :] * gb
-        z0bar += f2 * np.sum(gb * g, axis=1)
+        gb = Ybar[1:1 + d]
+        np.multiply(f1, gb, out=Zbar[1:1 + d])
+        z0bar += f2 * np.sum(gb * Z[1:1 + d], axis=0)
     if order >= 2:
         for c, (i, j) in enumerate(lay.pairs(), start=lay.hess_offset):
-            yb = Ybar[:, c, :]
-            gi, gj = Z[:, 1 + i, :], Z[:, 1 + j, :]
-            Zbar[:, c, :] += f1 * yb
-            Zbar[:, 1 + i, :] += f2 * gj * yb
-            Zbar[:, 1 + j, :] += f2 * gi * yb
-            z0bar += yb * (f2 * Z[:, c, :] + f3 * gi * gj)
+            yb = Ybar[c]
+            gi, gj = Z[1 + i], Z[1 + j]
+            np.multiply(f1, yb, out=Zbar[c])
+            f2yb = f2 * yb
+            Zbar[1 + i] += f2yb * gj
+            Zbar[1 + j] += f2yb * gi
+            z0bar += f2yb * Z[c] + f3 * yb * gi * gj
     if order >= 3:
+        f4 = f1 * (16.0 * t - 24.0 * t * t * t)
         pos = lay.position
         for c, (i, j, k) in enumerate(lay.triples(), start=lay.third_offset):
-            yb = Ybar[:, c, :]
-            gi, gj, gk = Z[:, 1 + i, :], Z[:, 1 + j, :], Z[:, 1 + k, :]
-            Zbar[:, c, :] += f1 * yb
+            yb = Ybar[c]
+            gi, gj, gk = Z[1 + i], Z[1 + j], Z[1 + k]
+            np.multiply(f1, yb, out=Zbar[c])
+            f2yb = f2 * yb
             hsum = np.zeros_like(yb)
             for p, (r1, r2) in ((i, (j, k)), (j, (i, k)), (k, (i, j))):
                 hc = pos((r1, r2))
-                Zbar[:, 1 + p, :] += f2 * Z[:, hc, :] * yb
-                Zbar[:, hc, :] += f2 * Z[:, 1 + p, :] * yb
-                hsum += Z[:, 1 + p, :] * Z[:, hc, :]
-            Zbar[:, 1 + i, :] += f3 * gj * gk * yb
-            Zbar[:, 1 + j, :] += f3 * gi * gk * yb
-            Zbar[:, 1 + k, :] += f3 * gi * gj * yb
-            z0bar += yb * (f2 * Z[:, c, :] + f3 * hsum + f4 * gi * gj * gk)
-    Zbar[:, 0, :] += z0bar
+                Zbar[1 + p] += f2yb * Z[hc]
+                Zbar[hc] += f2yb * Z[1 + p]
+                hsum += Z[1 + p] * Z[hc]
+            f3yb = f3 * yb
+            Zbar[1 + i] += f3yb * gj * gk
+            Zbar[1 + j] += f3yb * gi * gk
+            Zbar[1 + k] += f3yb * gi * gj
+            z0bar += f2yb * Z[c] + f3yb * hsum + f4 * yb * gi * gj * gk
+    Zbar[0] = z0bar
     return Zbar
 
 
 def _linear(A, W, b=None):
-    n, c, i = A.shape
-    Z = (A.reshape(n * c, i) @ W.T).reshape(n, c, W.shape[0])
+    c, n, i = A.shape
+    Z = (A.reshape(c * n, i) @ W.T).reshape(c, n, W.shape[0])
     if b is not None:
-        Z[:, 0, :] += b
+        Z[0] += b
     return Z
 
 
 def forward_jets(params: NetworkParams, X, order: int, scale, shift, need_cache=False):
     """Packed output jets (N, C) of the scalar network at every node.
 
+    The layers run on slot-major (C, N, width) jets; see ``input_jets``.
     With need_cache=True also returns the per-layer intermediates consumed by
-    ``backward_jets``.
+    ``backward_jets``: each layer's input jets and, for tanh layers, the
+    pre-activation jets and the activation derivatives.
     """
     d = params.widths[0]
     X = np.asarray(X, dtype=float)
@@ -278,11 +280,11 @@ def forward_jets(params: NetworkParams, X, order: int, scale, shift, need_cache=
                 cache.append((A, None, None))
             A = Z
         else:
-            Y, t = _tanh_jet_forward(Z, lay, order)
+            Y, derivs = _tanh_jet_forward(Z, lay, order)
             if need_cache:
-                cache.append((A, Z, t))
+                cache.append((A, Z, derivs))
             A = Y
-    out = A[:, :, 0]
+    out = np.ascontiguousarray(A[:, :, 0].T)
     return (out, cache) if need_cache else out
 
 
@@ -291,15 +293,17 @@ def backward_jets(params: NetworkParams, cache, out_bar, order: int) -> np.ndarr
     lay = coeff_layout(params.widths[0], order)
     grads_w = [None] * params.n_layers
     grads_b = [None] * params.n_layers
-    Abar = np.asarray(out_bar)[:, :, None]
+    Abar = np.ascontiguousarray(np.asarray(out_bar).T)[:, :, None]
     for l in range(params.n_layers - 1, -1, -1):
-        A_in, Z, t = cache[l]
-        Zbar = Abar if Z is None else _tanh_jet_backward(Z, t, Abar, lay, order)
-        n, c, o = Zbar.shape
+        A_in, Z, derivs = cache[l]
+        Zbar = Abar if Z is None else _tanh_jet_backward(Z, derivs, Abar, lay, order)
+        c, n, o = Zbar.shape
         i = A_in.shape[2]
-        grads_w[l] = Zbar.reshape(n * c, o).T @ A_in.reshape(n * c, i)
-        grads_b[l] = Zbar[:, 0, :].sum(axis=0)
-        Abar = (Zbar.reshape(n * c, o) @ params.weights[l]).reshape(n, c, i)
+        flat = Zbar.reshape(c * n, o)
+        grads_w[l] = flat.T @ A_in.reshape(c * n, i)
+        grads_b[l] = Zbar[0].sum(axis=0)
+        if l > 0:  # the input cotangent of layer 0 is never read
+            Abar = (flat @ params.weights[l]).reshape(c, n, i)
     chunks = []
     for gw, gb in zip(grads_w, grads_b):
         chunks.append(gw.ravel(order="C"))

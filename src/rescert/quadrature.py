@@ -3,14 +3,15 @@
 Tensor Gauss-Legendre everywhere a box direction exists; disks combine a
 radial Gauss rule (the Jacobian r is absorbed into the weights) with a
 uniform angular grid, which integrates trigonometric polynomials below the
-node count exactly.  All reductions use compensated (Kahan) summation over a
-fixed node order, so repeated runs are bit-identical.
+node count exactly.  All reductions are correctly rounded sums
+(``math.fsum``), so their results do not depend on the node order and
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import fsum, pi
 from typing import Callable
 
 import numpy as np
@@ -41,15 +42,9 @@ class QuadratureRule:
 
 
 def kahan_sum(values) -> float:
-    """Compensated summation in array order."""
-    total = 0.0
-    comp = 0.0
-    for v in np.asarray(values, dtype=float).ravel():
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return float(total)
+    """Correctly rounded sum (``math.fsum``) of all values, independent of
+    their order."""
+    return fsum(np.asarray(values, dtype=float).ravel().tolist())
 
 
 def _gauss01(n: int):

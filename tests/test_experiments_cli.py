@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from rescert import cli
+from rescert import certify, cli
 from rescert.certify import BoundViolation
 from rescert.experiments import (ConfigError, ExperimentConfig, canonical_text,
                                  config_hash, fit_ratio_slope,
@@ -120,6 +120,20 @@ def test_run_certified_bound_violation_still_writes(tmp_path):
     with pytest.raises(BoundViolation):
         run_certified(bad, tmp_path)
     assert (tmp_path / "certify_P5_seed0.csv").exists()
+
+
+def test_run_certified_flags_error_just_past_headroom(tmp_path, monkeypatch):
+    # 1.0202x the bound is outside bound_holds' 2 % headroom, so the run
+    # must flag it like CertifiedReport.check does
+    real = certify.certified_h2_bound
+
+    def near_miss(loss, domain, problem, **kwargs):
+        bound = real(loss, domain, problem, **dict(kwargs, measured_error=None)).bound
+        return real(loss, domain, problem, **dict(kwargs, measured_error=1.0202 * bound))
+
+    monkeypatch.setattr(certify, "certified_h2_bound", near_miss)
+    with pytest.raises(BoundViolation):
+        run_certified(TINY, tmp_path)
 
 
 # -- harmonic failure family -------------------------------------------------------

@@ -54,16 +54,16 @@ def test_forward_respects_input_scaling():
     assert out[0, 5] == pytest.approx(ref.hess[1, 1] * 4.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("order", [2, 3])
-def test_backward_matches_finite_differences(order):
+@pytest.mark.parametrize("dim,order", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_backward_matches_finite_differences(dim, order):
     # scalar objective s(theta) = sum(out_bar * forward_jets(theta));
     # backward_jets must produce ds/dtheta
-    rng = np.random.default_rng(100 + order)
-    params = NetworkParams.xavier((2, 6, 4, 1), seed=9)
-    X = rng.uniform(-0.8, 0.8, size=(5, 2))
-    scale = np.array([1.3, 0.7])
-    shift = np.array([0.1, -0.2])
-    lay = coeff_layout(2, order)
+    rng = np.random.default_rng(100 + 10 * dim + order)
+    params = NetworkParams.xavier((dim, 6, 4, 1), seed=9)
+    X = rng.uniform(-0.8, 0.8, size=(5, dim))
+    scale = np.array([1.3, 0.7, 1.1])[:dim]
+    shift = np.array([0.1, -0.2, 0.3])[:dim]
+    lay = coeff_layout(dim, order)
     out_bar = rng.standard_normal((5, lay.size))
 
     jets_out, cache = forward_jets(params, X, order, scale, shift, need_cache=True)
