@@ -4,7 +4,8 @@ certify the H2 error at every checkpoint.
 The ansatz is v = x(1-x)y(1-y) * net(x,y), so the Dirichlet condition holds
 identically and the training loss is the plain squared residual norm.  On a
 convex domain that loss bounds the full H2 error through the explicit
-constant sqrt(1 + (|Omega|/omega_d)^(1/d)); no reference solution is needed
+constant sqrt(1 + 1/lambda_1 + 1/lambda_1^2), lambda_1 = 2 pi^2 the first
+Dirichlet eigenvalue of the unit square; no reference solution is needed
 for the bound, the manufactured solution is only used to check it.
 """
 

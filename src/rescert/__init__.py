@@ -17,9 +17,9 @@ from .experiments import (ConfigError, ExperimentConfig, fit_ratio_slope,
                           run_fd_check, run_parabolic, run_penalty_vs_exact,
                           run_sobolev)
 from .fields import AnalyticField, HarmonicMode, MatrixField, TimeExtendedField
-from .geometry import Disk, Interval, Rectangle, SpaceTimeBox, distance_factor
+from .geometry import Disk, Interval, Rectangle, SpaceTimeBox
 from .jets import TaylorJet, coeff_layout, seed_point, seed_variable
-from .losses import LossConfig, build_objective, loss_value, make_config
+from .losses import LossConfig, build_objective, make_config
 from .network import NetworkParams, forward_jets, load_params, save_params
 from .problems import PdeProblem, builtin_problems, default_spec, get_problem
 from .quadrature import (QuadratureRule, build_rule, h_half_surrogate,
@@ -38,11 +38,10 @@ __all__ = [
     "QuadratureRule", "Rectangle", "SpaceTimeBox", "TaylorJet",
     "TimeExtendedField", "TrainState", "build_objective", "build_rule",
     "build_spec", "builtin_problems", "c_reg_convex", "cea_decomposition",
-    "certified_h2_bound", "coeff_layout", "default_spec", "distance_factor",
-    "fd_check", "fit_ratio_slope", "forward_jets", "get_problem",
-    "h_half_surrogate", "harmonic_failure_records", "integrate",
-    "interp_hs_bound", "load_config", "load_params", "loss_value",
-    "make_config", "parabolic_bound", "parse_config_text",
+    "certified_h2_bound", "coeff_layout", "default_spec", "fd_check",
+    "fit_ratio_slope", "forward_jets", "get_problem", "h_half_surrogate",
+    "harmonic_failure_records", "integrate", "interp_hs_bound", "load_config",
+    "load_params", "make_config", "parabolic_bound", "parse_config_text",
     "penalty_h_half_estimator", "run_certified", "run_failure_demo",
     "run_fd_check", "run_parabolic", "run_penalty_vs_exact", "run_sobolev",
     "save_params", "seed_point", "seed_variable", "sobolev_error",

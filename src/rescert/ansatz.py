@@ -8,18 +8,22 @@ parabolic_exact: v = u0(x) + t * L(x) * u_net(t, x), matching the initial
 
 The map from network jets to ansatz jets is linear at every node (the
 Leibniz rule applied to a fixed factor), which the loss assembly exploits.
+Both constrained modes build it the same way at every jet order, 0 (plain
+values) included: the factor is the domain's batched distance factor
+(``t * L(x)`` on a space-time box) and the offset is the lift's or the
+time-extended initial field's jets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
 from . import geometry, network
+from .fields import TimeExtendedField
 from .geometry import Domain, SpaceTimeBox
-from .jets import TaylorJet, coeff_layout, product_terms, seed_variable
+from .jets import TaylorJet, coeff_layout, product_terms
 from .network import NetworkParams
 
 MODES = ("exact_bc", "unconstrained", "parabolic_exact")
@@ -89,44 +93,19 @@ class AnsatzSpec:
         P is None in unconstrained mode (identity).
         """
         X = np.asarray(X, dtype=float)
-        lay = coeff_layout(self.domain.dim, order)
+        size = coeff_layout(self.domain.dim, order).size
         if self.mode == "unconstrained":
-            base = np.zeros((X.shape[0], lay.size))
             if self.lift is not None:
                 raise ValueError("unconstrained mode does not take a lift")
-            return None, base
-        if order == 0:
-            # value-only composition: P is the multiplying factor itself
-            if self.mode == "exact_bc":
-                fac = np.array([geometry.distance_factor(self.domain, x) for x in X])
-                base = (self.lift.values(X) if self.lift is not None
-                        else np.zeros(X.shape[0]))
-            else:
-                spatial = self.domain.spatial
-                fac = X[:, 0] * np.array(
-                    [geometry.distance_factor(spatial, x[1:]) for x in X])
-                base = self.initial.values(X[:, 1:])
-            return fac[:, None, None], base[:, None]
-        if self.mode == "exact_bc":
-            L = geometry.distance_jets(self.domain, X, order)
-            P = product_matrix_batch(L, self.domain.dim, order)
-            if self.lift is None:
-                base = np.zeros((X.shape[0], lay.size))
-            else:
-                base = np.asarray(self.lift.jets(X, order), dtype=float)
-            return P, base
-        # parabolic_exact: factor t * L(x), base u0(x) with zero time derivatives
-        W = np.empty((X.shape[0], lay.size))
-        spatial = self.domain.spatial
-        for k in range(X.shape[0]):
-            t_jet = seed_variable(0, X[k, 0], order, self.domain.dim)
-            L_sp = geometry.distance_jet(spatial, X[k, 1:], order)
-            L_ext = _time_extend_jet(L_sp, order)
-            W[k] = (t_jet * L_ext).coeffs
-        P = product_matrix_batch(W, self.domain.dim, order)
-        from .fields import TimeExtendedField
-
-        base = TimeExtendedField(self.initial).jets(X, order)
+            return None, np.zeros((X.shape[0], size))
+        L = geometry.distance_jets(self.domain, X, order)
+        P = product_matrix_batch(L, self.domain.dim, order)
+        if self.mode == "parabolic_exact":
+            base = TimeExtendedField(self.initial).jets(X, order)
+        elif self.lift is not None:
+            base = np.asarray(self.lift.jets(X, order), dtype=float)
+        else:
+            base = np.zeros((X.shape[0], size))
         return P, base
 
     # -- evaluation --------------------------------------------------------------
@@ -147,32 +126,11 @@ class AnsatzSpec:
 
     def values(self, X) -> np.ndarray:
         """Plain values of v (order-0 pass)."""
-        X = np.asarray(X, dtype=float)
-        U = self.network_jets(X, 0)[:, 0]
-        if self.mode == "unconstrained":
-            return U
-        if self.mode == "exact_bc":
-            L = np.array([geometry.distance_factor(self.domain, x) for x in X])
-            G = self.lift.values(X) if self.lift is not None else 0.0
-            return L * U + G
-        spatial = self.domain.spatial
-        L = np.array([geometry.distance_factor(spatial, x[1:]) for x in X])
-        u0 = self.initial.values(X[:, 1:])
-        return X[:, 0] * L * U + u0
+        return self.jets(X, 0)[:, 0]
 
     def value(self, x) -> float:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return float(self.values(x[None, :])[0])
-
-
-def _time_extend_jet(spatial_jet: TaylorJet, order: int) -> TaylorJet:
-    dim = spatial_jet.dim + 1
-    lay_in = coeff_layout(spatial_jet.dim, order)
-    lay_out = coeff_layout(dim, order)
-    c = np.zeros(lay_out.size)
-    for k, mi in enumerate(lay_in.multi_indices):
-        c[lay_out.position(tuple(i + 1 for i in mi))] = spatial_jet.coeffs[k]
-    return TaylorJet(dim, order, c)
 
 
 def build_spec(domain: Domain, mode: str = "exact_bc", lift=None, initial=None,

@@ -1,6 +1,13 @@
 """Domains (interval, rectangle, disk, space-time box) and their distance
 factors: polynomial fields that vanish exactly on the Dirichlet boundary and
-are strictly positive inside."""
+are strictly positive inside.
+
+A factor is written once, as jet arithmetic on coordinate seeds, and
+evaluated on a whole batch of points at once (``TaylorJet`` slots of shape
+(C, N)).  Order 0 gives plain values.  On a space-time box (t, x...) the
+factor is t * L(x), built from the space-time seeds, so it vanishes on the
+initial slice and on the lateral boundary.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +17,6 @@ from typing import Union
 
 import numpy as np
 
-from . import jets
 from .jets import TaylorJet, seed_point
 
 
@@ -144,49 +150,32 @@ Domain = Union[Interval, Rectangle, Disk, SpaceTimeBox]
 SPATIAL_KINDS = (Interval, Rectangle, Disk)
 
 
-def distance_factor(domain: Domain, x) -> float:
-    """Boundary distance factor L(x): zero exactly on the boundary, positive inside."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+def _factor(domain: Domain, s) -> TaylorJet:
+    """Distance factor as jet arithmetic on the coordinate jets s."""
     if isinstance(domain, Interval):
-        return float((x[0] - domain.a) * (domain.b - x[0]))
+        return (s[0] - domain.a) * (domain.b - s[0])
     if isinstance(domain, Rectangle):
-        out = 1.0
-        for i in range(2):
-            out *= (x[i] - domain.lo[i]) * (domain.hi[i] - x[i])
-        return out
+        out = (s[0] - domain.lo[0]) * (domain.hi[0] - s[0])
+        return out * ((s[1] - domain.lo[1]) * (domain.hi[1] - s[1]))
     if isinstance(domain, Disk):
-        c = np.asarray(domain.center)
-        return float(domain.radius**2 - np.sum((x - c) ** 2))
+        d0 = s[0] - domain.center[0]
+        d1 = s[1] - domain.center[1]
+        return (domain.radius**2 - d0 * d0) - d1 * d1
+    if isinstance(domain, SpaceTimeBox):
+        return s[0] * _factor(domain.spatial, s[1:])
     raise TypeError(f"no distance factor for domain {type(domain).__name__}")
 
 
-def distance_jet(domain: Domain, x, order: int) -> TaylorJet:
-    """Jet of the distance factor, built from coordinate seeds so the
-    polynomial structure (and its exact boundary zeros) is preserved."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    seeds = seed_point(x, order)
-    if isinstance(domain, Interval):
-        return (seeds[0] - domain.a) * (domain.b - seeds[0])
-    if isinstance(domain, Rectangle):
-        out = (seeds[0] - domain.lo[0]) * (domain.hi[0] - seeds[0])
-        return out * ((seeds[1] - domain.lo[1]) * (domain.hi[1] - seeds[1]))
-    if isinstance(domain, Disk):
-        acc = jets.seed_constant(domain.radius**2, order, 2)
-        for i in range(2):
-            di = seeds[i] - domain.center[i]
-            acc = acc - di * di
-        return acc
-    raise TypeError(f"no distance factor for domain {type(domain).__name__}")
+def distance_jet(domain: Domain, X, order: int) -> TaylorJet:
+    """Jet of the distance factor at a point X (d,) or at every point of a
+    batch X (N, d), built from coordinate seeds so the polynomial structure
+    (and its exact boundary zeros) is preserved."""
+    X = np.atleast_1d(np.asarray(X, dtype=float))
+    if X.shape[-1] != domain.dim:
+        raise ValueError(f"{domain.dim}-dimensional domain, got points of shape {X.shape}")
+    return _factor(domain, seed_point(X, order))
 
 
 def distance_jets(domain: Domain, X, order: int) -> np.ndarray:
     """Packed distance-factor jets for a batch of points, shape (N, C)."""
-    X = np.asarray(X, dtype=float)
-    out = np.empty((X.shape[0], jets.coeff_layout(domain.dim, order).size))
-    for n in range(X.shape[0]):
-        out[n] = distance_jet(domain, X[n], order).coeffs
-    return out
-
-
-def spatial_part(domain: Domain):
-    return domain.spatial if isinstance(domain, SpaceTimeBox) else domain
+    return distance_jet(domain, X, order).coeffs.T

@@ -1,12 +1,17 @@
-"""Truncated Taylor-jet arithmetic in one to three variables, orders 1 to 3.
+"""Truncated Taylor-jet arithmetic in one to three variables, orders 0 to 3.
 
-A jet carries the raw derivatives of a scalar field at a point: value,
-gradient, Hessian and, at order 3, third derivatives.  Coefficients live in
-a flat array with one slot per sorted multi-index (see ``coeff_layout``), so
-symmetric entries share storage by construction.  Sums, products (Leibniz
-rule) and compositions with elementary functions (Faa di Bruno) propagate
-derivatives exactly; Laplacians and their gradients are then read off a
-single evaluation.
+A jet carries the raw derivatives of a scalar field: value, gradient,
+Hessian and, at order 3, third derivatives.  Coefficients live in a packed
+axis with one slot per sorted multi-index (see ``coeff_layout``), so
+symmetric entries share storage by construction.
+
+Jets are slot-major: ``coeffs`` has shape (C, ...), slot c first, so a jet at
+one point holds C numbers and a batch of jets at N points holds (C, N), each
+slot one contiguous block.  Sums and products (Leibniz rule) act slot by
+slot and therefore run on single points and batches alike.  ``_faa_di_bruno``
+composes a jet with a univariate function given its derivatives; the
+elementary functions here and the network's tanh layers both use it.
+Laplacians and their gradients are read off a single evaluation.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ __all__ = [
 ]
 
 _DIMS = (1, 2, 3)
-_ORDERS = (1, 2, 3)
+_ORDERS = (0, 1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -80,11 +85,10 @@ def _position_table(dim, order):
 
 @lru_cache(maxsize=None)
 def coeff_layout(dim: int, order: int) -> CoeffLayout:
-    # order 0 (value only) is permitted internally for plain evaluation passes
     if dim not in _DIMS:
         raise ValueError(f"jet dimension must be 1, 2 or 3, got {dim}")
-    if order not in (0,) + _ORDERS:
-        raise ValueError(f"jet order must be 1, 2 or 3, got {order}")
+    if order not in _ORDERS:
+        raise ValueError(f"jet order must be 0, 1, 2 or 3, got {order}")
     mi: list[tuple[int, ...]] = [()]
     if order >= 1:
         mi += [(i,) for i in range(dim)]
@@ -123,23 +127,23 @@ def product_terms(dim: int, order: int):
 
 
 class TaylorJet:
-    """Derivatives of a scalar field at a point, truncated at ``order``.
+    """Derivatives of a scalar field, truncated at ``order``, at one point or
+    at a batch of points.
 
-    ``coeffs`` is the packed storage described by ``coeff_layout(dim, order)``.
-    ``hess`` and ``third`` expose symmetric views assembled from that storage,
-    so mirrored entries are always identical.
+    ``coeffs`` has shape (C, ...): the packed slots of ``coeff_layout(dim,
+    order)`` first, then any batch axes.  Arithmetic and ``grad`` work on
+    both; ``value``, ``hess``, ``third``, ``d``, the elementary functions and
+    the differential extractors take single-point jets.
+    ``hess`` and ``third`` expose symmetric views assembled from the packed
+    storage, so mirrored entries are always identical.
     """
 
     __slots__ = ("dim", "order", "coeffs")
 
     def __init__(self, dim: int, order: int, coeffs):
-        if dim not in _DIMS:
-            raise ValueError(f"jet dimension must be 1, 2 or 3, got {dim}")
-        if order not in _ORDERS:
-            raise ValueError(f"jet order must be 1, 2 or 3, got {order}")
         coeffs = np.asarray(coeffs, dtype=float)
         expected = coeff_layout(dim, order).size
-        if coeffs.shape != (expected,):
+        if coeffs.shape[:1] != (expected,):
             raise ValueError(
                 f"need {expected} packed coefficients for dim={dim} order={order}, "
                 f"got shape {coeffs.shape}"
@@ -256,27 +260,30 @@ def _permutations3(idx):
 # -- seeds -----------------------------------------------------------------
 
 
-def seed_variable(i: int, x: float, order: int, dim: int) -> TaylorJet:
-    """Jet of the coordinate function x_i at a point with value x."""
+def seed_variable(i: int, x, order: int, dim: int) -> TaylorJet:
+    """Jet of the coordinate function x_i where it takes the value x (a number,
+    or an array of values for a batch)."""
     if not 0 <= i < dim:
         raise ValueError(f"variable index {i} out of range for dim {dim}")
-    c = np.zeros(coeff_layout(dim, order).size)
+    c = np.zeros((coeff_layout(dim, order).size,) + np.shape(x))
     c[0] = x
-    c[1 + i] = 1.0
+    if order >= 1:
+        c[1 + i] = 1.0
     return TaylorJet(dim, order, c)
 
 
-def seed_constant(value: float, order: int, dim: int) -> TaylorJet:
-    c = np.zeros(coeff_layout(dim, order).size)
+def seed_constant(value, order: int, dim: int) -> TaylorJet:
+    c = np.zeros((coeff_layout(dim, order).size,) + np.shape(value))
     c[0] = value
     return TaylorJet(dim, order, c)
 
 
 def seed_point(x, order: int) -> list[TaylorJet]:
-    """Coordinate jets for every component of a point."""
+    """Coordinate jets for every component of a point x (d,), or of every
+    point of a batch x (N, d)."""
     x = np.asarray(x, dtype=float)
-    dim = x.shape[0]
-    return [seed_variable(i, float(x[i]), order, dim) for i in range(dim)]
+    dim = x.shape[-1]
+    return [seed_variable(i, x[..., i], order, dim) for i in range(dim)]
 
 
 # -- elementary functions (Faa di Bruno with univariate derivative tables) --
@@ -317,30 +324,35 @@ def _power_table(x, p):
     return tuple(out)
 
 
-def _compose(a: TaylorJet, table) -> TaylorJet:
-    """Faa di Bruno: jet of f(a) from the derivative table of f at a.value."""
-    d0, d1, d2, d3 = table
-    lay = coeff_layout(a.dim, a.order)
-    ac = a.coeffs
-    out = np.zeros_like(ac)
-    out[0] = d0
-    g0 = lay.grad_offset
-    out[g0:g0 + a.dim] = d1 * ac[g0:g0 + a.dim]
-    if a.order >= 2:
-        h0 = lay.hess_offset
-        for c, (i, j) in enumerate(lay.pairs(), start=h0):
-            out[c] = d1 * ac[c] + d2 * ac[g0 + i] * ac[g0 + j]
-    if a.order >= 3:
-        t0 = lay.third_offset
+def _faa_di_bruno(Z, derivs, lay):
+    """Slot-major jets of f(z) from the jets Z (C, ...) of z (Faa di Bruno up
+    to ``lay.order``); derivs = (f0, f1, f2, f3) are f and its first three
+    derivatives at the value slot Z[0]."""
+    f0, f1, f2, f3 = derivs
+    Y = np.empty_like(Z)
+    Y[0] = f0
+    d = lay.dim
+    if lay.order >= 1:
+        np.multiply(f1, Z[1:1 + d], out=Y[1:1 + d])
+    if lay.order >= 2:
+        for c, (i, j) in enumerate(lay.pairs(), start=lay.hess_offset):
+            Y[c] = f1 * Z[c] + f2 * Z[1 + i] * Z[1 + j]
+    if lay.order >= 3:
         pos = lay.position
-        for c, (i, j, k) in enumerate(lay.triples(), start=t0):
-            gi, gj, gk = ac[g0 + i], ac[g0 + j], ac[g0 + k]
-            out[c] = (
-                d1 * ac[c]
-                + d2 * (gi * ac[pos((j, k))] + gj * ac[pos((i, k))] + gk * ac[pos((i, j))])
-                + d3 * gi * gj * gk
+        for c, (i, j, k) in enumerate(lay.triples(), start=lay.third_offset):
+            gi, gj, gk = Z[1 + i], Z[1 + j], Z[1 + k]
+            Y[c] = (
+                f1 * Z[c]
+                + f2 * (gi * Z[pos((j, k))] + gj * Z[pos((i, k))] + gk * Z[pos((i, j))])
+                + f3 * gi * gj * gk
             )
-    return TaylorJet(a.dim, a.order, out)
+    return Y
+
+
+def _compose(a: TaylorJet, table) -> TaylorJet:
+    """Jet of f(a) from the derivative table of f at a.value."""
+    lay = coeff_layout(a.dim, a.order)
+    return TaylorJet(a.dim, a.order, _faa_di_bruno(a.coeffs, table, lay))
 
 
 def tanh(a: TaylorJet) -> TaylorJet:

@@ -184,87 +184,52 @@ class Objective:
         return kahan_sum(np.concatenate(parts)), grad
 
 
-def _compose_block(spec, problem, rule, order, with_gradient=False, weight=1.0):
-    rows, const = residual_rows(problem, rule.nodes, order, with_gradient)
+def _compose_block(spec, rule, order, rows, const, weight=1.0):
+    """Block of residuals rows . (v jets) + const on the rule's nodes, with
+    the ansatz composition v = P u + base folded into the rows."""
     P, base = spec.composition(rule.nodes, order)
-    if P is None:
-        cmat = rows
-    else:
-        cmat = np.einsum("nmc,ncd->nmd", rows, P)
+    cmat = rows if P is None else np.einsum("nmc,ncd->nmd", rows, P)
     dvec = const + np.einsum("nmc,nc->nm", rows, base)
     return _Block(rule.nodes, weight * rule.weights, order, cmat, dvec)
 
 
-def _boundary_block(spec, problem, rule, tau):
-    # misfit v - g at boundary nodes, value-only jets
-    n = rule.n_nodes
-    rows = np.ones((n, 1, 1))
-    g = problem.boundary.values(rule.nodes) if problem.boundary is not None else np.zeros(n)
-    const = -g[:, None]
-    P, base = spec.composition(rule.nodes, 0)
-    cmat = rows if P is None else np.einsum("nmc,ncd->nmd", rows, P)
-    dvec = const + np.einsum("nmc,nc->nm", rows, base)
-    return _Block(rule.nodes, tau * rule.weights, 0, cmat, dvec)
-
-
 def build_objective(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig) -> Objective:
     """Check the ansatz, problem, and loss config agree, then assemble blocks."""
+
+    def residual_block(rule, order, with_gradient=False):
+        rows, const = residual_rows(problem, rule.nodes, order, with_gradient)
+        return _compose_block(spec, rule, order, rows, const)
+
     v = cfg.variant
     if v == "interior":
         if spec.mode != "exact_bc":
             raise ValueError("interior loss requires an exact-boundary ansatz")
         if problem.kind == "heat":
             raise ValueError("interior loss covers spatial problems; use the parabolic loss")
-        return Objective(spec, [_compose_block(spec, problem, cfg.interior, 2)])
+        return Objective(spec, [residual_block(cfg.interior, 2)])
     if v == "penalty":
         if problem.kind == "heat":
             raise ValueError("penalty loss covers spatial problems")
         if spec.mode not in ("unconstrained", "exact_bc"):
             raise ValueError("penalty loss needs an unconstrained or exact-boundary ansatz")
-        return Objective(spec, [
-            _compose_block(spec, problem, cfg.interior, 2),
-            _boundary_block(spec, problem, cfg.boundary, cfg.tau),
-        ])
+        # boundary misfit v - g: one order-0 row per boundary node
+        b = cfg.boundary
+        g = (problem.boundary.values(b.nodes) if problem.boundary is not None
+             else np.zeros(b.n_nodes))
+        misfit = _compose_block(spec, b, 0, np.ones((b.n_nodes, 1, 1)), -g[:, None], cfg.tau)
+        return Objective(spec, [residual_block(cfg.interior, 2), misfit])
     if v == "sobolev_k1":
         if spec.mode != "exact_bc":
             raise ValueError("sobolev_k1 loss requires an exact-boundary ansatz")
         if problem.kind != "poisson":
             raise ValueError("sobolev_k1 loss is assembled for poisson problems")
-        return Objective(spec, [_compose_block(spec, problem, cfg.interior, 3,
-                                               with_gradient=True)])
+        return Objective(spec, [residual_block(cfg.interior, 3, with_gradient=True)])
     # parabolic
     if spec.mode != "parabolic_exact":
         raise ValueError("parabolic loss requires a parabolic_exact ansatz")
     if problem.kind != "heat":
         raise ValueError("parabolic loss covers heat problems")
-    return Objective(spec, [_compose_block(spec, problem, cfg.spacetime, 2)])
-
-
-# -- public loss values ----------------------------------------------------------
-
-
-def interior_loss(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig) -> float:
-    """||residual||^2 over the interior rule, boundary conditions exact."""
-    return build_objective(spec, problem, cfg).value(spec.params.flatten())
-
-
-def penalty_loss(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig) -> float:
-    """Interior residual plus tau * squared L2 boundary misfit."""
-    return build_objective(spec, problem, cfg).value(spec.params.flatten())
-
-
-def sobolev_loss(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig) -> float:
-    """Residual plus residual-gradient misfit (first-order Sobolev residual)."""
-    return build_objective(spec, problem, cfg).value(spec.params.flatten())
-
-
-def parabolic_loss(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig) -> float:
-    """Space-time L2 norm squared of the heat residual."""
-    return build_objective(spec, problem, cfg).value(spec.params.flatten())
-
-
-def loss_value(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig) -> float:
-    return build_objective(spec, problem, cfg).value(spec.params.flatten())
+    return Objective(spec, [residual_block(cfg.spacetime, 2)])
 
 
 # -- residuals of arbitrary jet-evaluable fields ----------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import coeff_layout
+from .jets import _faa_di_bruno, coeff_layout
 
 _BYTE_ORDER = "little"  # parameters serialize as little-endian IEEE-754 float64
 
@@ -160,11 +160,12 @@ def load_params(path):
 
 # -- jet-space forward / backward ---------------------------------------------
 #
-# Internally a jet batch is slot-major, an array (C, N, width): slot c of the
-# packed coefficient layout is one contiguous (N, width) block, so each
-# per-slot activation update runs on contiguous memory and a linear layer is
-# still a single (C*N, width) matmul.  Only forward_jets' (N, C) return value
-# and backward_jets' (N, C) cotangent are node-major.
+# Internally a jet batch is slot-major, an array (C, N, width), the layout of
+# ``jets.TaylorJet`` batches: slot c of the packed coefficient layout is one
+# contiguous (N, width) block, so each per-slot activation update runs on
+# contiguous memory and a linear layer is still a single (C*N, width) matmul.
+# Only forward_jets' (N, C) return value and backward_jets' (N, C) cotangent
+# are node-major.
 
 
 def input_jets(X, order: int, scale, shift) -> np.ndarray:
@@ -180,31 +181,15 @@ def input_jets(X, order: int, scale, shift) -> np.ndarray:
     return A
 
 
-def _tanh_jet_forward(Z, lay, order):
+def _tanh_jet_forward(Z, lay):
     """Jets of tanh(Z), plus (t, f1, f2, f3): tanh and its first three
     derivatives at Z[0], which the backward pass reuses."""
     t = np.tanh(Z[0])
     f1 = 1.0 - t * t
     f2 = -2.0 * t * f1
     f3 = f1 * (6.0 * t * t - 2.0)
-    Y = np.empty_like(Z)
-    Y[0] = t
-    d = lay.dim
-    if order >= 1:
-        np.multiply(f1, Z[1:1 + d], out=Y[1:1 + d])
-    if order >= 2:
-        for c, (i, j) in enumerate(lay.pairs(), start=lay.hess_offset):
-            Y[c] = f1 * Z[c] + f2 * Z[1 + i] * Z[1 + j]
-    if order >= 3:
-        pos = lay.position
-        for c, (i, j, k) in enumerate(lay.triples(), start=lay.third_offset):
-            gi, gj, gk = Z[1 + i], Z[1 + j], Z[1 + k]
-            Y[c] = (
-                f1 * Z[c]
-                + f2 * (gi * Z[pos((j, k))] + gj * Z[pos((i, k))] + gk * Z[pos((i, j))])
-                + f3 * gi * gj * gk
-            )
-    return Y, (t, f1, f2, f3)
+    derivs = (t, f1, f2, f3)
+    return _faa_di_bruno(Z, derivs, lay), derivs
 
 
 def _tanh_jet_backward(Z, derivs, Ybar, lay, order):
@@ -280,7 +265,7 @@ def forward_jets(params: NetworkParams, X, order: int, scale, shift, need_cache=
                 cache.append((A, None, None))
             A = Z
         else:
-            Y, derivs = _tanh_jet_forward(Z, lay, order)
+            Y, derivs = _tanh_jet_forward(Z, lay)
             if need_cache:
                 cache.append((A, Z, derivs))
             A = Y

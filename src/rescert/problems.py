@@ -2,7 +2,8 @@
 
 Each problem fixes a domain, a right-hand side f, boundary data g (with a
 closed-form lift where g is nonzero) and, when available, the exact solution
-used for error measurement.  Residual conventions:
+used for error measurement.  Residual conventions (assembled as jet rows by
+``losses.residual_rows``):
 
     poisson        r = Laplace(v) + f
     elliptic_divA  r = div(A grad v) + f
@@ -15,10 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-import numpy as np
 import sympy as sp
 
-from . import jets as J
 from .ansatz import AnsatzSpec, build_spec
 from .fields import AnalyticField, MatrixField, symbols_for
 from .geometry import Disk, Domain, Rectangle, SpaceTimeBox
@@ -55,28 +54,6 @@ class PdeProblem:
                 raise ValueError(f"{self.kind} problems need a spatial domain")
         if self.kind == "elliptic_divA" and self.coeff is None:
             raise ValueError("elliptic_divA problems need a coefficient matrix")
-
-
-def pointwise_residual(problem: PdeProblem, v_jet: J.TaylorJet, x) -> float:
-    """Strong-form residual of a field (given by its jet) at one point."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if v_jet.dim != problem.domain.dim:
-        raise ValueError(
-            f"jet dimension {v_jet.dim} does not match domain dimension "
-            f"{problem.domain.dim}"
-        )
-    if problem.kind == "poisson":
-        return J.laplacian(v_jet) + problem.rhs.value(x)
-    if problem.kind == "elliptic_divA":
-        A = problem.coeff.values(x[None, :])[0]
-        h = v_jet.hess
-        g = v_jet.grad
-        div_a = np.array([d.value(x) for d in problem.coeff_div])
-        return float(np.sum(A * h) + np.dot(div_a, g)) + problem.rhs.value(x)
-    # heat: leading coordinate is time
-    d = v_jet.dim
-    lap = sum(v_jet.d(i, i) for i in range(1, d))
-    return v_jet.d(0) - lap - problem.rhs.value(x)
 
 
 def default_spec(problem: PdeProblem, hidden=(16, 16), seed: int = 0,

@@ -189,7 +189,8 @@ def train(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig,
 
 
 def save_checkpoint(path, spec: AnsatzSpec, state: TrainState) -> None:
-    """Parameter file with the optimiser moments and step appended."""
+    """Parameter file with the optimiser moments and step appended; read it
+    back with ``network.load_params``."""
     params = spec.params.with_flat(state.params)
     network.save_params(
         path, params,
@@ -197,11 +198,6 @@ def save_checkpoint(path, spec: AnsatzSpec, state: TrainState) -> None:
                       "final_params": state.final_params},
         extra_header={"step": state.step, "loss": repr(state.loss)},
     )
-
-
-def load_checkpoint(path):
-    """Returns (NetworkParams, moments dict, header metadata)."""
-    return network.load_params(path)
 
 
 def history_csv(state: TrainState, path, comment: str | None = None) -> None:

@@ -12,20 +12,25 @@ from rescert.certify import (BoundViolation, CeaReport, CertifiedReport,
                              PROVENANCE_USER, c_reg_convex, cea_decomposition,
                              certified_h2_bound, interp_hs_bound,
                              parabolic_bound, penalty_h_half_estimator)
+from rescert.ansatz import build_spec
+from rescert.fields import AnalyticField
 from rescert.geometry import Disk, Interval, Rectangle, SpaceTimeBox
-from rescert.problems import get_problem
+from rescert.losses import build_objective, make_config
+from rescert.problems import PdeProblem, get_problem
+from rescert.quadrature import sobolev_errors_upto
 
 
 def test_c_reg_closed_forms():
-    # sqrt(1 + (|Omega|/omega_d)^(1/d)) per domain
+    # sqrt(1 + 1/lambda_1 + 1/lambda_1^2), lambda_1 the first Dirichlet eigenvalue
+    lam = math.pi**2
     assert c_reg_convex(Interval(0.0, 1.0)) == pytest.approx(
-        math.sqrt(1.5), rel=1e-15)
+        math.sqrt(1 + 1 / lam + 1 / lam**2), rel=1e-15)
     assert c_reg_convex(Interval(0.0, 1.0)) == pytest.approx(
-        1.224744871391589, rel=1e-15)
+        1.054318341819501, rel=1e-15)
     assert c_reg_convex(Rectangle((0.0, 0.0), (1.0, 1.0))) == pytest.approx(
-        1.2506756508174917, rel=1e-15)
+        1.0262685259642526, rel=1e-15)
     assert c_reg_convex(Disk((0.0, 0.0), 1.0)) == pytest.approx(
-        math.sqrt(2.0), rel=1e-15)
+        1.0967290869346529, rel=1e-15)
     # scaling sanity: bigger domain, bigger constant
     assert c_reg_convex(Rectangle((0.0, 0.0), (2.0, 2.0))) > c_reg_convex(
         Rectangle((0.0, 0.0), (1.0, 1.0)))
@@ -37,7 +42,7 @@ def test_h2_bound_on_square():
     rep = certified_h2_bound(4.0, Rectangle((0.0, 0.0), (1.0, 1.0)))
     assert rep.constant_provenance == PROVENANCE_CONVEX
     assert rep.certified
-    assert rep.bound == pytest.approx(2.5013513016349834, rel=1e-15)
+    assert rep.bound == pytest.approx(2.052537051928505, rel=1e-15)
     assert rep.norm_label == "H2"
 
     zero = certified_h2_bound(0.0, Rectangle((0.0, 0.0), (1.0, 1.0)))
@@ -106,6 +111,30 @@ def test_report_csv_and_text():
 
     none_row = certified_h2_bound(0.25, Disk((0.0, 0.0), 1.0)).csv_row()
     assert none_row.split(",")[5] == ""  # unmeasured stays blank
+
+
+def test_h2_bound_holds_on_large_square():
+    # u* = sin(pi x/10) sin(pi y/10) on the 10 x 10 square with v = 0 (zero
+    # network, no lift): the loss is ||f||^2 and the H2 error is ||u*||_H2.
+    # u* is the first eigenmode, so the certified bound is attained.
+    domain = Rectangle((0.0, 0.0), (10.0, 10.0))
+    u = "sin(pi*x1/10)*sin(pi*x2/10)"
+    problem = PdeProblem(
+        name="big", kind="poisson", domain=domain,
+        rhs=AnalyticField.from_string(f"pi**2/50*{u}", 2),
+        exact=AnalyticField.from_string(u, 2))
+    spec = build_spec(domain, hidden=(4,), seed=0)
+    spec = spec.with_params(np.zeros(spec.params.n_params))
+    cfg = make_config(problem, "interior", n=24)
+    loss = build_objective(spec, problem, cfg).value(spec.params.flatten())
+    h2 = sobolev_errors_upto(spec, problem.exact, cfg.interior, s_max=2)[2]
+    assert h2 == pytest.approx(5.5596, rel=1e-4)
+    rep = certified_h2_bound(loss, domain, problem, measured_error=h2)
+    assert rep.certified and rep.constant_provenance == PROVENANCE_CONVEX
+    assert rep.bound_holds(), f"H2 error {h2} above bound {rep.bound}"
+    assert rep.bound == pytest.approx(5.5596, rel=1e-4)
+    assert h2 <= rep.bound * (1 + 1e-9)  # sharp, not saved by the headroom
+    rep.check()
 
 
 def test_cea_decomposition():

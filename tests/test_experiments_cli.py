@@ -89,7 +89,7 @@ def test_run_certified_writes_protocol_csv(tmp_path):
     step, loss, bound, h2, h1, l2 = data[0].split(",")
     assert step == "0"
     assert float(bound) == pytest.approx(
-        1.2506756508174917 * math.sqrt(float(loss)), rel=1e-12)
+        1.0262685259642526 * math.sqrt(float(loss)), rel=1e-12)
     assert 0 <= float(l2) <= float(h1) <= float(h2)
     # trailer carries the final certificate
     assert any("certified:   True" in l for l in lines if l.startswith("#"))

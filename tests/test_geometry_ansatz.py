@@ -6,7 +6,7 @@ import pytest
 from rescert.ansatz import AnsatzSpec, build_spec
 from rescert.fields import AnalyticField, TimeExtendedField, symbols_for
 from rescert.geometry import (Disk, Interval, Rectangle, SpaceTimeBox,
-                              distance_factor, distance_jet, distance_jets)
+                              distance_jet, distance_jets)
 from rescert.network import NetworkParams
 from rescert.problems import get_problem, default_spec
 from rescert.quadrature import build_rule
@@ -40,11 +40,20 @@ def test_domain_validation():
         SpaceTimeBox(1.0, SpaceTimeBox(1.0, UNIT_SQUARE))
 
 
+def distance_factor(domain, x):
+    # the factor's value: slot 0 of its order-0 jet
+    return distance_jets(domain, np.atleast_2d(x), 0)[0, 0]
+
+
 def test_distance_factor_values():
     assert distance_factor(UNIT_SQUARE, [0.5, 0.5]) == pytest.approx(1.0 / 16.0)
     assert distance_factor(UNIT_DISK, [0.0, 0.0]) == 1.0
     assert distance_factor(UNIT_SQUARE, [0.0, 0.7]) == 0.0
     assert distance_factor(Interval(0.0, 1.0), [0.25]) == pytest.approx(0.1875)
+    # the space-time factor t * L(x) vanishes on the initial slice
+    box = SpaceTimeBox(0.2, UNIT_SQUARE)
+    assert distance_factor(box, [0.1, 0.5, 0.5]) == pytest.approx(0.1 / 16.0)
+    assert distance_factor(box, [0.0, 0.5, 0.5]) == 0.0
 
 
 def test_distance_factor_sign():
@@ -59,14 +68,21 @@ def test_distance_factor_sign():
 
 def test_distance_jets_match_closed_form():
     # independent route: jets of the closed-form polynomial via sympy fields
-    sq = AnalyticField.from_string("x1*(1-x1)*x2*(1-x2)", dim=2)
-    dk = AnalyticField.from_string("1 - x1**2 - x2**2", dim=2)
+    cases = (
+        (Interval(0.0, 1.0), AnalyticField.from_string("x1*(1-x1)", dim=1)),
+        (UNIT_SQUARE, AnalyticField.from_string("x1*(1-x1)*x2*(1-x2)", dim=2)),
+        (UNIT_DISK, AnalyticField.from_string("1 - x1**2 - x2**2", dim=2)),
+        (SpaceTimeBox(0.2, UNIT_SQUARE),
+         AnalyticField.from_string("t*x*(1-x)*y*(1-y)", dim=3, spacetime=True)),
+    )
     rng = np.random.default_rng(5)
-    X = rng.uniform(0.1, 0.9, size=(6, 2))
-    for dom, field in ((UNIT_SQUARE, sq), (UNIT_DISK, dk)):
-        got = distance_jets(dom, X, 3)
-        want = field.jets(X, 3)
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    for dom, field in cases:
+        X = rng.uniform(0.1, 0.9, size=(6, dom.dim))
+        for order in (0, 1, 2, 3):
+            got = distance_jets(dom, X, order)
+            want = field.jets(X, order)
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
         j = distance_jet(dom, X[0], 2)
         assert j.value == pytest.approx(field.value(X[0]))
 

@@ -93,19 +93,41 @@ def test_elementary_functions_fixed_points():
     assert e.value == 1.0 and e.grad[0] == 2.0 and e.hess[0, 0] == pytest.approx(4.0)
 
 
+def _inner(v):
+    """x0 x_last + x0/2 + x_k^2/4 over the middle coordinates, on jets or symbols."""
+    out = v[0] * v[-1] + 0.5 * v[0]
+    for k in range(1, len(v) - 1):
+        out = out + 0.25 * (v[k] * v[k])
+    return out
+
+
 @pytest.mark.parametrize("fn,sfn", [(tanh, sp.tanh), (sin, sp.sin),
                                     (cos, sp.cos), (exp, sp.exp)])
 def test_elementary_functions_match_sympy(fn, sfn):
+    # the independent oracle of the Faa di Bruno kernel shared with the
+    # network's tanh layers, on every input dimension the network takes
     rng = np.random.default_rng(7)
-    xs = sp.symbols("x0 x1")
-    for _ in range(4):
-        point = rng.uniform(-0.8, 0.8, size=2)
-        jets = seed_point(point, 3)
-        inner = jets[0] * jets[1] + 0.5 * jets[0]  # xy + x/2
-        got = fn(inner).coeffs
-        expr = sfn(xs[0] * xs[1] + sp.Rational(1, 2) * xs[0])
-        want = sympy_jet(expr, xs, point, 3)
-        assert np.allclose(got, want, rtol=1e-11, atol=1e-11)
+    for dim in (1, 2, 3):
+        xs = sp.symbols("x0 x1 x2")[:dim]
+        for _ in range(4):
+            point = rng.uniform(-0.8, 0.8, size=dim)
+            got = fn(_inner(seed_point(point, 3))).coeffs
+            want = sympy_jet(sfn(_inner(xs)), xs, point, 3)
+            assert np.allclose(got, want, rtol=1e-11, atol=1e-11)
+
+
+def test_batched_jets_match_single_points():
+    # slot-major batches (C, N): the same arithmetic, point by point
+    rng = np.random.default_rng(23)
+    X = rng.uniform(-1.0, 1.0, size=(5, 3))
+    for order in (0, 1, 2, 3):
+        x, y, z = seed_point(X, order)
+        batch = (2.0 - x * y) * (z - 0.5) + 3.0 * (x * x)
+        assert batch.coeffs.shape == (coeff_layout(3, order).size, 5)
+        for n in range(5):
+            a, b, c = seed_point(X[n], order)
+            single = (2.0 - a * b) * (c - 0.5) + 3.0 * (a * a)
+            assert np.array_equal(batch.coeffs[:, n], single.coeffs)
 
 
 def test_power_jets():

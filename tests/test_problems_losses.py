@@ -8,10 +8,9 @@ import pytest
 from rescert.ansatz import build_spec
 from rescert.fields import AnalyticField
 from rescert.losses import (LossConfig, build_objective, field_residual_sq,
-                            interior_loss, make_config, parabolic_loss,
-                            penalty_loss, sobolev_loss)
+                            make_config, residual_rows)
 from rescert.network import forward_jets
-from rescert.problems import builtin_problems, default_spec, get_problem, pointwise_residual
+from rescert.problems import builtin_problems, default_spec, get_problem
 from rescert.quadrature import build_rule
 
 PI = np.pi
@@ -22,6 +21,16 @@ def zero_spec(problem, mode=None, hidden=(8, 8)):
     return spec.with_params(np.zeros(spec.params.n_params))
 
 
+def loss_of(spec, problem, cfg):
+    return build_objective(spec, problem, cfg).value(spec.params.flatten())
+
+
+def strong_residual(problem, field, X):
+    # one residual per point: the assembled rows applied to the field's jets
+    rows, const = residual_rows(problem, X, 2)
+    return (np.einsum("nmc,nc->nm", rows, field.jets(X, 2)) + const)[:, 0]
+
+
 # -- manufactured solutions ----------------------------------------------------
 
 
@@ -29,21 +38,21 @@ def zero_spec(problem, mode=None, hidden=(8, 8)):
 def test_exact_solution_has_zero_strong_residual(name):
     problem = get_problem(name)
     rng = np.random.default_rng(3)
-    for _ in range(12):
-        x = rng.uniform(0.05, 0.95, size=2)
-        if name == "P2":
-            x = x - 0.5  # disk is centred at the origin
-        r = pointwise_residual(problem, problem.exact.jet(x, 2), x)
-        assert abs(r) < 1e-10
+    X = rng.uniform(0.05, 0.95, size=(12, 2))
+    if name == "P2":
+        X = X - 0.5  # disk is centred at the origin
+    r = strong_residual(problem, problem.exact, X)
+    assert r.shape == (12,)
+    assert np.max(np.abs(r)) < 1e-10
 
 
 def test_heat_solution_has_zero_strong_residual():
     p4 = get_problem("P4")
     rng = np.random.default_rng(4)
-    for _ in range(12):
-        txy = rng.uniform((0.0, 0.05, 0.05), (0.2, 0.95, 0.95))
-        r = pointwise_residual(p4, p4.exact.jet(txy, 2), txy)
-        assert abs(r) < 1e-10
+    T = rng.uniform((0.0, 0.05, 0.05), (0.2, 0.95, 0.95), size=(12, 3))
+    r = strong_residual(p4, p4.exact, T)
+    assert r.shape == (12,)
+    assert np.max(np.abs(r)) < 1e-10
 
 
 def test_manufactured_rhs_values():
@@ -91,10 +100,10 @@ def test_p3_residual_rows_match_symbolic_operator():
     want = sp.lambdify((x, y), strong, "numpy")
     field = AnalyticField("x1**3 * x2**2", sp.symbols("x1 x2"))
     rng = np.random.default_rng(11)
-    for _ in range(10):
-        p = rng.uniform(0.1, 0.9, size=2)
-        got = pointwise_residual(p3, field.jet(p, 2), p)
-        assert got == pytest.approx(want(*p) + p3.rhs.value(p), rel=1e-10, abs=1e-10)
+    P = rng.uniform(0.1, 0.9, size=(10, 2))
+    got = strong_residual(p3, field, P)
+    for p, g in zip(P, got):
+        assert g == pytest.approx(want(*p) + p3.rhs.value(p), rel=1e-10, abs=1e-10)
 
 
 # -- frozen loss values of trivial ansatz fields ---------------------------------
@@ -103,22 +112,22 @@ def test_p3_residual_rows_match_symbolic_operator():
 def test_zero_network_losses_hit_closed_forms():
     # v = 0: the loss is the squared norm of the data term alone
     p1 = get_problem("P1")
-    got = interior_loss(zero_spec(p1), p1, make_config(p1, "interior", n=24))
+    got = loss_of(zero_spec(p1), p1, make_config(p1, "interior", n=24))
     assert got == pytest.approx(PI**4, rel=1e-12)
 
-    got = sobolev_loss(zero_spec(p1), p1, make_config(p1, "sobolev_k1", n=24))
+    got = loss_of(zero_spec(p1), p1, make_config(p1, "sobolev_k1", n=24))
     assert got == pytest.approx(PI**4 + 2 * PI**6, rel=1e-12)
     assert got == pytest.approx(2020.187478184611, rel=1e-12)
 
     p2 = get_problem("P2")
-    got = interior_loss(zero_spec(p2), p2, make_config(p2, "interior", n=24))
+    got = loss_of(zero_spec(p2), p2, make_config(p2, "interior", n=24))
     assert got == pytest.approx(PI, rel=1e-12)
 
 
 def test_zero_network_parabolic_loss():
     # v = u0(x) for all t: residual is -laplace(u0) = 2 pi^2 u0, f = 0
     p4 = get_problem("P4")
-    got = parabolic_loss(zero_spec(p4), p4, make_config(p4, "parabolic", n=16))
+    got = loss_of(zero_spec(p4), p4, make_config(p4, "parabolic", n=16))
     assert got == pytest.approx(0.2 * PI**4, rel=1e-10)
 
 
@@ -148,15 +157,15 @@ def test_penalty_equals_interior_for_boundary_exact_ansatz():
     rng = np.random.default_rng(21)
     for _ in range(10):
         s = spec.with_params(rng.standard_normal(spec.params.n_params))
-        li = interior_loss(s, p1, cfg_i)
-        lp = penalty_loss(s, p1, cfg_p)
+        li = loss_of(s, p1, cfg_i)
+        lp = loss_of(s, p1, cfg_p)
         assert lp == pytest.approx(li, rel=1e-14)
 
 
 def test_penalty_loss_is_affine_in_tau():
     p5 = get_problem("P5")
     spec = default_spec(p5, hidden=(8, 8), seed=3, mode="unconstrained")
-    losses = {tau: penalty_loss(spec, p5, make_config(p5, "penalty", n=12, tau=tau))
+    losses = {tau: loss_of(spec, p5, make_config(p5, "penalty", n=12, tau=tau))
               for tau in (1.0, 2.0, 3.0)}
     slope12 = losses[2.0] - losses[1.0]
     slope23 = losses[3.0] - losses[2.0]
@@ -178,8 +187,8 @@ def test_sobolev_loss_dominates_interior_loss():
     rng = np.random.default_rng(31)
     for _ in range(5):
         s = spec.with_params(rng.standard_normal(spec.params.n_params) * 0.5)
-        li = interior_loss(s, p1, make_config(p1, "interior", n=10))
-        ls = sobolev_loss(s, p1, make_config(p1, "sobolev_k1", n=10))
+        li = loss_of(s, p1, make_config(p1, "interior", n=10))
+        ls = loss_of(s, p1, make_config(p1, "sobolev_k1", n=10))
         assert ls >= li
 
 

@@ -6,11 +6,12 @@ import pytest
 
 from rescert.fields import AnalyticField
 from rescert.geometry import Interval
-from rescert.losses import interior_loss, make_config
+from rescert.losses import build_objective, make_config
+from rescert.network import load_params
 from rescert.problems import PdeProblem, default_spec, get_problem
 from rescert.training import (AdamSchedule, DivergenceError, TrainState,
-                              fd_check, history_csv, load_checkpoint,
-                              loss_gradient, save_checkpoint, train)
+                              fd_check, history_csv, loss_gradient,
+                              save_checkpoint, train)
 
 
 def toy_problem():
@@ -35,16 +36,20 @@ def toy_setup():
     return problem, spec, cfg
 
 
+def loss_of(spec, problem, cfg):
+    return build_objective(spec, problem, cfg).value(spec.params.flatten())
+
+
 def test_toy_loss_surface():
     problem, spec, cfg = toy_setup()
     assert spec.params.n_params == 2  # one weight, one bias
-    assert interior_loss(spec, problem, cfg) == pytest.approx(4.0, rel=1e-12)
+    assert loss_of(spec, problem, cfg) == pytest.approx(4.0, rel=1e-12)
     g = loss_gradient(spec, problem, cfg)
     assert g[0] == pytest.approx(0.0, abs=1e-12)
     assert g[1] == pytest.approx(-8.0, rel=1e-12)
     # the surface is 4(1-b)^2 + 12 w^2; probe a few parameter points
     for w, b in [(0.5, 0.0), (-0.3, 1.0), (0.2, 2.0)]:
-        got = interior_loss(spec.with_params(np.array([w, b])), problem, cfg)
+        got = loss_of(spec.with_params(np.array([w, b])), problem, cfg)
         assert got == pytest.approx(4 * (1 - b) ** 2 + 12 * w**2, rel=1e-12)
 
 
@@ -139,7 +144,7 @@ def test_checkpoint_roundtrip(tmp_path):
                      AdamSchedule(steps=30, lr=0.05, record_every=10))
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, spec, state)
-    params, extras, header = load_checkpoint(path)
+    params, extras, header = load_params(path)
     assert np.array_equal(params.flatten(), state.params)
     assert np.array_equal(extras["adam_m"], state.m)
     assert np.array_equal(extras["adam_v"], state.v)
