@@ -14,8 +14,8 @@ import numpy as np
 import sympy as sp
 
 from rescert import (AnalyticField, NetworkParams, build_rule, coeff_layout,
-                     forward_jets, h_half_surrogate, integrate,
-                     sobolev_error)
+                     forward_jets, h_half_surrogate, integrate_values,
+                     sobolev_errors_upto)
 from rescert.geometry import Disk, Interval, Rectangle
 from rescert.jets import laplacian, seed_point, tanh
 
@@ -56,7 +56,7 @@ for k, p in enumerate(X):
 
 rule = build_rule(Interval(0.0, 1.0), "interior", n=5)
 print("\nGauss-Legendre n=5 on [0,1], monomial x^9:",
-      f"{integrate(rule, lambda x: x[0] ** 9):.12f} (exact 0.1)")
+      f"{integrate_values(rule, rule.nodes[:, 0] ** 9):.12f} (exact 0.1)")
 
 for domain, target, name in [
     (Rectangle((0.0, 0.0), (1.0, 1.0)), "interior", "unit square"),
@@ -70,7 +70,7 @@ for domain, target, name in [
 
 u = AnalyticField.from_string("sin(pi*x1)*sin(pi*x2)", 2)
 square = build_rule(Rectangle((0.0, 0.0), (1.0, 1.0)), "interior", 24)
-h2 = sobolev_error(u, None, 2, square)
+h2 = sobolev_errors_upto(u, None, square, 2)[2]
 closed = math.sqrt(0.25 + math.pi**2 / 2 + math.pi**4)
 print(f"\nH2 norm of sin(pi x)sin(pi y): quadrature {h2:.12f} closed form {closed:.12f}")
 

@@ -19,7 +19,7 @@ from rescert import (ExperimentConfig, fit_ratio_slope,
 
 # -- the harmonic family: flat loss, growing error --------------------------------
 
-records = harmonic_failure_records(n_list=(2, 4, 8, 16, 32, 64), tau=1.0)
+records = harmonic_failure_records(n_list=(2, 4, 8, 16, 32, 64), tau=1.0, quad_n=8)
 
 print(f"{'n':>3} {'loss_tau':>10} {'H1 norm':>10} {'H1/sqrt(loss)':>14} {'H^1/2 surrogate':>16}")
 for r in records:

@@ -23,8 +23,7 @@ from .losses import LossConfig, build_objective, make_config
 from .network import NetworkParams, forward_jets, load_params, save_params
 from .problems import PdeProblem, builtin_problems, default_spec, get_problem
 from .quadrature import (QuadratureRule, build_rule, h_half_surrogate,
-                         integrate, sobolev_error, sobolev_errors_upto,
-                         x_norm_error)
+                         integrate_values, sobolev_errors_upto, x_norm_error)
 from .training import (AdamSchedule, DivergenceError, FdCheckReport, TrainState,
                        fd_check, train)
 
@@ -40,10 +39,10 @@ __all__ = [
     "build_spec", "builtin_problems", "c_reg_convex", "cea_decomposition",
     "certified_h2_bound", "coeff_layout", "default_spec", "fd_check",
     "fit_ratio_slope", "forward_jets", "get_problem", "h_half_surrogate",
-    "harmonic_failure_records", "integrate", "interp_hs_bound", "load_config",
-    "load_params", "make_config", "parabolic_bound", "parse_config_text",
-    "penalty_h_half_estimator", "run_certified", "run_failure_demo",
-    "run_fd_check", "run_parabolic", "run_penalty_vs_exact", "run_sobolev",
-    "save_params", "seed_point", "seed_variable", "sobolev_error",
+    "harmonic_failure_records", "integrate_values", "interp_hs_bound",
+    "load_config", "load_params", "make_config", "parabolic_bound",
+    "parse_config_text", "penalty_h_half_estimator", "run_certified",
+    "run_failure_demo", "run_fd_check", "run_parabolic", "run_penalty_vs_exact",
+    "run_sobolev", "save_params", "seed_point", "seed_variable",
     "sobolev_errors_upto", "train", "x_norm_error",
 ]

@@ -11,7 +11,8 @@ Leibniz rule applied to a fixed factor), which the loss assembly exploits.
 Both constrained modes build it the same way at every jet order, 0 (plain
 values) included: the factor is the domain's batched distance factor
 (``t * L(x)`` on a space-time box) and the offset is the lift's or the
-time-extended initial field's jets.
+time-extended initial field's jets.  A lift belongs to exact_bc and an
+initial field to parabolic_exact; a spec in any other mode rejects them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import geometry, network
 from .fields import TimeExtendedField
 from .geometry import Domain, SpaceTimeBox
-from .jets import TaylorJet, coeff_layout, product_terms
+from .jets import coeff_layout, product_terms
 from .network import NetworkParams
 
 MODES = ("exact_bc", "unconstrained", "parabolic_exact")
@@ -66,6 +67,10 @@ class AnsatzSpec:
                 raise ValueError("parabolic_exact needs the initial field u0")
         elif isinstance(self.domain, SpaceTimeBox):
             raise ValueError(f"{self.mode} ansatz needs a spatial domain")
+        elif self.initial is not None:
+            raise ValueError(f"{self.mode} ansatz does not take an initial field")
+        if self.lift is not None and self.mode != "exact_bc":
+            raise ValueError(f"{self.mode} ansatz does not take a lift")
 
     # -- parameter plumbing --------------------------------------------------
 
@@ -79,12 +84,6 @@ class AnsatzSpec:
         shift = -(hi + lo) / (hi - lo)
         return scale, shift
 
-    # -- network jets ----------------------------------------------------------
-
-    def network_jets(self, X, order: int, need_cache: bool = False):
-        scale, shift = self.input_scaling()
-        return network.forward_jets(self.params, X, order, scale, shift, need_cache)
-
     # -- composition data ------------------------------------------------------
 
     def composition(self, X, order: int):
@@ -95,8 +94,6 @@ class AnsatzSpec:
         X = np.asarray(X, dtype=float)
         size = coeff_layout(self.domain.dim, order).size
         if self.mode == "unconstrained":
-            if self.lift is not None:
-                raise ValueError("unconstrained mode does not take a lift")
             return None, np.zeros((X.shape[0], size))
         L = geometry.distance_jets(self.domain, X, order)
         P = product_matrix_batch(L, self.domain.dim, order)
@@ -113,24 +110,16 @@ class AnsatzSpec:
     def jets(self, X, order: int) -> np.ndarray:
         """Packed jets of the ansatz field v at a batch of nodes."""
         X = np.asarray(X, dtype=float)
-        U = self.network_jets(X, order)
+        scale, shift = self.input_scaling()
+        U = network.forward_jets(self.params, X, order, scale, shift)
         P, base = self.composition(X, order)
         if P is None:
             return U + base
         return np.einsum("ncd,nd->nc", P, U) + base
 
-    def jet(self, x, order: int) -> TaylorJet:
-        """Ansatz jet at a single point."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return TaylorJet(self.domain.dim, order, self.jets(x[None, :], order)[0])
-
     def values(self, X) -> np.ndarray:
         """Plain values of v (order-0 pass)."""
         return self.jets(X, 0)[:, 0]
-
-    def value(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(self.values(x[None, :])[0])
 
 
 def build_spec(domain: Domain, mode: str = "exact_bc", lift=None, initial=None,

@@ -9,9 +9,10 @@ lambda_1 the first Dirichlet eigenvalue of the domain (exact for every
 built-in domain; see ``c_reg_convex``), so ||v - u||_H2 <= c_reg * sqrt(loss)
 holds for any ansatz with exact boundary values.  Constants from this
 formula carry provenance "convex_formula"; constants the caller supplies carry
-"user_supplied"; everything else is "unknown_labeled_heuristic" and is never
-marked certified.  Measured errors are compared against bounds with a fixed
-2 percent quadrature headroom, recorded on every report.
+"user_supplied"; everything else is "unknown_labeled_heuristic".  A report
+derives its bound constant * sqrt(loss) and its certified flag (provenance
+not heuristic) from these, and compares measured errors against the bound
+with the fixed 2 percent quadrature headroom ``QUAD_HEADROOM``.
 """
 
 from __future__ import annotations
@@ -49,38 +50,35 @@ class CertifiedReport:
     loss: float
     constant: float
     constant_provenance: str
-    bound: float
-    certified: bool
     measured_error: Optional[float] = None
-    headroom: float = QUAD_HEADROOM
     note: str = ""
 
     def __post_init__(self):
         if self.constant_provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.constant_provenance!r}")
-        if self.certified and self.constant_provenance == PROVENANCE_HEURISTIC:
-            raise ValueError("heuristic constants cannot be certified")
+
+    @property
+    def bound(self) -> float:
+        return self.constant * sqrt(self.loss)
+
+    @property
+    def certified(self) -> bool:
+        """Whether the constant is a proven one (convex formula or supplied)."""
+        return self.constant_provenance != PROVENANCE_HEURISTIC
 
     def bound_holds(self) -> bool:
-        """measured_error <= bound * (1 + headroom); vacuously true if unmeasured."""
+        """measured_error <= bound * (1 + QUAD_HEADROOM); True if unmeasured."""
         if self.measured_error is None:
             return True
-        return self.measured_error <= self.bound * (1.0 + self.headroom)
+        return self.measured_error <= self.bound * (1.0 + QUAD_HEADROOM)
 
     def check(self) -> "CertifiedReport":
         if self.certified and not self.bound_holds():
             raise BoundViolation(
                 f"{self.norm_label} error {self.measured_error:.6e} exceeds "
-                f"bound {self.bound:.6e} (headroom {self.headroom:.0%})"
+                f"bound {self.bound:.6e} (headroom {QUAD_HEADROOM:.0%})"
             )
         return self
-
-    CSV_HEADER = "variant,loss,constant,provenance,bound,measured_error,certified"
-
-    def csv_row(self) -> str:
-        me = "" if self.measured_error is None else repr(self.measured_error)
-        return (f"{self.norm_label},{self.loss!r},{self.constant!r},"
-                f"{self.constant_provenance},{self.bound!r},{me},{self.certified}")
 
     def text_block(self) -> str:
         lines = [
@@ -88,7 +86,7 @@ class CertifiedReport:
             f"loss:        {self.loss!r}",
             f"constant:    {self.constant!r}  ({self.constant_provenance})",
             f"bound:       {self.bound!r}",
-            f"headroom:    {self.headroom!r}",
+            f"headroom:    {QUAD_HEADROOM!r}",
             f"certified:   {self.certified}",
         ]
         if self.measured_error is not None:
@@ -153,18 +151,17 @@ def certified_h2_bound(loss: float, domain: Domain,
     if user_constant is not None:
         if not user_constant > 0:
             raise ValueError("user-supplied constant must be positive")
-        c, prov, certified = float(user_constant), PROVENANCE_USER, True
+        c, prov = float(user_constant), PROVENANCE_USER
         note = "constant supplied by caller"
     elif problem is None or problem.kind == "poisson":
-        c, prov, certified = c_reg_convex(domain), PROVENANCE_CONVEX, True
+        c, prov = c_reg_convex(domain), PROVENANCE_CONVEX
         note = ""
     else:
-        c, prov, certified = 1.0, PROVENANCE_HEURISTIC, False
+        c, prov = 1.0, PROVENANCE_HEURISTIC
         note = (f"no explicit constant for kind {problem.kind!r}; "
                 "sqrt(loss) reported without certification")
     return CertifiedReport(
         norm_label=NORM_H2, loss=loss, constant=c, constant_provenance=prov,
-        bound=c * sqrt(loss), certified=certified,
         measured_error=measured_error, note=note,
     )
 
@@ -222,8 +219,7 @@ def penalty_h_half_estimator(loss_tau: float, tau: float) -> CertifiedReport:
     c = 1.0 + tau ** -0.5
     return CertifiedReport(
         norm_label=NORM_H_HALF, loss=loss_tau, constant=c,
-        constant_provenance=PROVENANCE_HEURISTIC, bound=c * sqrt(loss_tau),
-        certified=False,
+        constant_provenance=PROVENANCE_HEURISTIC,
         note="H^(1/2)-scale indicator up to an unknown domain constant; "
              "penalty losses certify nothing stronger",
     )
@@ -243,13 +239,11 @@ def parabolic_bound(loss: float, constant: Optional[float] = None,
             raise ValueError("parabolic constant must be positive")
         return CertifiedReport(
             norm_label=NORM_X_PARABOLIC, loss=loss, constant=float(constant),
-            constant_provenance=PROVENANCE_USER, bound=constant * sqrt(loss),
-            certified=True, measured_error=measured_error,
+            constant_provenance=PROVENANCE_USER, measured_error=measured_error,
             note="constant supplied by caller",
         )
     return CertifiedReport(
         norm_label=NORM_X_PARABOLIC, loss=loss, constant=1.0,
-        constant_provenance=PROVENANCE_HEURISTIC, bound=sqrt(loss),
-        certified=False, measured_error=measured_error,
+        constant_provenance=PROVENANCE_HEURISTIC, measured_error=measured_error,
         note="solution-map norm unknown; sqrt(loss) reported without certification",
     )

@@ -87,8 +87,7 @@ def main(argv=None) -> int:
                       f"measured {rep.measured_error!r} certified {rep.certified}")
 
         elif args.command == "failure-demo":
-            records, slope = experiments.run_failure_demo(
-                config.n_list, config.tau, out, config=config, quad_n=config.quad_n)
+            records, slope = experiments.run_failure_demo(config, out)
             last = records[-1]
             print(f"fitted slope of log(h1_ratio) vs log(n): {slope!r}")
             print(f"n={last.n}: loss_tau {last.loss_tau!r} h1_ratio {last.h1_ratio!r} "

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -22,9 +22,9 @@ from . import certify, quadrature
 from .ansatz import AnsatzSpec
 from .certify import BoundViolation, CertifiedReport
 from .fields import HarmonicMode
-from .geometry import Disk, SpaceTimeBox
-from .losses import LossConfig, build_objective, field_residual_sq, make_config
-from .problems import PdeProblem, builtin_problems, default_spec, get_problem
+from .geometry import Disk
+from .losses import build_objective, make_config
+from .problems import PdeProblem, default_spec, get_problem
 from .quadrature import (build_rule, boundary_misfit, grad_laplacian_error,
                          h_half_surrogate, sobolev_errors_upto, x_norm_error)
 from .training import AdamSchedule, fd_check, train
@@ -197,9 +197,9 @@ def _certified_single_seed(config: ExperimentConfig, seed: int) -> CertifiedRun:
         state.loss, problem.domain, problem, user_constant=config.user_constant,
         measured_error=sobolev_errors_upto(best, problem.exact, cfg.interior, 2)[2],
     )
-    csv_rows = [_fmt(s, l, b, h2, h1, l2) for (s, l, b, h2, h1, l2) in rows]
+    formatted = [_fmt(s, l, b, h2, h1, l2) for (s, l, b, h2, h1, l2) in rows]
     lines = _csv_lines(config, seed, "step,loss,bound,h2_error,h1_error,l2_error",
-                       csv_rows, trailer=final_report.text_block().splitlines())
+                       formatted, trailer=final_report.text_block().splitlines())
     return CertifiedRun(seed, rows, final_report, violations, lines)
 
 
@@ -247,26 +247,27 @@ def run_certified(config: ExperimentConfig, out_dir=None, parallel: int = 1):
 class HarmonicFamilyRecord:
     """Quadrature values and closed forms for one harmonic mode r^n cos(n theta)."""
 
+    # failure_demo.csv column order; closed forms: residual 0, boundary pi,
+    # L2 pi/(2n+2), gradient pi*n
     n: int
     interior_residual_sq: float
     boundary_norm_sq: float
-    l2_norm_sq: float
-    grad_norm_sq: float
-    loss_tau: float
-    h1_norm: float
-    h1_ratio: float
-    h_half_surrogate: float
-    # closed forms: residual 0, boundary pi, L2 pi/(2n+2), gradient pi*n
     boundary_norm_sq_exact: float
+    l2_norm_sq: float
     l2_norm_sq_exact: float
+    grad_norm_sq: float
     grad_norm_sq_exact: float
+    loss_tau: float
     loss_tau_exact: float
+    h1_norm: float
     h1_norm_exact: float
+    h1_ratio: float
     h1_ratio_exact: float
+    h_half_surrogate: float
     h_half_surrogate_exact: float
 
 
-def harmonic_failure_records(n_list, tau: float, quad_n: int | None = None):
+def harmonic_failure_records(n_list, tau: float, quad_n: int):
     """Evaluate the harmonic family on the unit disk with zero boundary data.
 
     Every quadrature value is paired with its closed form; the angular node
@@ -280,8 +281,7 @@ def harmonic_failure_records(n_list, tau: float, quad_n: int | None = None):
         n = int(n)
         if n < 1:
             raise ConfigError("harmonic mode numbers must be positive")
-        base = quad_n if quad_n is not None else 8
-        nq = max(base, n + 2)  # radial degree 2n+1 and angular frequency 2n covered
+        nq = max(quad_n, n + 2)  # radial degree 2n+1 and angular frequency 2n covered
         interior = build_rule(disk, "interior", nq)
         boundary = build_rule(disk, "boundary", nq)
         mode = HarmonicMode(n)
@@ -304,18 +304,18 @@ def harmonic_failure_records(n_list, tau: float, quad_n: int | None = None):
             n=n,
             interior_residual_sq=residual_sq,
             boundary_norm_sq=bnd_sq,
-            l2_norm_sq=l2_sq,
-            grad_norm_sq=grad_sq,
-            loss_tau=loss_tau,
-            h1_norm=h1,
-            h1_ratio=h1 / math.sqrt(loss_tau),
-            h_half_surrogate=surrogate,
             boundary_norm_sq_exact=math.pi,
+            l2_norm_sq=l2_sq,
             l2_norm_sq_exact=l2_exact,
+            grad_norm_sq=grad_sq,
             grad_norm_sq_exact=grad_exact,
+            loss_tau=loss_tau,
             loss_tau_exact=loss_exact,
+            h1_norm=h1,
             h1_norm_exact=h1_exact,
+            h1_ratio=h1 / math.sqrt(loss_tau),
             h1_ratio_exact=h1_exact / math.sqrt(loss_exact),
+            h_half_surrogate=surrogate,
             h_half_surrogate_exact=math.sqrt(math.sqrt(l2_exact) * math.sqrt(l2_exact + grad_exact)),
         ))
     return records
@@ -328,35 +328,20 @@ def fit_ratio_slope(records) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def run_failure_demo(n_list, tau: float, out_dir="out",
-                     config: ExperimentConfig | None = None, quad_n=None):
-    """Boundary-penalty failure demo on the harmonic disk family.
+def run_failure_demo(config: ExperimentConfig, out_dir=None):
+    """Boundary-penalty failure demo on the harmonic modes of config.n_list.
 
     The penalty loss stays flat at tau * pi while the H1 error diverges like
     sqrt(n); the H^(1/2) surrogate stays bounded.  Writes failure_demo.csv
     and returns (records, fitted slope)."""
-    if quad_n is None:
-        quad_n = config.quad_n if config is not None else 8
-    # the recorded hash always reflects the values actually used
-    config = replace(config if config is not None else ExperimentConfig(),
-                     n_list=tuple(int(n) for n in n_list), tau=float(tau),
-                     quad_n=quad_n)
-    records = harmonic_failure_records(n_list, tau, quad_n)
+    out = Path(out_dir if out_dir is not None else config.out_dir)
+    records = harmonic_failure_records(config.n_list, config.tau, config.quad_n)
     slope = fit_ratio_slope(records)
-    header = ("n,interior_residual_sq,boundary_norm_sq,boundary_norm_sq_exact,"
-              "l2_norm_sq,l2_norm_sq_exact,grad_norm_sq,grad_norm_sq_exact,"
-              "loss_tau,loss_tau_exact,h1_norm,h1_norm_exact,"
-              "h1_ratio,h1_ratio_exact,h_half_surrogate,h_half_surrogate_exact")
-    rows = [
-        _fmt(r.n, r.interior_residual_sq, r.boundary_norm_sq, r.boundary_norm_sq_exact,
-             r.l2_norm_sq, r.l2_norm_sq_exact, r.grad_norm_sq, r.grad_norm_sq_exact,
-             r.loss_tau, r.loss_tau_exact, r.h1_norm, r.h1_norm_exact,
-             r.h1_ratio, r.h1_ratio_exact, r.h_half_surrogate, r.h_half_surrogate_exact)
-        for r in records
-    ]
+    header = ",".join(f.name for f in fields(HarmonicFamilyRecord))
+    rows = [_fmt(*astuple(r)) for r in records]
     lines = _csv_lines(config, "-", header, rows,
                        trailer=[f"fitted_slope = {slope!r}"])
-    _write_lines(Path(out_dir) / "failure_demo.csv", lines)
+    _write_lines(out / "failure_demo.csv", lines)
     return records, slope
 
 
@@ -427,10 +412,9 @@ def _parabolic_slice_errors(spec: AnsatzSpec, problem: PdeProblem, n: int):
     brule = build_rule(domain.spatial, "boundary", n)
     tq, _ = np.polynomial.legendre.leggauss(n)
     tq = 0.5 * domain.horizon * (tq + 1.0)
-    lat_err = 0.0
-    for t in tq:
-        nodes = np.column_stack([np.full(brule.n_nodes, t), brule.nodes])
-        lat_err = max(lat_err, float(np.max(np.abs(spec.values(nodes)))))
+    lateral = np.column_stack([np.repeat(tq, brule.n_nodes),
+                               np.tile(brule.nodes, (n, 1))])
+    lat_err = float(np.max(np.abs(spec.values(lateral))))
     return init_err, lat_err
 
 
@@ -459,11 +443,11 @@ def run_parabolic(config: ExperimentConfig, out_dir=None):
     state, best = train(spec, problem, cfg, _schedule(config), on_checkpoint=checkpoint)
     report = certify.parabolic_bound(state.loss, constant=config.parabolic_constant,
                                      measured_error=rows[-1][2])
-    csv_rows = [_fmt(*r) for r in rows]
+    formatted = [_fmt(*r) for r in rows]
     trailer = report.text_block().splitlines()
     trailer.append(f"max_initial_slice_error = {max(r[1] for r in slice_rows)!r}")
     trailer.append(f"max_lateral_slice_error = {max(r[2] for r in slice_rows)!r}")
-    lines = _csv_lines(config, seed, "step,loss,x_norm_error,ratio", csv_rows, trailer)
+    lines = _csv_lines(config, seed, "step,loss,x_norm_error,ratio", formatted, trailer)
     _write_lines(out / f"parabolic_{problem.name}.csv", lines)
     return rows, slice_rows, report
 
@@ -516,10 +500,14 @@ def run_fd_check(config: ExperimentConfig, out_dir=None, n_coords: int = 20):
     problem = _resolve_problem(config.problem)
     seed = config.seeds[0]
     mode = {"penalty": "unconstrained"}.get(config.variant)
-    spec = default_spec(problem, hidden=config.hidden, seed=seed, mode=mode)
-    cfg = make_config(problem, config.variant, config.quad_n,
-                      tau=config.tau if config.variant == "penalty" else None)
-    report = fd_check(spec, problem, cfg, n_coords=n_coords, seed=seed)
+    try:
+        spec = default_spec(problem, hidden=config.hidden, seed=seed, mode=mode)
+        cfg = make_config(problem, config.variant, config.quad_n,
+                          tau=config.tau if config.variant == "penalty" else None)
+        report = fd_check(spec, problem, cfg, n_coords=n_coords, seed=seed)
+    except ValueError as err:
+        raise ConfigError(f"cannot assemble the {config.variant!r} loss for "
+                          f"{problem.name}: {err}") from None
     header = "index,analytic,numeric,discrepancy,mode"
     rows = [_fmt(r.index, r.analytic, r.numeric, r.discrepancy,
                  "relative" if r.relative else "absolute") for r in report.rows]

@@ -4,6 +4,9 @@
 order up to 3 through symbolically differentiated, vectorised callables.
 These fields describe boundary data, lifts, right-hand sides and manufactured
 solutions; the network itself never goes through sympy.
+
+Fields evaluate batches only, ``values(X)`` (N,) and ``jets(X, order)``
+(N, C) at points X (N, d); a single point is a batch of one.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import sympy as sp
 
-from .jets import TaylorJet, coeff_layout
+from .jets import coeff_layout
 
 _SPATIAL = (sp.Symbol("x"), sp.Symbol("y"), sp.Symbol("z"))
 _TIME = sp.Symbol("t")
@@ -68,10 +71,6 @@ class AnalyticField:
         out = self._func(())(*cols)
         return np.broadcast_to(np.asarray(out, dtype=float), (X.shape[0],)).copy()
 
-    def value(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(self.values(x[None, :])[0])
-
     def jets(self, X, order: int) -> np.ndarray:
         """Packed derivative jets at a batch of points, shape (N, C)."""
         X = np.asarray(X, dtype=float)
@@ -82,10 +81,6 @@ class AnalyticField:
             vals = self._func(mi)(*cols)
             out[:, c] = np.broadcast_to(np.asarray(vals, dtype=float), (X.shape[0],))
         return out
-
-    def jet(self, x, order: int) -> TaylorJet:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return TaylorJet(self.dim, order, self.jets(x[None, :], order)[0])
 
     def __repr__(self):
         return f"AnalyticField({self.expr}, syms={tuple(map(str, self.syms))})"
@@ -102,10 +97,6 @@ class TimeExtendedField:
         X = np.asarray(X, dtype=float)
         return self.spatial.values(X[:, 1:])
 
-    def value(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self.spatial.value(x[1:])
-
     def jets(self, X, order: int) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         lay = coeff_layout(self.dim, order)
@@ -116,10 +107,6 @@ class TimeExtendedField:
             shifted = tuple(i + 1 for i in mi)
             out[:, lay.position(shifted)] = sub[:, c]
         return out
-
-    def jet(self, x, order: int) -> TaylorJet:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return TaylorJet(self.dim, order, self.jets(x[None, :], order)[0])
 
 
 class HarmonicMode:
@@ -143,10 +130,6 @@ class HarmonicMode:
         X = np.asarray(X, dtype=float)
         return self._zpow(X, self.n).real
 
-    def value(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(self.values(x[None, :])[0])
-
     def jets(self, X, order: int) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         n = self.n
@@ -166,10 +149,6 @@ class HarmonicMode:
             part = (zp.real, -zp.imag, -zp.real, zp.imag)[b % 4]
             out[:, c] = coef * part
         return out
-
-    def jet(self, x, order: int) -> TaylorJet:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return TaylorJet(2, order, self.jets(x[None, :], order)[0])
 
 
 class MatrixField:

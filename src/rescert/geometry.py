@@ -147,8 +147,6 @@ class SpaceTimeBox:
 
 Domain = Union[Interval, Rectangle, Disk, SpaceTimeBox]
 
-SPATIAL_KINDS = (Interval, Rectangle, Disk)
-
 
 def _factor(domain: Domain, s) -> TaylorJet:
     """Distance factor as jet arithmetic on the coordinate jets s."""

@@ -27,7 +27,6 @@ __all__ = [
     "coeff_layout",
     "product_terms",
     "seed_variable",
-    "seed_constant",
     "seed_point",
     "tanh",
     "sin",
@@ -53,10 +52,6 @@ class CoeffLayout:
     @property
     def size(self) -> int:
         return len(self.multi_indices)
-
-    @property
-    def grad_offset(self) -> int:
-        return 1
 
     @property
     def hess_offset(self) -> int:
@@ -269,12 +264,6 @@ def seed_variable(i: int, x, order: int, dim: int) -> TaylorJet:
     c[0] = x
     if order >= 1:
         c[1 + i] = 1.0
-    return TaylorJet(dim, order, c)
-
-
-def seed_constant(value, order: int, dim: int) -> TaylorJet:
-    c = np.zeros((coeff_layout(dim, order).size,) + np.shape(value))
-    c[0] = value
     return TaylorJet(dim, order, c)
 
 

@@ -5,14 +5,15 @@ radial Gauss rule (the Jacobian r is absorbed into the weights) with a
 uniform angular grid, which integrates trigonometric polynomials below the
 node count exactly.  All reductions are correctly rounded sums
 (``math.fsum``), so their results do not depend on the node order and
-repeated runs are bit-identical.
+repeated runs are bit-identical.  There is one integral,
+``integrate_values(rule, f(rule.nodes))``, and one family of Sobolev
+distances, ``sobolev_errors_upto(v, ref, rule, s)[s]`` for H^0 ... H^s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum, pi
-from typing import Callable
 
 import numpy as np
 
@@ -24,13 +25,12 @@ TARGETS = ("interior", "boundary", "spacetime")
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes (N, d), positive weights (N,), and the generating metadata."""
+    """Nodes (N, d), positive weights (N,), and the domain and target they cover."""
 
     nodes: np.ndarray
     weights: np.ndarray
     domain: Domain
     target: str
-    exactness_degree: int  # per-axis polynomial degree integrated exactly, where applicable
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -47,15 +47,20 @@ def kahan_sum(values) -> float:
     return fsum(np.asarray(values, dtype=float).ravel().tolist())
 
 
-def _gauss01(n: int):
-    """Gauss-Legendre nodes/weights on (0, 1)."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def _gauss(a: float, b: float, n: int):
-    x, w = _gauss01(n)
+    """Gauss-Legendre nodes/weights on (a, b)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
     return a + (b - a) * x, (b - a) * w
+
+
+def _tensor(a, wa, b, wb):
+    """Tensor product of two rules: row i * len(wb) + j holds the node
+    (a_i, b_j) with weight wa_i * wb_j."""
+    a = np.reshape(a, (len(wa), -1))
+    b = np.reshape(b, (len(wb), -1))
+    nodes = np.hstack([np.repeat(a, len(wb), axis=0), np.tile(b, (len(wa), 1))])
+    return nodes, np.repeat(wa, len(wb)) * np.tile(wb, len(wa))
 
 
 def build_rule(domain: Domain, target: str, n: int) -> QuadratureRule:
@@ -76,14 +81,8 @@ def build_rule(domain: Domain, target: str, n: int) -> QuadratureRule:
             raise ValueError("space-time domains only carry the 'spacetime' target")
         tq, tw = _gauss(0.0, domain.horizon, n)
         srule = build_rule(domain.spatial, "interior", n)
-        nodes = np.empty((n * srule.n_nodes, domain.dim))
-        weights = np.empty(n * srule.n_nodes)
-        for k in range(n):
-            sl = slice(k * srule.n_nodes, (k + 1) * srule.n_nodes)
-            nodes[sl, 0] = tq[k]
-            nodes[sl, 1:] = srule.nodes
-            weights[sl] = tw[k] * srule.weights
-        return QuadratureRule(nodes, weights, domain, target, 2 * n - 1)
+        nodes, weights = _tensor(tq, tw, srule.nodes, srule.weights)
+        return QuadratureRule(nodes, weights, domain, target)
 
     if target == "spacetime":
         raise ValueError("'spacetime' target needs a space-time domain")
@@ -91,22 +90,15 @@ def build_rule(domain: Domain, target: str, n: int) -> QuadratureRule:
     if isinstance(domain, Interval):
         if target == "interior":
             x, w = _gauss(domain.a, domain.b, n)
-            return QuadratureRule(x[:, None], w, domain, target, 2 * n - 1)
+            return QuadratureRule(x[:, None], w, domain, target)
         nodes = np.array([[domain.a], [domain.b]])
-        return QuadratureRule(nodes, np.ones(2), domain, target, 0)
+        return QuadratureRule(nodes, np.ones(2), domain, target)
 
     if isinstance(domain, Rectangle):
         if target == "interior":
             x, wx = _gauss(domain.lo[0], domain.hi[0], n)
             y, wy = _gauss(domain.lo[1], domain.hi[1], n)
-            nodes = np.empty((n * n, 2))
-            weights = np.empty(n * n)
-            for i in range(n):
-                sl = slice(i * n, (i + 1) * n)
-                nodes[sl, 0] = x[i]
-                nodes[sl, 1] = y
-                weights[sl] = wx[i] * wy
-            return QuadratureRule(nodes, weights, domain, target, 2 * n - 1)
+            return QuadratureRule(*_tensor(x, wx, y, wy), domain, target)
         # one Gauss panel per edge, in a fixed order: bottom, top, left, right
         x, wx = _gauss(domain.lo[0], domain.hi[0], n)
         y, wy = _gauss(domain.lo[1], domain.hi[1], n)
@@ -123,7 +115,7 @@ def build_rule(domain: Domain, target: str, n: int) -> QuadratureRule:
             parts.append((nd, w))
         nodes = np.concatenate([p[0] for p in parts])
         weights = np.concatenate([p[1] for p in parts])
-        return QuadratureRule(nodes, weights, domain, target, 2 * n - 1)
+        return QuadratureRule(nodes, weights, domain, target)
 
     if isinstance(domain, Disk):
         m = 4 * n  # angular nodes; exact for trig polynomials of degree < 4n
@@ -132,17 +124,14 @@ def build_rule(domain: Domain, target: str, n: int) -> QuadratureRule:
         cx, cy = domain.center
         if target == "interior":
             r, wr = _gauss(0.0, domain.radius, n)
-            nodes = np.empty((n * m, 2))
-            weights = np.empty(n * m)
-            for k in range(n):
-                sl = slice(k * m, (k + 1) * m)
-                nodes[sl, 0] = cx + r[k] * ct
-                nodes[sl, 1] = cy + r[k] * st
-                weights[sl] = wr[k] * r[k] * (2.0 * pi / m)
-            return QuadratureRule(nodes, weights, domain, target, 2 * n - 1)
+            # (r_k, cos, sin) rows, weight wr_k * r_k * (2 pi / m)
+            polar, weights = _tensor(r, wr * r, np.column_stack([ct, st]),
+                                     np.full(m, 2.0 * pi / m))
+            nodes = np.array([cx, cy]) + polar[:, :1] * polar[:, 1:]
+            return QuadratureRule(nodes, weights, domain, target)
         nodes = np.column_stack([cx + domain.radius * ct, cy + domain.radius * st])
         weights = np.full(m, domain.radius * 2.0 * pi / m)
-        return QuadratureRule(nodes, weights, domain, target, 2 * n - 1)
+        return QuadratureRule(nodes, weights, domain, target)
 
     raise TypeError(f"no quadrature for domain {type(domain).__name__}")
 
@@ -154,20 +143,9 @@ def target_measure(rule: QuadratureRule) -> float:
     return rule.domain.measure
 
 
-def integrate(rule: QuadratureRule, field: Callable) -> float:
-    """Integrate a pointwise callable over the rule.  Fails loudly on
-    non-finite values, naming the offending node."""
-    vals = np.empty(rule.n_nodes)
-    for k in range(rule.n_nodes):
-        vals[k] = field(rule.nodes[k])
-        if not np.isfinite(vals[k]):
-            raise ValueError(
-                f"field evaluated to {vals[k]} at node {k} = {rule.nodes[k]!r}"
-            )
-    return kahan_sum(rule.weights * vals)
-
-
 def integrate_values(rule: QuadratureRule, values) -> float:
+    """Integral of a field given by its values at the rule's nodes.  Fails
+    loudly on non-finite values, naming the first offending node."""
     values = np.asarray(values, dtype=float)
     if values.shape != (rule.n_nodes,):
         raise ValueError(f"expected {rule.n_nodes} values, got shape {values.shape}")
@@ -205,30 +183,11 @@ def _sq_norms_upto(e: np.ndarray, dim: int, order: int) -> list[np.ndarray]:
     return parts
 
 
-def sobolev_error(v, ref, s: int, rule: QuadratureRule) -> float:
-    """Full H^s distance (s in {0, 1, 2}) between two jet-evaluable fields.
-
-    Pass ref=None to measure v against zero.
-    """
-    if s not in (0, 1, 2):
-        raise ValueError(f"sobolev_error supports s in {{0, 1, 2}}, got {s}")
-    order = max(s, 0)
-    dim = rule.nodes.shape[1]
-    e = _jet_difference(v, ref, rule.nodes, order) if s > 0 else None
-    if s == 0:
-        vals = np.asarray(v.values(rule.nodes), dtype=float)
-        if ref is not None:
-            vals = vals - np.asarray(ref.values(rule.nodes), dtype=float)
-        density = vals**2
-    else:
-        density = np.zeros(rule.n_nodes)
-        for part in _sq_norms_upto(e, dim, order):
-            density += part
-    return float(np.sqrt(integrate_values(rule, density)))
-
-
 def sobolev_errors_upto(v, ref, rule: QuadratureRule, s_max: int = 2):
-    """(H^0, ..., H^s_max) distances from a single jet evaluation."""
+    """(H^0, ..., H^s_max) distances between two jet-evaluable fields from a
+    single jet evaluation; ref=None measures v against zero."""
+    if s_max not in (0, 1, 2):
+        raise ValueError(f"Sobolev distances cover s_max in {{0, 1, 2}}, got {s_max}")
     dim = rule.nodes.shape[1]
     e = _jet_difference(v, ref, rule.nodes, s_max)
     parts = _sq_norms_upto(e, dim, s_max)

@@ -4,6 +4,9 @@ The gradient is the exact derivative of the quadrature sum (reverse
 accumulation through the jet forward pass), so it can be checked against
 central finite differences of the loss value; ``fd_check`` does exactly that
 and is the standing correctness oracle for the whole differentiation path.
+
+The divergence guard stops a run with ``DivergenceError`` once its loss is
+not finite or above ``DIVERGENCE_FACTOR`` (1e6) times the initial loss.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ import numpy as np
 
 from . import network
 from .ansatz import AnsatzSpec
-from .losses import LossConfig, Objective, build_objective
+from .losses import LossConfig, build_objective
 from .problems import PdeProblem
+
+DIVERGENCE_FACTOR = 1e6
 
 
 class DivergenceError(RuntimeError):
@@ -39,7 +44,6 @@ class AdamSchedule:
     beta2: float = 0.999
     eps: float = 1e-8
     record_every: int = 100
-    divergence_factor: float = 1e6
 
 
 @dataclass
@@ -58,18 +62,6 @@ class TrainState:
         steps = [s for s, _ in self.history]
         if steps != sorted(set(steps)):
             raise ValueError("history steps must be strictly increasing")
-
-
-def loss_gradient(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig) -> np.ndarray:
-    """Exact gradient of the discretised loss at the current parameters."""
-    objective = build_objective(spec, problem, cfg)
-    _, g = objective.value_and_grad(spec.params.flatten())
-    bad = np.flatnonzero(~np.isfinite(g))
-    if bad.size:
-        raise FloatingPointError(
-            f"non-finite gradient entries at parameter indices {bad[:8].tolist()}"
-        )
-    return g
 
 
 @dataclass(frozen=True)
@@ -135,7 +127,7 @@ def train(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig,
 
     ``on_checkpoint(step, flat_params, loss)`` fires at every recorded step
     (step 0, every record_every, and the final step).  The run aborts with
-    DivergenceError if the loss exceeds divergence_factor times its initial
+    DivergenceError if the loss exceeds DIVERGENCE_FACTOR times its initial
     value; parameters are left untouched by that failure.
     """
     objective = build_objective(spec, problem, cfg)
@@ -160,7 +152,7 @@ def train(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig,
             loss, grad = objective.value(theta), None
         if initial_loss is None:
             initial_loss = loss
-        if not np.isfinite(loss) or loss > schedule.divergence_factor * max(initial_loss, 1e-300):
+        if not np.isfinite(loss) or loss > DIVERGENCE_FACTOR * max(initial_loss, 1e-300):
             raise DivergenceError(step, loss, initial_loss)
         if loss < best_loss:
             best_loss, best_theta, best_step = loss, theta.copy(), step
@@ -198,14 +190,3 @@ def save_checkpoint(path, spec: AnsatzSpec, state: TrainState) -> None:
                       "final_params": state.final_params},
         extra_header={"step": state.step, "loss": repr(state.loss)},
     )
-
-
-def history_csv(state: TrainState, path, comment: str | None = None) -> None:
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("step,loss")
-    for step, loss in state.history:
-        lines.append(f"{step},{loss!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -84,7 +84,7 @@ def test_criterion_2_certificates_on_disk_and_variable_coefficients():
 def test_criterion_3_boundary_penalty_failure_family():
     """Harmonic disk modes: flat penalty loss, sqrt(n) H1 growth, bounded
     H^(1/2) surrogate."""
-    records = harmonic_failure_records((2, 4, 8, 16, 32, 64), tau=1.0)
+    records = harmonic_failure_records((2, 4, 8, 16, 32, 64), tau=1.0, quad_n=8)
     for r in records:
         assert r.grad_norm_sq == pytest.approx(math.pi * r.n, rel=1e-6)
         assert r.l2_norm_sq == pytest.approx(math.pi / (2 * r.n + 2), rel=1e-6)

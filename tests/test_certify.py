@@ -72,45 +72,39 @@ def test_h2_bound_provenance_paths():
 
 def test_report_validation_and_check():
     with pytest.raises(ValueError, match="provenance"):
-        CertifiedReport("H2", 1.0, 1.0, "made_up", 1.0, False)
-    with pytest.raises(ValueError, match="heuristic"):
-        CertifiedReport("H2", 1.0, 1.0, PROVENANCE_HEURISTIC, 1.0, True)
+        CertifiedReport("H2", 1.0, 1.0, "made_up")
+    # bound and certified are derived, never stored
+    heur = CertifiedReport("H2", 4.0, 1.5, PROVENANCE_HEURISTIC)
+    assert heur.bound == 3.0 and not heur.certified
 
-    ok = CertifiedReport("H2", 1.0, 2.0, PROVENANCE_CONVEX, 2.0, True,
-                         measured_error=2.03)
+    ok = CertifiedReport("H2", 1.0, 2.0, PROVENANCE_CONVEX, measured_error=2.03)
+    assert ok.certified and ok.bound == 2.0
     assert ok.bound_holds()  # 2.03 <= 2.0 * 1.02
     assert ok.check() is ok
 
-    bad = CertifiedReport("H2", 1.0, 2.0, PROVENANCE_CONVEX, 2.0, True,
-                          measured_error=2.05)
+    bad = CertifiedReport("H2", 1.0, 2.0, PROVENANCE_CONVEX, measured_error=2.05)
     assert not bad.bound_holds()
     with pytest.raises(BoundViolation, match="exceeds"):
         bad.check()
 
     # an uncertified report never raises, however bad the measurement
-    loose = CertifiedReport("H2", 1.0, 1.0, PROVENANCE_HEURISTIC, 1.0, False,
-                            measured_error=50.0)
+    loose = CertifiedReport("H2", 1.0, 1.0, PROVENANCE_HEURISTIC, measured_error=50.0)
     assert loose.check() is loose
 
-    unmeasured = CertifiedReport("H2", 1.0, 2.0, PROVENANCE_CONVEX, 2.0, True)
+    unmeasured = CertifiedReport("H2", 1.0, 2.0, PROVENANCE_CONVEX)
     assert unmeasured.bound_holds()
 
 
-def test_report_csv_and_text():
+def test_report_text():
     rep = certified_h2_bound(0.25, Disk((0.0, 0.0), 1.0), measured_error=0.5)
-    row = rep.csv_row()
-    fields = row.split(",")
-    assert len(fields) == len(CertifiedReport.CSV_HEADER.split(","))
-    assert fields[0] == "H2"
-    assert float(fields[1]) == 0.25
-    assert float(fields[4]) == rep.bound
-    assert fields[6] == "True"
     text = rep.text_block()
+    assert "norm:        H2" in text
+    assert f"bound:       {rep.bound!r}" in text
+    assert "headroom:    0.02" in text
     assert "certified:   True" in text
     assert "holds: True" in text
-
-    none_row = certified_h2_bound(0.25, Disk((0.0, 0.0), 1.0)).csv_row()
-    assert none_row.split(",")[5] == ""  # unmeasured stays blank
+    # unmeasured reports print no measurement line
+    assert "measured" not in certified_h2_bound(0.25, Disk((0.0, 0.0), 1.0)).text_block()
 
 
 def test_h2_bound_holds_on_large_square():

@@ -140,7 +140,7 @@ def test_run_certified_flags_error_just_past_headroom(tmp_path, monkeypatch):
 
 
 def test_harmonic_records_match_closed_forms():
-    records = harmonic_failure_records((2, 4, 8), tau=1.0)
+    records = harmonic_failure_records((2, 4, 8), tau=1.0, quad_n=8)
     for r in records:
         assert r.interior_residual_sq < 1e-20  # the family is harmonic
         assert r.boundary_norm_sq == pytest.approx(math.pi, rel=1e-12)
@@ -156,13 +156,14 @@ def test_harmonic_records_match_closed_forms():
 
 def test_harmonic_records_validation():
     with pytest.raises(ConfigError, match="tau"):
-        harmonic_failure_records((2,), tau=0.0)
+        harmonic_failure_records((2,), tau=0.0, quad_n=8)
     with pytest.raises(ConfigError, match="positive"):
-        harmonic_failure_records((0,), tau=1.0)
+        harmonic_failure_records((0,), tau=1.0, quad_n=8)
 
 
 def test_run_failure_demo_csv(tmp_path):
-    records, slope = run_failure_demo((2, 4, 8), tau=1.0, out_dir=tmp_path)
+    config = ExperimentConfig(n_list=(2, 4, 8), tau=1.0, quad_n=8)
+    records, slope = run_failure_demo(config, tmp_path)
     lines = (tmp_path / "failure_demo.csv").read_text().splitlines()
     assert lines[0].startswith("# config_hash=") and lines[0].endswith("seed=-")
     header = lines[1].split(",")
@@ -171,7 +172,7 @@ def test_run_failure_demo_csv(tmp_path):
     assert lines[-1] == f"# fitted_slope = {slope!r}"
     # rerun is bit-identical
     before = (tmp_path / "failure_demo.csv").read_bytes()
-    run_failure_demo((2, 4, 8), tau=1.0, out_dir=tmp_path)
+    run_failure_demo(config, tmp_path)
     assert (tmp_path / "failure_demo.csv").read_bytes() == before
 
 
@@ -286,6 +287,16 @@ def test_cli_fd_check_ok(tmp_path, capsys):
     code = cli.main(["fd-check", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("problem,variant", [
+    ("P4", "interior"), ("P1", "parabolic"), ("P3", "sobolev_k1"), ("P1", "bogus")])
+def test_cli_fd_check_mismatch_is_config_error(tmp_path, capsys, problem, variant):
+    cfg = write_cfg(tmp_path, problem=problem, variant=variant, hidden="4", quad_n=4)
+    code = cli.main(["fd-check", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "config error" in err and variant in err and problem in err
 
 
 def test_cli_config_errors(tmp_path, capsys):

@@ -7,6 +7,7 @@ from rescert.ansatz import AnsatzSpec, build_spec
 from rescert.fields import AnalyticField, TimeExtendedField, symbols_for
 from rescert.geometry import (Disk, Interval, Rectangle, SpaceTimeBox,
                               distance_jet, distance_jets)
+from rescert.jets import TaylorJet
 from rescert.network import NetworkParams
 from rescert.problems import get_problem, default_spec
 from rescert.quadrature import build_rule
@@ -84,14 +85,14 @@ def test_distance_jets_match_closed_form():
             assert got.shape == want.shape
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
         j = distance_jet(dom, X[0], 2)
-        assert j.value == pytest.approx(field.value(X[0]))
+        assert j.value == pytest.approx(field.values(X[:1])[0])
 
 
 def test_lift_field_examples():
     g = AnalyticField.from_string("x1 + x2", dim=2)
-    assert g.value([0.3, 0.4]) == pytest.approx(0.7)
+    assert g.values([[0.3, 0.4]])[0] == pytest.approx(0.7)
     h = AnalyticField.from_string("x1**2 - x2**2", dim=2)
-    assert h.value([1.0, 0.0]) == 1.0
+    assert h.values([[1.0, 0.0]])[0] == 1.0
     with pytest.raises(ValueError):
         AnalyticField.from_string("x1 + x3", dim=2)  # unknown symbol
 
@@ -138,15 +139,15 @@ def test_parabolic_initial_and_lateral_slices():
 
 
 def test_ansatz_jets_match_finite_differences():
-    # second independent route: nest central differences of spec.value
+    # second independent route: nest central differences of spec.values
     problem = get_problem("P2")
     spec = default_spec(problem, hidden=(6, 5), seed=3)
     x0 = np.array([0.21, -0.33])
-    j = spec.jet(x0, 2)
+    j = TaylorJet(2, 2, spec.jets(x0[None], 2)[0])
     h = 1e-5
 
     def val(p):
-        return spec.value(p)
+        return spec.values(p[None])[0]
 
     for i in range(2):
         e = np.zeros(2); e[i] = h
@@ -177,6 +178,16 @@ def test_spec_validation():
         AnsatzSpec(params=params, domain=UNIT_SQUARE, mode="exact_bc")  # dim mismatch
     with pytest.raises(ValueError):
         build_spec(SpaceTimeBox(0.5, UNIT_SQUARE), mode="parabolic_exact")  # no initial
+    # a lift outside exact_bc or an initial field outside parabolic_exact
+    # would be ignored (or fail at the first evaluation), so both are refused
+    g = AnalyticField.from_string("x1 + x2", dim=2)
+    with pytest.raises(ValueError, match="lift"):
+        build_spec(UNIT_SQUARE, mode="unconstrained", lift=g)
+    with pytest.raises(ValueError, match="lift"):
+        build_spec(SpaceTimeBox(0.5, UNIT_SQUARE), mode="parabolic_exact",
+                   initial=g, lift=g)
+    with pytest.raises(ValueError, match="initial"):
+        build_spec(UNIT_SQUARE, mode="exact_bc", initial=g)
 
 
 def test_time_extended_field_jets():

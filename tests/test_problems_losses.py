@@ -57,15 +57,15 @@ def test_heat_solution_has_zero_strong_residual():
 
 def test_manufactured_rhs_values():
     p1 = get_problem("P1")
-    assert p1.rhs.value([0.5, 0.5]) == pytest.approx(2 * PI**2, rel=1e-14)
+    assert p1.rhs.values([[0.5, 0.5]])[0] == pytest.approx(2 * PI**2, rel=1e-14)
     p2 = get_problem("P2")
     # -laplace[(1 - x^2 - y^2)/4] = 1 everywhere
     for x in ([0.0, 0.0], [0.3, -0.4], [0.7, 0.1]):
-        assert p2.rhs.value(x) == pytest.approx(1.0, rel=1e-14)
+        assert p2.rhs.values([x])[0] == pytest.approx(1.0, rel=1e-14)
     p5 = get_problem("P5")
-    assert p5.rhs.value([0.3, 0.8]) == 0.0  # x^2 - y^2 is harmonic
+    assert p5.rhs.values([[0.3, 0.8]])[0] == 0.0  # x^2 - y^2 is harmonic
     p4 = get_problem("P4")
-    assert p4.rhs.value([0.1, 0.3, 0.7]) == pytest.approx(0.0, abs=1e-14)
+    assert p4.rhs.values([[0.1, 0.3, 0.7]])[0] == pytest.approx(0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4", "P5"])
@@ -102,8 +102,8 @@ def test_p3_residual_rows_match_symbolic_operator():
     rng = np.random.default_rng(11)
     P = rng.uniform(0.1, 0.9, size=(10, 2))
     got = strong_residual(p3, field, P)
-    for p, g in zip(P, got):
-        assert g == pytest.approx(want(*p) + p3.rhs.value(p), rel=1e-10, abs=1e-10)
+    for p, g, f in zip(P, got, p3.rhs.values(P)):
+        assert g == pytest.approx(want(*p) + f, rel=1e-10, abs=1e-10)
 
 
 # -- frozen loss values of trivial ansatz fields ---------------------------------

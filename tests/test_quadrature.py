@@ -8,8 +8,7 @@ import pytest
 from rescert.fields import AnalyticField, HarmonicMode
 from rescert.geometry import Disk, Interval, Rectangle, SpaceTimeBox
 from rescert.quadrature import (build_rule, boundary_misfit, h_half_surrogate,
-                                integrate, integrate_values, kahan_sum,
-                                sobolev_error, sobolev_errors_upto,
+                                integrate_values, kahan_sum, sobolev_errors_upto,
                                 target_measure, x_norm_error)
 
 UNIT_SQUARE = Rectangle((0.0, 0.0), (1.0, 1.0))
@@ -75,7 +74,7 @@ def test_square_integrand():
 def test_integrate_rejects_nonfinite():
     rule = build_rule(Interval(0.0, 1.0), "interior", 4)
     with pytest.raises(ValueError, match="node"):
-        integrate(rule, lambda x: float("nan"))
+        integrate_values(rule, np.full(rule.n_nodes, np.nan))
 
 
 def test_kahan_sum_matches_fsum():
@@ -89,17 +88,17 @@ def test_sobolev_error_closed_forms():
     sinsin = AnalyticField.from_string("sin(pi*x1)*sin(pi*x2)", dim=2)
     rule = build_rule(UNIT_SQUARE, "interior", 24)
     want = math.sqrt(0.25 + math.pi**2 / 2.0 + math.pi**4)
-    got = sobolev_error(sinsin, None, 2, rule)
+    got = sobolev_errors_upto(sinsin, None, rule, 2)[2]
     assert got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx(10.1289, abs=5e-5)
 
     mode = HarmonicMode(4)
     drule = build_rule(UNIT_DISK, "interior", 10)
     want = math.sqrt(math.pi / 10.0 + 4.0 * math.pi)
-    assert sobolev_error(mode, None, 1, drule) == pytest.approx(want, rel=1e-10)
+    assert sobolev_errors_upto(mode, None, drule, 1)[1] == pytest.approx(want, rel=1e-10)
 
     # v = ref gives 0 in every norm
-    assert sobolev_error(sinsin, sinsin, 2, rule) == 0.0
+    assert sobolev_errors_upto(sinsin, sinsin, rule, 2) == (0.0, 0.0, 0.0)
 
 
 def test_sobolev_monotone_in_s():
@@ -108,16 +107,16 @@ def test_sobolev_monotone_in_s():
     rule = build_rule(UNIT_SQUARE, "interior", 12)
     h0, h1, h2 = sobolev_errors_upto(f, g, rule, s_max=2)
     assert h0 <= h1 <= h2
-    assert sobolev_error(f, g, 0, rule) == pytest.approx(h0, rel=1e-13)
-    assert sobolev_error(f, g, 2, rule) == pytest.approx(h2, rel=1e-13)
+    with pytest.raises(ValueError, match="s_max"):
+        sobolev_errors_upto(f, g, rule, 3)
 
 
 def test_quadrature_convergence_beyond_24():
     f = AnalyticField.from_string("exp(x1)*sin(3*x2)", dim=2)
     r24 = build_rule(UNIT_SQUARE, "interior", 24)
     r48 = build_rule(UNIT_SQUARE, "interior", 48)
-    a = sobolev_error(f, None, 2, r24)
-    b = sobolev_error(f, None, 2, r48)
+    a = sobolev_errors_upto(f, None, r24, 2)[2]
+    b = sobolev_errors_upto(f, None, r48, 2)[2]
     assert abs(a - b) / b < 1e-8
 
 

@@ -10,8 +10,7 @@ from rescert.losses import build_objective, make_config
 from rescert.network import load_params
 from rescert.problems import PdeProblem, default_spec, get_problem
 from rescert.training import (AdamSchedule, DivergenceError, TrainState,
-                              fd_check, history_csv, loss_gradient,
-                              save_checkpoint, train)
+                              fd_check, save_checkpoint, train)
 
 
 def toy_problem():
@@ -44,7 +43,7 @@ def test_toy_loss_surface():
     problem, spec, cfg = toy_setup()
     assert spec.params.n_params == 2  # one weight, one bias
     assert loss_of(spec, problem, cfg) == pytest.approx(4.0, rel=1e-12)
-    g = loss_gradient(spec, problem, cfg)
+    g = build_objective(spec, problem, cfg).value_and_grad(spec.params.flatten())[1]
     assert g[0] == pytest.approx(0.0, abs=1e-12)
     assert g[1] == pytest.approx(-8.0, rel=1e-12)
     # the surface is 4(1-b)^2 + 12 w^2; probe a few parameter points
@@ -151,22 +150,6 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(extras["final_params"], state.final_params)
     assert header["step"] == "30"
     assert float(header["loss"]) == state.loss
-
-
-def test_history_csv_format(tmp_path):
-    problem, spec, cfg = toy_setup()
-    state, _ = train(spec, problem, cfg, AdamSchedule(steps=20, lr=0.05, record_every=10))
-    path = tmp_path / "hist.csv"
-    history_csv(state, path, comment="toy run")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# toy run"
-    assert lines[1] == "step,loss"
-    assert len(lines) == 2 + len(state.history)
-    step, loss = lines[2].split(",")
-    assert (int(step), float(loss)) == state.history[0]
-    # repr round-trips every recorded loss bit-exactly
-    for row, (s, l) in zip(lines[2:], state.history):
-        assert float(row.split(",")[1]) == l
 
 
 def test_fd_check_on_real_problem():
