@@ -49,8 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: the config's out_dir)")
         s.add_argument("--seed", type=int, default=None,
                        help="replace the config's seed list with this one seed")
-        s.add_argument("--parallel", type=int, default=1,
-                       help="worker processes for multi-seed runs")
+        if name == "certify-run":
+            s.add_argument("--parallel", type=int, default=1,
+                           help="worker processes for multi-seed runs (at least 1)")
     return parser
 
 

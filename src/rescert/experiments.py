@@ -23,6 +23,7 @@ from .ansatz import AnsatzSpec
 from .certify import BoundViolation, CertifiedReport
 from .fields import HarmonicMode
 from .geometry import Disk
+from .jets import coeff_layout
 from .losses import build_objective, make_config
 from .problems import PdeProblem, default_spec, get_problem
 from .quadrature import (build_rule, boundary_misfit, grad_laplacian_error,
@@ -66,8 +67,6 @@ def _convert(key: str, raw: str):
         if key in _OPTIONAL_FLOATS:
             return None if raw.lower() in ("", "none") else float(raw)
         default = getattr(ExperimentConfig(), key)
-        if isinstance(default, bool):
-            return raw.lower() in ("1", "true", "yes")
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
@@ -153,6 +152,14 @@ def _fmt(*values) -> str:
     return ",".join(parts)
 
 
+def _single_seed(config: ExperimentConfig, command: str) -> int:
+    """The seed of a command that trains one network; a list is an error."""
+    if len(config.seeds) != 1:
+        raise ConfigError(f"{command} runs a single seed, the config lists "
+                          f"{len(config.seeds)}; choose one with --seed N")
+    return config.seeds[0]
+
+
 def _schedule(config: ExperimentConfig) -> AdamSchedule:
     return AdamSchedule(steps=config.steps, lr=config.lr, beta1=config.beta1,
                         beta2=config.beta2, eps=config.eps,
@@ -207,6 +214,8 @@ def run_certified(config: ExperimentConfig, out_dir=None, parallel: int = 1):
     """Train with the exact-boundary interior loss and certify every
     checkpoint.  Writes one CSV per seed plus an ensemble summary; raises
     BoundViolation (after writing) if any certified row fails its bound."""
+    if parallel < 1:
+        raise ConfigError(f"parallel needs at least one worker process, got {parallel}")
     out = Path(out_dir if out_dir is not None else config.out_dir)
     seeds = list(config.seeds)
     if parallel > 1 and len(seeds) > 1:
@@ -287,7 +296,7 @@ def harmonic_failure_records(n_list, tau: float, quad_n: int):
         mode = HarmonicMode(n)
 
         jets = mode.jets(interior.nodes, 2)
-        lap = jets[:, 3] + jets[:, 5]  # packed (0,0) and (1,1) slots
+        lap = jets @ coeff_layout(2, 2).laplacian_row()
         residual_sq = quadrature.integrate_values(interior, lap**2)
         l2_sq = quadrature.integrate_values(interior, jets[:, 0] ** 2)
         grad_sq = quadrature.integrate_values(interior, jets[:, 1] ** 2 + jets[:, 2] ** 2)
@@ -357,7 +366,7 @@ def run_penalty_vs_exact(config: ExperimentConfig, out_dir=None):
         raise ConfigError("compare-bc covers spatial problems")
     if problem.exact is None:
         raise ConfigError(f"problem {problem.name} has no exact solution to measure against")
-    seed = config.seeds[0]
+    seed = _single_seed(config, "compare-bc")
     interior_rule = build_rule(problem.domain, "interior", config.quad_n)
     boundary_rule = build_rule(problem.domain, "boundary", config.quad_n)
     sched = _schedule(config)
@@ -426,7 +435,7 @@ def run_parabolic(config: ExperimentConfig, out_dir=None):
     problem = _resolve_problem(config.problem)
     if problem.kind != "heat":
         raise ConfigError("parabolic-run needs a heat problem (P4)")
-    seed = config.seeds[0]
+    seed = _single_seed(config, "parabolic-run")
     spec = default_spec(problem, hidden=config.hidden, seed=seed)
     cfg = make_config(problem, "parabolic", config.quad_n)
     rows = []
@@ -463,7 +472,7 @@ def run_sobolev(config: ExperimentConfig, out_dir=None):
     problem = _resolve_problem(config.problem)
     if problem.kind != "poisson":
         raise ConfigError("sobolev-run compares residual losses on poisson problems")
-    seed = config.seeds[0]
+    seed = _single_seed(config, "sobolev-run")
     interior_cfg = make_config(problem, "interior", config.quad_n)
     sobolev_cfg = make_config(problem, "sobolev_k1", config.quad_n)
     norm_rule = interior_cfg.interior
@@ -498,7 +507,7 @@ def run_fd_check(config: ExperimentConfig, out_dir=None, n_coords: int = 20):
     """Finite-difference audit of the loss gradient for the configured variant."""
     out = Path(out_dir if out_dir is not None else config.out_dir)
     problem = _resolve_problem(config.problem)
-    seed = config.seeds[0]
+    seed = _single_seed(config, "fd-check")
     mode = {"penalty": "unconstrained"}.get(config.variant)
     try:
         spec = default_spec(problem, hidden=config.hidden, seed=seed, mode=mode)

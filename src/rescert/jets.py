@@ -7,35 +7,26 @@ symmetric entries share storage by construction.
 
 Jets are slot-major: ``coeffs`` has shape (C, ...), slot c first, so a jet at
 one point holds C numbers and a batch of jets at N points holds (C, N), each
-slot one contiguous block.  Sums and products (Leibniz rule) act slot by
-slot and therefore run on single points and batches alike.  ``_faa_di_bruno``
-composes a jet with a univariate function given its derivatives; the
-elementary functions here and the network's tanh layers both use it.
-Laplacians and their gradients are read off a single evaluation.
+slot one contiguous block.  Sums, products (Leibniz rule) and the elementary
+functions act slot by slot and therefore run on single points and batches
+alike; ``TaylorJet.d(*idx)`` reads one derivative at every point.
+``_faa_di_bruno`` composes a jet with a univariate function given its
+derivatives; the elementary functions here and the network's tanh layers
+both use it, with one tanh derivative table.
+
+The layout is the one place that knows how a derivative quantity is read
+off packed jets: ``CoeffLayout.multiplicity`` weights squared Frobenius
+norms and contractions with symmetric tensors, and ``laplacian_row`` and
+``grad_laplacian_rows`` are the linear functionals behind every residual.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import permutations
 
 import numpy as np
-
-__all__ = [
-    "TaylorJet",
-    "coeff_layout",
-    "product_terms",
-    "seed_variable",
-    "seed_point",
-    "tanh",
-    "sin",
-    "cos",
-    "exp",
-    "power",
-    "laplacian",
-    "grad_laplacian",
-]
 
 _DIMS = (1, 2, 3)
 _ORDERS = (0, 1, 2, 3)
@@ -63,7 +54,11 @@ class CoeffLayout:
 
     def position(self, idx: tuple[int, ...]) -> int:
         """Packed slot of the derivative named by a multi-index (any index order)."""
-        return _position_table(self.dim, self.order)[tuple(sorted(idx))]
+        return self._slots[tuple(sorted(idx))]
+
+    @cached_property
+    def _slots(self) -> dict:
+        return {mi: c for c, mi in enumerate(self.multi_indices)}
 
     def pairs(self):
         return self.multi_indices[self.hess_offset:self.third_offset]
@@ -71,11 +66,36 @@ class CoeffLayout:
     def triples(self):
         return self.multi_indices[self.third_offset:]
 
+    @cached_property
+    def multiplicity(self) -> np.ndarray:
+        """Number of orderings of each slot's multi-index (read-only), so an
+        order-k squared Frobenius norm is sum(multiplicity * c**2) over the
+        order-k slots and A : D2 v is sum(multiplicity * A_ij * v_ij)."""
+        m = np.array([len(set(permutations(mi))) for mi in self.multi_indices],
+                     dtype=float)
+        m.setflags(write=False)
+        return m
 
-@lru_cache(maxsize=None)
-def _position_table(dim, order):
-    lay = coeff_layout(dim, order)
-    return {mi: c for c, mi in enumerate(lay.multi_indices)}
+    def laplacian_row(self, coords=None) -> np.ndarray:
+        """Row (C,) whose dot product with a jet is its Laplacian over
+        ``coords`` (default: every coordinate)."""
+        if self.order < 2:
+            raise ValueError("the Laplacian needs a jet of order >= 2")
+        row = np.zeros(self.size)
+        coords = range(self.dim) if coords is None else coords
+        for i in coords:
+            row[self.position((i, i))] = 1.0
+        return row
+
+    def grad_laplacian_rows(self) -> np.ndarray:
+        """Rows (d, C): row k contracted with a jet is d/dx_k of its Laplacian."""
+        if self.order < 3:
+            raise ValueError("the gradient of the Laplacian needs a jet of order 3")
+        rows = np.zeros((self.dim, self.size))
+        for k in range(self.dim):
+            for i in range(self.dim):
+                rows[k, self.position((k, i, i))] = 1.0
+        return rows
 
 
 @lru_cache(maxsize=None)
@@ -109,14 +129,14 @@ def product_terms(dim: int, order: int):
     output multi-index over the two factors.
     """
     lay = coeff_layout(dim, order)
-    pos = _position_table(dim, order)
+    pos = lay.position
     counts: dict[tuple[int, int, int], int] = {}
     for out_c, mi in enumerate(lay.multi_indices):
         k = len(mi)
         for mask in range(1 << k):
             a_idx = tuple(sorted(mi[p] for p in range(k) if mask >> p & 1))
             b_idx = tuple(sorted(mi[p] for p in range(k) if not mask >> p & 1))
-            key = (out_c, pos[a_idx], pos[b_idx])
+            key = (out_c, pos(a_idx), pos(b_idx))
             counts[key] = counts.get(key, 0) + 1
     return tuple((o, a, b, c) for (o, a, b), c in sorted(counts.items()))
 
@@ -126,11 +146,8 @@ class TaylorJet:
     at a batch of points.
 
     ``coeffs`` has shape (C, ...): the packed slots of ``coeff_layout(dim,
-    order)`` first, then any batch axes.  Arithmetic and ``grad`` work on
-    both; ``value``, ``hess``, ``third``, ``d``, the elementary functions and
-    the differential extractors take single-point jets.
-    ``hess`` and ``third`` expose symmetric views assembled from the packed
-    storage, so mirrored entries are always identical.
+    order)`` first, then any batch axes.  Arithmetic, the elementary
+    functions and ``d`` work on both.
     """
 
     __slots__ = ("dim", "order", "coeffs")
@@ -150,41 +167,9 @@ class TaylorJet:
     def __setattr__(self, name, value):
         raise AttributeError("TaylorJet is immutable")
 
-    # -- accessors ---------------------------------------------------------
-
-    @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
-
-    @property
-    def grad(self) -> np.ndarray:
-        return self.coeffs[1:1 + self.dim].copy()
-
-    @property
-    def hess(self) -> np.ndarray:
-        """Full symmetric Hessian assembled from the packed upper triangle."""
-        if self.order < 2:
-            raise ValueError("jet order < 2 carries no Hessian")
-        lay = coeff_layout(self.dim, self.order)
-        h = np.empty((self.dim, self.dim))
-        for c, (i, j) in enumerate(lay.pairs(), start=lay.hess_offset):
-            h[i, j] = h[j, i] = self.coeffs[c]
-        return h
-
-    @property
-    def third(self) -> np.ndarray:
-        """Full symmetric third-derivative tensor (order-3 jets only)."""
-        if self.order < 3:
-            raise ValueError("jet order < 3 carries no third derivatives")
-        lay = coeff_layout(self.dim, self.order)
-        t = np.empty((self.dim,) * 3)
-        for c, idx in enumerate(lay.triples(), start=lay.third_offset):
-            for perm in _permutations3(idx):
-                t[perm] = self.coeffs[c]
-        return t
-
-    def d(self, *idx: int) -> float:
-        """Single derivative by multi-index, e.g. ``j.d(0, 1)`` for d2/dx dy."""
+    def d(self, *idx: int):
+        """One derivative at every point, by multi-index: ``j.d()`` is the
+        value, ``j.d(0, 1)`` is d2/dx dy."""
         if len(idx) > self.order:
             raise ValueError(
                 f"derivative of order {len(idx)} not carried by an order-{self.order} jet"
@@ -193,7 +178,7 @@ class TaylorJet:
             if not 0 <= i < self.dim:
                 raise ValueError(f"coordinate index {i} out of range for dim {self.dim}")
         lay = coeff_layout(self.dim, self.order)
-        return float(self.coeffs[lay.position(idx)])
+        return self.coeffs[lay.position(idx)]
 
     def __repr__(self):
         return f"TaylorJet(dim={self.dim}, order={self.order}, coeffs={self.coeffs!r})"
@@ -247,11 +232,6 @@ class TaylorJet:
     __rmul__ = __mul__
 
 
-def _permutations3(idx):
-    i, j, k = idx
-    return {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}
-
-
 # -- seeds -----------------------------------------------------------------
 
 
@@ -279,36 +259,39 @@ def seed_point(x, order: int) -> list[TaylorJet]:
 
 
 def _tanh_table(x):
-    t = math.tanh(x)
+    """tanh and its first three derivatives at x (a number or an array)."""
+    t = np.tanh(x)
     s = 1.0 - t * t
     return (t, s, -2.0 * t * s, s * (6.0 * t * t - 2.0))
 
 
 def _sin_table(x):
-    s, c = math.sin(x), math.cos(x)
+    s, c = np.sin(x), np.cos(x)
     return (s, c, -s, -c)
 
 
 def _cos_table(x):
-    s, c = math.sin(x), math.cos(x)
+    s, c = np.sin(x), np.cos(x)
     return (c, -s, -c, s)
 
 
 def _exp_table(x):
-    e = math.exp(x)
+    e = np.exp(x)
     return (e, e, e, e)
 
 
 def _power_table(x, p):
-    if x < 0 and p != int(p):
-        raise ValueError(f"power with non-integer exponent {p} at negative base {x}")
+    if p != int(p) and np.any(x < 0):
+        raise ValueError(f"power with non-integer exponent {p} at a negative base")
+    if p < 3 and not (p == int(p) and p >= 0) and np.any(x == 0):
+        raise ValueError(f"power with exponent {p} has no third-order jet at a zero base")
     out = []
     coef = 1.0
     for k in range(4):
         if coef == 0.0:
             out.append(0.0)
         else:
-            out.append(coef * math.pow(x, p - k))
+            out.append(coef * np.power(x, p - k))
         coef *= p - k
     return tuple(out)
 
@@ -339,48 +322,26 @@ def _faa_di_bruno(Z, derivs, lay):
 
 
 def _compose(a: TaylorJet, table) -> TaylorJet:
-    """Jet of f(a) from the derivative table of f at a.value."""
+    """Jet of f(a) from the derivative table of f at a's value slot."""
     lay = coeff_layout(a.dim, a.order)
-    return TaylorJet(a.dim, a.order, _faa_di_bruno(a.coeffs, table, lay))
+    return TaylorJet(a.dim, a.order, _faa_di_bruno(a.coeffs, table(a.coeffs[0]), lay))
 
 
 def tanh(a: TaylorJet) -> TaylorJet:
-    return _compose(a, _tanh_table(a.value))
+    return _compose(a, _tanh_table)
 
 
 def sin(a: TaylorJet) -> TaylorJet:
-    return _compose(a, _sin_table(a.value))
+    return _compose(a, _sin_table)
 
 
 def cos(a: TaylorJet) -> TaylorJet:
-    return _compose(a, _cos_table(a.value))
+    return _compose(a, _cos_table)
 
 
 def exp(a: TaylorJet) -> TaylorJet:
-    return _compose(a, _exp_table(a.value))
+    return _compose(a, _exp_table)
 
 
 def power(a: TaylorJet, exponent: float) -> TaylorJet:
-    return _compose(a, _power_table(a.value, exponent))
-
-
-# -- differential extractors -------------------------------------------------
-
-
-def laplacian(a: TaylorJet) -> float:
-    """Trace of the Hessian.  Requires order >= 2."""
-    if a.order < 2:
-        raise ValueError("laplacian needs a jet of order >= 2")
-    lay = coeff_layout(a.dim, a.order)
-    return float(sum(a.coeffs[lay.position((i, i))] for i in range(a.dim)))
-
-
-def grad_laplacian(a: TaylorJet) -> np.ndarray:
-    """Gradient of the Laplacian, one entry per coordinate.  Requires order 3."""
-    if a.order < 3:
-        raise ValueError("grad_laplacian needs a jet of order 3")
-    lay = coeff_layout(a.dim, a.order)
-    out = np.empty(a.dim)
-    for k in range(a.dim):
-        out[k] = sum(a.coeffs[lay.position((k, i, i))] for i in range(a.dim))
-    return out
+    return _compose(a, lambda x: _power_table(x, exponent))

@@ -82,50 +82,36 @@ def residual_rows(problem: PdeProblem, X, order: int, with_gradient: bool = Fals
     with_gradient adds one row per coordinate for the residual gradient
     (needs order 3 and a differentiable right-hand side).
     """
+    if with_gradient and problem.kind != "poisson":
+        raise ValueError("gradient-augmented residuals are only assembled for poisson problems")
     X = np.asarray(X, dtype=float)
     d = problem.domain.dim
     lay = coeff_layout(d, order)
-    pos = lay.position
-    n = X.shape[0]
+    m = 1 + (d if with_gradient else 0)
+    rows = np.zeros((X.shape[0], m, lay.size))
+    const = np.zeros((X.shape[0], m))
 
     if problem.kind == "poisson":
-        m = 1 + (d if with_gradient else 0)
-        rows = np.zeros((n, m, lay.size))
-        const = np.zeros((n, m))
-        for i in range(d):
-            rows[:, 0, pos((i, i))] = 1.0
+        rows[:, 0] = lay.laplacian_row()
         const[:, 0] = problem.rhs.values(X)
         if with_gradient:
             if not hasattr(problem.rhs, "partial"):
                 raise TypeError("gradient rows need a right-hand side with closed-form partials")
+            rows[:, 1:] = lay.grad_laplacian_rows()
             for k in range(d):
-                for i in range(d):
-                    rows[:, 1 + k, pos((k, i, i))] += 1.0
                 const[:, 1 + k] = problem.rhs.partial(k).values(X)
-        return rows, const
-
-    if problem.kind == "elliptic_divA":
-        if with_gradient:
-            raise ValueError("gradient-augmented residuals are only assembled for poisson problems")
-        rows = np.zeros((n, 1, lay.size))
-        A = problem.coeff.values(X)
-        for i in range(d):
-            for j in range(i, d):
-                mult = 1.0 if i == j else 2.0
-                rows[:, 0, pos((i, j))] = mult * A[:, i, j]
+    elif problem.kind == "elliptic_divA":
+        # A : D2 v + div(A) . grad v + f, each mixed slot weighted by its multiplicity
+        hess = slice(lay.hess_offset, lay.third_offset)
+        i, j = np.array(lay.pairs()).T
+        rows[:, 0, hess] = lay.multiplicity[hess] * problem.coeff.values(X)[:, i, j]
         for k, div_k in enumerate(problem.coeff_div):
-            rows[:, 0, pos((k,))] = div_k.values(X)
-        const = problem.rhs.values(X)[:, None]
-        return rows, const
-
-    # heat: r = d_t v - Laplace_x v - f on (t, x...) nodes
-    if with_gradient:
-        raise ValueError("gradient-augmented residuals are only assembled for poisson problems")
-    rows = np.zeros((n, 1, lay.size))
-    rows[:, 0, pos((0,))] = 1.0
-    for i in range(1, d):
-        rows[:, 0, pos((i, i))] = -1.0
-    const = -problem.rhs.values(X)[:, None]
+            rows[:, 0, 1 + k] = div_k.values(X)
+        const[:, 0] = problem.rhs.values(X)
+    else:  # heat: r = d_t v - Laplace_x v - f on (t, x...) nodes
+        rows[:, 0] -= lay.laplacian_row(range(1, d))
+        rows[:, 0, lay.position((0,))] = 1.0
+        const[:, 0] = -problem.rhs.values(X)
     return rows, const
 
 

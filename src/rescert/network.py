@@ -18,9 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import _faa_di_bruno, coeff_layout
+from .jets import _faa_di_bruno, _tanh_table, coeff_layout
 
 _BYTE_ORDER = "little"  # parameters serialize as little-endian IEEE-754 float64
+# the header fields a reader must find exactly; the activation is always tanh
+_FIXED_HEADER = {"activation": "tanh", "dtype": f"float64-{_BYTE_ORDER}"}
 
 
 @dataclass
@@ -30,12 +32,9 @@ class NetworkParams:
     widths: tuple[int, ...]  # (input_dim, hidden..., 1)
     weights: list[np.ndarray] = field(repr=False)
     biases: list[np.ndarray] = field(repr=False)
-    activation: str = "tanh"
     seed: int | None = None  # initialization seed, recorded for provenance
 
     def __post_init__(self):
-        if self.activation != "tanh":
-            raise ValueError(f"unsupported activation {self.activation!r}")
         if len(self.widths) < 2:
             raise ValueError("network needs at least an input and an output layer")
         if len(self.weights) != len(self.widths) - 1 or len(self.biases) != len(self.widths) - 1:
@@ -92,7 +91,7 @@ class NetworkParams:
             k += o * i
             biases.append(vec[k:k + o].copy())
             k += o
-        return NetworkParams(self.widths, weights, biases, self.activation, self.seed)
+        return NetworkParams(self.widths, weights, biases, self.seed)
 
 
 # -- serialization ------------------------------------------------------------
@@ -102,9 +101,9 @@ def _header_lines(params: NetworkParams, extra: dict | None = None) -> list[str]
     lines = [
         "rescert-params v1",
         "widths: " + ",".join(str(w) for w in params.widths),
-        f"activation: {params.activation}",
+        f"activation: {_FIXED_HEADER['activation']}",
         f"seed: {'' if params.seed is None else params.seed}",
-        f"dtype: float64-{_BYTE_ORDER}",
+        f"dtype: {_FIXED_HEADER['dtype']}",
     ]
     for k, v in (extra or {}).items():
         lines.append(f"{k}: {v}")
@@ -129,31 +128,46 @@ def save_params(path, params: NetworkParams, extra_arrays: dict | None = None,
 
 
 def load_params(path):
-    """Inverse of save_params; returns (NetworkParams, extra_arrays, header)."""
+    """Inverse of save_params; returns (NetworkParams, extra_arrays, header).
+    A malformed file raises ValueError naming the file and the cause."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    sep = raw.index(b"\n\n")
-    header_text = raw[:sep].decode("ascii")
-    lines = header_text.splitlines()
-    if lines[0] != "rescert-params v1":
-        raise ValueError(f"unrecognised parameter file header {lines[0]!r}")
+
+    def bad(cause):
+        return ValueError(f"parameter file {path}: {cause}")
+
+    header_text, sep, body = raw.partition(b"\n\n")
+    lines = header_text.decode("ascii", errors="replace").splitlines()
+    if not sep or not lines or lines[0] != "rescert-params v1":
+        raise bad("not a rescert-params v1 file")
     meta = {}
     for line in lines[1:]:
         k, _, v = line.partition(":")
         meta[k.strip()] = v.strip()
-    widths = tuple(int(w) for w in meta["widths"].split(","))
-    seed = int(meta["seed"]) if meta.get("seed") else None
-    template = NetworkParams.zeros(widths)
+    for key, want in _FIXED_HEADER.items():
+        if meta.get(key) != want:
+            raise bad(f"{key} is {meta.get(key)!r}, expected {want!r}")
+    try:
+        widths = tuple(int(w) for w in meta["widths"].split(","))
+        seed = int(meta["seed"]) if meta.get("seed") else None
+        arrays = [(name, int(size)) for name, _, size in
+                  (a.partition(":") for a in meta.get("arrays", "").split(",") if a)]
+        template = NetworkParams.zeros(widths)
+    except KeyError as err:
+        raise bad(f"no {err.args[0]!r} line in the header") from None
+    except ValueError as err:
+        raise bad(f"malformed header: {err}") from None
     template.seed = seed
     n = template.n_params
-    body = np.frombuffer(raw[sep + 2:], dtype="<f8")
-    params = template.with_flat(body[:n])
+    want = 8 * (n + sum(size for _, size in arrays))
+    if len(body) != want:
+        raise bad(f"body holds {len(body)} bytes, the header declares {want}")
+    values = np.frombuffer(body, dtype="<f8")
+    params = template.with_flat(values[:n])
     extra = {}
     k = n
-    for item in (a for a in meta.get("arrays", "").split(",") if a):
-        name, _, size = item.partition(":")
-        size = int(size)
-        extra[name] = np.array(body[k:k + size])
+    for name, size in arrays:
+        extra[name] = np.array(values[k:k + size])
         k += size
     return params, extra, meta
 
@@ -184,11 +198,7 @@ def input_jets(X, order: int, scale, shift) -> np.ndarray:
 def _tanh_jet_forward(Z, lay):
     """Jets of tanh(Z), plus (t, f1, f2, f3): tanh and its first three
     derivatives at Z[0], which the backward pass reuses."""
-    t = np.tanh(Z[0])
-    f1 = 1.0 - t * t
-    f2 = -2.0 * t * f1
-    f3 = f1 * (6.0 * t * t - 2.0)
-    derivs = (t, f1, f2, f3)
+    derivs = _tanh_table(Z[0])
     return _faa_di_bruno(Z, derivs, lay), derivs
 
 

@@ -8,6 +8,8 @@ node count exactly.  All reductions are correctly rounded sums
 repeated runs are bit-identical.  There is one integral,
 ``integrate_values(rule, f(rule.nodes))``, and one family of Sobolev
 distances, ``sobolev_errors_upto(v, ref, rule, s)[s]`` for H^0 ... H^s.
+Norms read derivatives off the packed jets through ``jets.CoeffLayout``:
+squared tensors weighted by ``multiplicity``, and ``grad_laplacian_rows``.
 """
 
 from __future__ import annotations
@@ -165,36 +167,19 @@ def _jet_difference(v, ref, nodes, order) -> np.ndarray:
     return J
 
 
-def _sq_norms_upto(e: np.ndarray, dim: int, order: int) -> list[np.ndarray]:
-    """Per-node squared derivative masses [value, gradient, Hessian] up to order.
-
-    The Hessian part is the full Frobenius norm: mixed entries count twice.
-    """
-    lay = coeff_layout(dim, order)
-    parts = [e[:, 0] ** 2]
-    if order >= 1:
-        parts.append(np.sum(e[:, 1:1 + dim] ** 2, axis=1))
-    if order >= 2:
-        acc = np.zeros(e.shape[0])
-        for c, (i, j) in enumerate(lay.pairs(), start=lay.hess_offset):
-            mult = 1.0 if i == j else 2.0
-            acc += mult * e[:, c] ** 2
-        parts.append(acc)
-    return parts
-
-
 def sobolev_errors_upto(v, ref, rule: QuadratureRule, s_max: int = 2):
     """(H^0, ..., H^s_max) distances between two jet-evaluable fields from a
-    single jet evaluation; ref=None measures v against zero."""
+    single jet evaluation; ref=None measures v against zero.  The order-k
+    density is the squared Frobenius norm of the k-th derivative tensor."""
     if s_max not in (0, 1, 2):
         raise ValueError(f"Sobolev distances cover s_max in {{0, 1, 2}}, got {s_max}")
-    dim = rule.nodes.shape[1]
-    e = _jet_difference(v, ref, rule.nodes, s_max)
-    parts = _sq_norms_upto(e, dim, s_max)
+    lay = coeff_layout(rule.nodes.shape[1], s_max)
+    sq = lay.multiplicity * _jet_difference(v, ref, rule.nodes, s_max) ** 2
+    order_of_slot = np.array([len(mi) for mi in lay.multi_indices])
     out = []
     density = np.zeros(rule.n_nodes)
     for s in range(s_max + 1):
-        density = density + parts[s]
+        density = density + np.sum(sq[:, order_of_slot == s], axis=1)
         out.append(float(np.sqrt(integrate_values(rule, density))))
     return tuple(out)
 
@@ -212,36 +197,22 @@ def h_half_surrogate(v, ref, rule: QuadratureRule) -> float:
 def grad_laplacian_error(v, ref, rule: QuadratureRule) -> float:
     """L2 norm of grad(Laplacian) of the difference; a proxy for the H^3
     seminorm gap.  Needs order-3 jets."""
-    dim = rule.nodes.shape[1]
-    lay = coeff_layout(dim, 3)
-    e = _jet_difference(v, ref, rule.nodes, 3)
-    density = np.zeros(rule.n_nodes)
-    for k in range(dim):
-        comp = np.zeros(rule.n_nodes)
-        for i in range(dim):
-            comp += e[:, lay.position((k, i, i))]
-        density += comp**2
-    return float(np.sqrt(integrate_values(rule, density)))
+    lay = coeff_layout(rule.nodes.shape[1], 3)
+    g = _jet_difference(v, ref, rule.nodes, 3) @ lay.grad_laplacian_rows().T
+    return float(np.sqrt(integrate_values(rule, np.sum(g**2, axis=1))))
 
 
 def x_norm_error(v, ref, rule: QuadratureRule) -> float:
     """Parabolic energy distance ||d_t e||_{L2(L2)} + ||e||_{L2(H2)} on a
-    space-time rule with (t, x...) nodes."""
+    space-time rule with (t, x...) nodes: the H2 part sums the slots that
+    carry no time index."""
     if rule.target != "spacetime":
         raise ValueError("x_norm_error needs a space-time rule")
-    dim = rule.nodes.shape[1]
-    lay = coeff_layout(dim, 2)
+    lay = coeff_layout(rule.nodes.shape[1], 2)
     e = _jet_difference(v, ref, rule.nodes, 2)
-    dt_sq = e[:, 1] ** 2  # time derivative is the first gradient slot
-    h2_sq = e[:, 0] ** 2
-    for i in range(1, dim):
-        h2_sq = h2_sq + e[:, 1 + i] ** 2
-    for c, (i, j) in enumerate(lay.pairs(), start=lay.hess_offset):
-        if i == 0 or j == 0:
-            continue  # spatial Hessian only
-        mult = 1.0 if i == j else 2.0
-        h2_sq = h2_sq + mult * e[:, c] ** 2
-    a = integrate_values(rule, dt_sq)
+    spatial = np.array([0 not in mi for mi in lay.multi_indices])
+    h2_sq = np.sum((lay.multiplicity * e**2)[:, spatial], axis=1)
+    a = integrate_values(rule, e[:, lay.position((0,))] ** 2)
     b = integrate_values(rule, h2_sq)
     return float(np.sqrt(a) + np.sqrt(b))
 

@@ -22,6 +22,10 @@ from .losses import LossConfig, build_objective
 from .problems import PdeProblem
 
 DIVERGENCE_FACTOR = 1e6
+FD_REL_STEP = 1e-4
+FD_ZERO_SCALE = 1e-8
+FD_REL_TOL = 1e-5
+FD_ABS_TOL = 1e-8
 
 
 class DivergenceError(RuntimeError):
@@ -79,20 +83,19 @@ class FdCheckReport:
     max_discrepancy: float
     max_absolute_near_zero: float
 
-    def passed(self, rel_tol: float = 1e-5, abs_tol: float = 1e-8) -> bool:
+    def passed(self) -> bool:
         return all(
-            (r.discrepancy < rel_tol) if r.relative else (r.discrepancy < abs_tol)
+            (r.discrepancy < FD_REL_TOL) if r.relative else (r.discrepancy < FD_ABS_TOL)
             for r in self.rows
         )
 
 
 def fd_check(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig,
-             n_coords: int = 20, seed: int = 0, rel_step: float = 1e-4,
-             zero_scale: float = 1e-8) -> FdCheckReport:
+             n_coords: int = 20, seed: int = 0) -> FdCheckReport:
     """Central-difference audit of the analytic gradient on random coordinates.
 
-    Steps are 1e-4 * (1 + |theta_i|) by default.  Coordinates where both the
-    analytic and numeric values sit below ``zero_scale`` are compared
+    Steps are FD_REL_STEP * (1 + |theta_i|).  Coordinates where both the
+    analytic and numeric values sit below FD_ZERO_SCALE are compared
     absolutely instead of relatively.
     """
     objective = build_objective(spec, problem, cfg)
@@ -103,13 +106,13 @@ def fd_check(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig,
     coords = rng.choice(theta.size, size=n_coords, replace=False)
     rows = []
     for i in sorted(int(c) for c in coords):
-        h = rel_step * (1.0 + abs(float(theta[i])))
+        h = FD_REL_STEP * (1.0 + abs(float(theta[i])))
         tp = theta.copy(); tp[i] += h
         tm = theta.copy(); tm[i] -= h
         num = (objective.value(tp) - objective.value(tm)) / (2.0 * h)
         ana = float(g[i])
         scale = max(abs(ana), abs(num))
-        if scale < zero_scale:
+        if scale < FD_ZERO_SCALE:
             rows.append(FdCheckRow(i, ana, num, abs(ana - num), relative=False))
         else:
             rows.append(FdCheckRow(i, ana, num, abs(ana - num) / scale, relative=True))

@@ -299,6 +299,33 @@ def test_cli_fd_check_mismatch_is_config_error(tmp_path, capsys, problem, varian
     assert "config error" in err and variant in err and problem in err
 
 
+def test_cli_single_seed_commands_reject_seed_lists(tmp_path, capsys):
+    # compare-bc used to run the first seed and drop the rest without a word
+    cfg = write_cfg(tmp_path, problem="P5", hidden="4", quad_n=4, steps=2,
+                    record_every=1, seeds="0,1")
+    code = cli.main(["compare-bc", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 4
+    assert "compare-bc runs a single seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # --seed N still picks one
+    code = cli.main(["compare-bc", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert "seed=1" in (tmp_path / "out" / "compare_bc_P5.csv").read_text()
+
+
+def test_cli_parallel_only_where_it_acts(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, problem="P1", hidden="4", quad_n=4, steps=2)
+    with pytest.raises(SystemExit) as exc:  # fd-check runs one seed in-process
+        cli.main(["fd-check", "--config", cfg, "--parallel", "2"])
+    assert exc.value.code == 4
+    code = cli.main(["certify-run", "--config", cfg, "--parallel", "0",
+                     "--out", str(tmp_path / "out")])
+    assert code == 4
+    assert "parallel" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_config_errors(tmp_path, capsys):
     assert cli.main(["certify-run", "--config",
                      str(tmp_path / "missing.cfg")]) == 4

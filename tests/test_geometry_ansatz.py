@@ -85,7 +85,7 @@ def test_distance_jets_match_closed_form():
             assert got.shape == want.shape
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
         j = distance_jet(dom, X[0], 2)
-        assert j.value == pytest.approx(field.values(X[:1])[0])
+        assert j.d() == pytest.approx(field.values(X[:1])[0])
 
 
 def test_lift_field_examples():
@@ -152,14 +152,14 @@ def test_ansatz_jets_match_finite_differences():
     for i in range(2):
         e = np.zeros(2); e[i] = h
         fd = (val(x0 + e) - val(x0 - e)) / (2 * h)
-        assert j.grad[i] == pytest.approx(fd, rel=1e-7, abs=1e-9)
+        assert j.d(i) == pytest.approx(fd, rel=1e-7, abs=1e-9)
     for i in range(2):
         for k in range(2):
             ei = np.zeros(2); ei[i] = h
             ek = np.zeros(2); ek[k] = h
             fd = (val(x0 + ei + ek) - val(x0 + ei - ek)
                   - val(x0 - ei + ek) + val(x0 - ei - ek)) / (4 * h * h)
-            assert j.hess[i, k] == pytest.approx(fd, rel=5e-5, abs=1e-6)
+            assert j.d(i, k) == pytest.approx(fd, rel=5e-5, abs=1e-6)
 
 
 def test_input_scaling_maps_bbox():

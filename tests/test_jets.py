@@ -1,13 +1,13 @@
 """Jet arithmetic against symbolic differentiation and hand-checked values."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from rescert.jets import (TaylorJet, coeff_layout, exp, grad_laplacian,
-                          laplacian, power, product_terms,
+from rescert.jets import (TaylorJet, coeff_layout, exp, power, product_terms,
                           seed_point, seed_variable, sin, cos, tanh)
 
 
@@ -24,32 +24,44 @@ def sympy_jet(expr, syms, point, order):
     return out
 
 
+def tensor(j, k):
+    """Full symmetric order-k derivative tensor of a single-point jet, read
+    entry by entry through ``d``."""
+    entries = [j.d(*idx) for idx in itertools.product(range(j.dim), repeat=k)]
+    return np.array(entries).reshape((j.dim,) * k)
+
+
+def laplacian(j):
+    return coeff_layout(j.dim, j.order).laplacian_row() @ j.coeffs
+
+
 def test_seed_variable_examples():
     j = seed_variable(0, 3.0, 2, 2)
-    assert j.value == 3.0
-    assert np.array_equal(j.grad, [1.0, 0.0])
-    assert np.all(j.hess == 0.0)
+    assert j.d() == 3.0
+    assert np.array_equal(tensor(j, 1), [1.0, 0.0])
+    assert np.all(tensor(j, 2) == 0.0)
 
     j = seed_variable(1, -1.5, 3, 2)
-    assert j.value == -1.5
-    assert np.array_equal(j.grad, [0.0, 1.0])
-    assert np.all(j.hess == 0.0) and np.all(j.third == 0.0)
+    assert j.d() == -1.5
+    assert np.array_equal(tensor(j, 1), [0.0, 1.0])
+    assert np.all(tensor(j, 2) == 0.0) and np.all(tensor(j, 3) == 0.0)
 
     j = seed_variable(2, 0.0, 1, 3)
-    assert j.value == 0.0
-    assert np.array_equal(j.grad, [0.0, 0.0, 1.0])
+    assert j.d() == 0.0
+    assert np.array_equal(tensor(j, 1), [0.0, 0.0, 1.0])
 
 
 def test_product_rule_examples():
     x = seed_variable(0, 3.0, 2, 1)
     sq = x * x
-    assert sq.value == 9.0 and sq.grad[0] == 6.0 and sq.hess[0, 0] == 2.0
+    assert sq.d() == 9.0 and sq.d(0) == 6.0 and sq.d(0, 0) == 2.0
 
     x, y = seed_point([1.0, 2.0], 2)
     xy = x * y
-    assert xy.value == 2.0
-    assert np.array_equal(xy.grad, [2.0, 1.0])
-    assert xy.hess[0, 1] == 1.0 and xy.hess[0, 0] == 0.0 and xy.hess[1, 1] == 0.0
+    assert xy.d() == 2.0
+    assert np.array_equal(tensor(xy, 1), [2.0, 1.0])
+    assert xy.d(0, 1) == 1.0 and xy.d(1, 0) == 1.0
+    assert xy.d(0, 0) == 0.0 and xy.d(1, 1) == 0.0
 
     x, y = seed_point([1.0, 1.0], 3)
     j = (x * x) * y
@@ -81,16 +93,16 @@ def test_random_products_match_sympy():
 def test_elementary_functions_fixed_points():
     x = seed_variable(0, 0.0, 2, 1)
     t = tanh(x)
-    assert t.value == 0.0 and t.grad[0] == 1.0 and t.hess[0, 0] == 0.0
+    assert t.d() == 0.0 and t.d(0) == 1.0 and t.d(0, 0) == 0.0
 
     s = sin(seed_variable(0, 0.0, 3, 1))
-    assert s.value == 0.0 and s.grad[0] == 1.0
-    assert s.hess[0, 0] == 0.0 and s.third[0, 0, 0] == pytest.approx(-1.0)
+    assert s.d() == 0.0 and s.d(0) == 1.0
+    assert s.d(0, 0) == 0.0 and s.d(0, 0, 0) == pytest.approx(-1.0)
 
     # exp of the jet with value 0, gradient 2 (i.e. e^{2x} at x=0)
     two_x = 2.0 * seed_variable(0, 0.0, 2, 1)
     e = exp(two_x)
-    assert e.value == 1.0 and e.grad[0] == 2.0 and e.hess[0, 0] == pytest.approx(4.0)
+    assert e.d() == 1.0 and e.d(0) == 2.0 and e.d(0, 0) == pytest.approx(4.0)
 
 
 def _inner(v):
@@ -117,17 +129,23 @@ def test_elementary_functions_match_sympy(fn, sfn):
 
 
 def test_batched_jets_match_single_points():
-    # slot-major batches (C, N): the same arithmetic, point by point
+    # slot-major batches (C, N): the same arithmetic, elementary functions
+    # and derivative reads, point by point
     rng = np.random.default_rng(23)
     X = rng.uniform(-1.0, 1.0, size=(5, 3))
     for order in (0, 1, 2, 3):
         x, y, z = seed_point(X, order)
-        batch = (2.0 - x * y) * (z - 0.5) + 3.0 * (x * x)
+        batch = tanh((2.0 - x * y) * (z - 0.5) + 3.0 * (x * x))
+        batch = batch * sin(x) + exp(y) * cos(z) + power(z + 2.0, 1.5)
         assert batch.coeffs.shape == (coeff_layout(3, order).size, 5)
+        mi = coeff_layout(3, order).multi_indices[-1]
+        assert batch.d(*mi).shape == (5,)
         for n in range(5):
             a, b, c = seed_point(X[n], order)
-            single = (2.0 - a * b) * (c - 0.5) + 3.0 * (a * a)
+            single = tanh((2.0 - a * b) * (c - 0.5) + 3.0 * (a * a))
+            single = single * sin(a) + exp(b) * cos(c) + power(c + 2.0, 1.5)
             assert np.array_equal(batch.coeffs[:, n], single.coeffs)
+            assert batch.d(*mi)[n] == single.d(*mi)
 
 
 def test_power_jets():
@@ -140,12 +158,19 @@ def test_power_jets():
                          (x,), [base], 3)
         assert np.allclose(j.coeffs, want, rtol=1e-10)
 
-    # fractional powers of negative bases have no real jet
+    # fractional powers of negative bases have no real jet, in a batch too
     with pytest.raises(ValueError):
         power(seed_variable(0, -2.0, 2, 1), 0.5)
+    with pytest.raises(ValueError):
+        power(seed_variable(0, np.array([1.0, -2.0, 3.0]), 2, 1), 0.5)
+    # derivatives singular at zero (which the table always evaluates) raise
+    for p in (-1, 0.5, 2.5):
+        with pytest.raises(ValueError):
+            power(seed_variable(0, np.array([1.0, 0.0]), 2, 1), p)
+    assert power(seed_variable(0, 0.0, 3, 1), 2).d(0, 0) == 2.0
     # integer powers of negative bases are fine
     j = power(seed_variable(0, -2.0, 2, 1), 3)
-    assert j.value == -8.0 and j.grad[0] == 12.0
+    assert j.d() == -8.0 and j.d(0) == 12.0
 
 
 def test_laplacian_examples():
@@ -157,8 +182,14 @@ def test_laplacian_examples():
     assert laplacian(j) == pytest.approx(-2.0 * math.pi**2, rel=1e-12)
 
     x = seed_variable(0, 1.0, 3, 1)
-    gl = grad_laplacian(x * x * x)
+    gl = coeff_layout(1, 3).grad_laplacian_rows() @ (x * x * x).coeffs
     assert np.allclose(gl, [6.0])
+
+    # Laplacian of x^2 y + y^3 z + x z^2 is 2y + 6yz + 2x, its gradient (2, 2 + 6z, 6y)
+    x, y, z = seed_point([0.3, -0.7, 1.1], 3)
+    j = (x * x) * y + (y * y * y) * z + x * (z * z)
+    gl = coeff_layout(3, 3).grad_laplacian_rows() @ j.coeffs
+    assert np.allclose(gl, [2.0, 2.0 + 6.0 * 1.1, 6.0 * -0.7], rtol=1e-13)
 
 
 def test_harmonic_polynomials_have_zero_laplacian():
@@ -177,6 +208,49 @@ def test_harmonic_polynomials_have_zero_laplacian():
             assert abs(laplacian(h)) < 1e-12
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_multiplicity_counts_the_full_symmetric_tensor(dim):
+    # every entry of the full order-k tensor lands on one packed slot; the
+    # slot's multiplicity is how many entries land there, so squared
+    # Frobenius norms and symmetric contractions read off the packed slots
+    lay = coeff_layout(dim, 3)
+    assert not lay.multiplicity.flags.writeable
+    hits = np.zeros(lay.size)
+    for k in range(4):
+        for idx in itertools.product(range(dim), repeat=k):
+            hits[lay.position(idx)] += 1
+    assert np.array_equal(lay.multiplicity, hits)
+
+    rng = np.random.default_rng(dim)
+    x = seed_point(rng.uniform(-1, 1, size=dim), 3)
+    j = sin(x[0] * x[-1]) + exp(0.5 * x[0]) * (x[-1] * x[-1])
+    order = np.array([len(mi) for mi in lay.multi_indices])
+    A = rng.standard_normal((dim, dim))
+    A = A + A.T
+    for k in range(4):
+        frob = np.sum(tensor(j, k) ** 2)
+        packed = np.sum((lay.multiplicity * j.coeffs**2)[order == k])
+        assert packed == pytest.approx(frob, rel=1e-13)
+    contraction = np.sum(A * tensor(j, 2))
+    hess = order == 2
+    i, m = np.array(lay.pairs()).T
+    assert np.sum(lay.multiplicity[hess] * A[i, m] * j.coeffs[hess]) == \
+        pytest.approx(contraction, rel=1e-12, abs=1e-12)
+
+
+def test_laplacian_rows_read_the_trace():
+    for dim in (1, 2, 3):
+        x = seed_point(np.linspace(0.2, 0.6, dim), 3)
+        j = tanh(x[0] * x[-1] + 0.3 * (x[0] * x[0]))
+        lay = coeff_layout(dim, 3)
+        assert laplacian(j) == pytest.approx(np.trace(tensor(j, 2)), rel=1e-14)
+        assert np.allclose(lay.grad_laplacian_rows() @ j.coeffs,
+                           np.einsum("kii->k", tensor(j, 3)), rtol=1e-14)
+        if dim > 1:  # a subset of coordinates, as the heat residual uses
+            spatial = lay.laplacian_row(range(1, dim)) @ j.coeffs
+            assert spatial == pytest.approx(np.trace(tensor(j, 2)[1:, 1:]), rel=1e-14)
+
+
 def test_jet_validation_and_immutability():
     j = seed_variable(0, 1.0, 2, 2)
     with pytest.raises(AttributeError):
@@ -190,9 +264,9 @@ def test_jet_validation_and_immutability():
     with pytest.raises(ValueError):
         j.d(0, 1, 1)  # order-3 request from an order-2 jet
     with pytest.raises(ValueError):
-        laplacian(seed_variable(0, 1.0, 1, 1))
+        coeff_layout(1, 1).laplacian_row()
     with pytest.raises(ValueError):
-        grad_laplacian(seed_variable(0, 1.0, 2, 1))
+        coeff_layout(1, 2).grad_laplacian_rows()
 
 
 def test_truncation_never_reads_above_order():

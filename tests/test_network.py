@@ -47,11 +47,11 @@ def test_forward_respects_input_scaling():
     out = forward_jets(params, X, 2, scale, shift)
     ref = scalar_reference(params, X[0] * scale + shift, 2)
     # chain rule through the affine map: d/dx_i picks up scale_i
-    assert out[0, 0] == pytest.approx(ref.value, rel=1e-13)
-    assert out[0, 1] == pytest.approx(ref.grad[0] * 0.5, rel=1e-12)
-    assert out[0, 2] == pytest.approx(ref.grad[1] * 2.0, rel=1e-12)
-    assert out[0, 3] == pytest.approx(ref.hess[0, 0] * 0.25, rel=1e-12)
-    assert out[0, 5] == pytest.approx(ref.hess[1, 1] * 4.0, rel=1e-12)
+    assert out[0, 0] == pytest.approx(ref.d(), rel=1e-13)
+    assert out[0, 1] == pytest.approx(ref.d(0) * 0.5, rel=1e-12)
+    assert out[0, 2] == pytest.approx(ref.d(1) * 2.0, rel=1e-12)
+    assert out[0, 3] == pytest.approx(ref.d(0, 0) * 0.25, rel=1e-12)
+    assert out[0, 5] == pytest.approx(ref.d(1, 1) * 4.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("dim,order", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
@@ -112,7 +112,7 @@ def test_save_load_roundtrip(tmp_path):
     save_params(path, params)
     loaded, extras, header = load_params(path)
     assert loaded.widths == params.widths
-    assert loaded.activation == params.activation
+    assert header["activation"] == "tanh"
     assert loaded.seed == params.seed
     assert np.array_equal(loaded.flatten(), params.flatten())
     assert extras == {}
@@ -131,3 +131,34 @@ def test_load_rejects_garbage(tmp_path):
     path.write_bytes(b"not a parameter file at all")
     with pytest.raises(ValueError):
         load_params(path)
+
+
+def _truncate_body(raw):
+    return raw[:-16]  # two of the 17 values of the extra array are missing
+
+
+def _append_bytes(raw):
+    return raw + b"\x00" * 8
+
+
+def _edit_header(old, new):
+    return lambda raw: raw.replace(old, new, 1)
+
+
+@pytest.mark.parametrize("corrupt,cause", [
+    (_truncate_body, "bytes"),
+    (_append_bytes, "bytes"),
+    (_edit_header(b"activation: tanh", b"activation: relu"), "activation"),
+    (_edit_header(b"dtype: float64-little", b"dtype: float64-big"), "dtype"),
+    (_edit_header(b"widths: 2,4,1\n", b""), "widths"),
+], ids=["truncated-extra-array", "trailing-bytes", "activation", "byte-order",
+        "no-widths"])
+def test_load_rejects_malformed_files(tmp_path, corrupt, cause):
+    # each corruption used to load silently (or raise a bare KeyError)
+    path = tmp_path / "params.bin"
+    save_params(path, NetworkParams.xavier((2, 4, 1), seed=1),
+                extra_arrays={"adam_m": np.arange(17.0)})
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ValueError, match=cause) as err:
+        load_params(path)
+    assert str(path) in str(err.value)

@@ -7,9 +7,10 @@ import pytest
 
 from rescert.fields import AnalyticField, HarmonicMode
 from rescert.geometry import Disk, Interval, Rectangle, SpaceTimeBox
-from rescert.quadrature import (build_rule, boundary_misfit, h_half_surrogate,
-                                integrate_values, kahan_sum, sobolev_errors_upto,
-                                target_measure, x_norm_error)
+from rescert.problems import get_problem
+from rescert.quadrature import (build_rule, boundary_misfit, grad_laplacian_error,
+                                h_half_surrogate, integrate_values, kahan_sum,
+                                sobolev_errors_upto, target_measure, x_norm_error)
 
 UNIT_SQUARE = Rectangle((0.0, 0.0), (1.0, 1.0))
 UNIT_DISK = Disk((0.0, 0.0), 1.0)
@@ -142,6 +143,29 @@ def test_x_norm_zero_for_exact_heat_solution():
     assert x_norm_error(u, u, rule) == 0.0
     # against zero reference it is a positive number
     assert x_norm_error(u, None, rule) > 1.0
+
+
+def test_x_norm_closed_form_on_heat_solution():
+    # u* = exp(-2 pi^2 t) sin(pi x) sin(pi y) on (0, T) x unit square:
+    # ||d_t u||^2 = pi^4 k and ||u||^2_{L2(H2)} = (1/4 + pi^2/2 + pi^4) k
+    # with k = int_0^T exp(-4 pi^2 t) dt
+    p4 = get_problem("P4")
+    T = p4.domain.horizon
+    assert T == 0.2
+    k = (1.0 - math.exp(-4.0 * math.pi**2 * T)) / (4.0 * math.pi**2)
+    want = math.sqrt(math.pi**4 * k) + math.sqrt((0.25 + math.pi**2 / 2 + math.pi**4) * k)
+    rule = build_rule(p4.domain, "spacetime", 12)
+    assert x_norm_error(p4.exact, None, rule) == pytest.approx(want, rel=1e-13)
+
+
+def test_grad_laplacian_error_closed_form():
+    # grad(Laplacian) of sin(pi x) sin(pi y) is -2 pi^2 grad u, whose squared
+    # L2 norm on the unit square is 4 pi^4 * pi^2 / 2
+    p1 = get_problem("P1")
+    rule = build_rule(p1.domain, "interior", 24)
+    got = grad_laplacian_error(p1.exact, None, rule)
+    assert got == pytest.approx(math.sqrt(2.0) * math.pi**3, rel=1e-13)
+    assert grad_laplacian_error(p1.exact, p1.exact, rule) == 0.0
 
 
 def test_boundary_misfit():
