@@ -9,8 +9,8 @@ turns a training loss into a Sobolev-norm error bound.
 
 from .ansatz import AnsatzSpec, build_spec
 from .certify import (BoundViolation, CeaReport, CertifiedReport, c_reg_convex,
-                      cea_decomposition, certified_h2_bound, interp_hs_bound,
-                      parabolic_bound, penalty_h_half_estimator)
+                      cea_decomposition, certified_h2_bound, parabolic_bound,
+                      penalty_h_half_estimator)
 from .experiments import (ConfigError, ExperimentConfig, fit_ratio_slope,
                           harmonic_failure_records, load_config,
                           parse_config_text, run_certified, run_failure_demo,
@@ -39,7 +39,7 @@ __all__ = [
     "build_spec", "builtin_problems", "c_reg_convex", "cea_decomposition",
     "certified_h2_bound", "coeff_layout", "default_spec", "fd_check",
     "fit_ratio_slope", "forward_jets", "get_problem", "h_half_surrogate",
-    "harmonic_failure_records", "integrate_values", "interp_hs_bound",
+    "harmonic_failure_records", "integrate_values",
     "load_config", "load_params", "make_config", "parabolic_bound",
     "parse_config_text", "penalty_h_half_estimator", "run_certified",
     "run_failure_demo", "run_fd_check", "run_parabolic", "run_penalty_vs_exact",

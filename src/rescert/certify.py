@@ -18,7 +18,7 @@ with the fixed 2 percent quadrature headroom ``QUAD_HEADROOM``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import inf, pi, sqrt
 from typing import Optional
 
 from .geometry import Disk, Domain, Interval, Rectangle, SpaceTimeBox
@@ -99,8 +99,8 @@ class CertifiedReport:
 
 def _check_loss(loss: float) -> float:
     loss = float(loss)
-    if not loss >= 0.0:
-        raise ValueError(f"loss must be nonnegative, got {loss}")
+    if not 0.0 <= loss < inf:
+        raise ValueError(f"loss must be finite and nonnegative, got {loss}")
     return loss
 
 
@@ -194,16 +194,6 @@ def cea_decomposition(loss: float, loss_best: float, domain: Domain) -> CeaRepor
     delta = max(loss - loss_best, 0.0)
     return CeaReport(loss=loss, loss_best=loss_best, delta_estimate=delta,
                      constant=c, bound=c * sqrt(loss))
-
-
-def interp_hs_bound(s: float, h_half_value: float, h2_value: float) -> float:
-    """Interpolated H^s bound from H^(1/2) and H2 quantities, s in [1/2, 2]:
-    value = h_half^(2(2-s)/3) * h2^((2s-1)/3)."""
-    if not 0.5 <= s <= 2.0:
-        raise ValueError(f"interpolation order s must lie in [1/2, 2], got {s}")
-    if h_half_value < 0 or h2_value < 0:
-        raise ValueError("norm values must be nonnegative")
-    return h_half_value ** (2.0 * (2.0 - s) / 3.0) * h2_value ** ((2.0 * s - 1.0) / 3.0)
 
 
 def penalty_h_half_estimator(loss_tau: float, tau: float) -> CertifiedReport:

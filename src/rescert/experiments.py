@@ -1,10 +1,13 @@
 """Reproducible experiment drivers behind the command-line subcommands.
 
-Configs are flat ``key = value`` text files where every key has a default
-and unknown keys are hard errors.  Every CSV written here starts with a
-comment line carrying the config hash and seed, contains no timestamps, and
-formats floats with ``repr``, so reruns with the same config and seed are
-bit-identical.
+Configs are flat ``key = value`` text files; every key has a default, and
+unknown keys and out-of-range values are hard errors.  Every driver trains
+through one loop, ``_train_run``, and measures each final certificate on the
+network at the best loss seen, the loss it certifies; a certified bound that
+measurement breaks raises ``BoundViolation`` once the files are written.
+Every CSV starts with a comment line carrying the config hash and seed,
+contains no timestamps, and formats floats with ``repr``, so reruns with the
+same config and seed are bit-identical.
 """
 
 from __future__ import annotations
@@ -54,9 +57,17 @@ class ExperimentConfig:
     parabolic_constant: Optional[float] = None
     user_constant: Optional[float] = None
 
+    def __post_init__(self):
+        for name, low in (("steps", 0), ("quad_n", 2), ("record_every", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} = {getattr(self, name)} is below {low}")
+        if not self.seeds:
+            raise ConfigError("seeds lists no seed")
+
 
 _INT_TUPLES = {"hidden", "seeds", "n_list"}
 _OPTIONAL_FLOATS = {"parabolic_constant", "user_constant"}
+_SPATIAL_KINDS = ("poisson", "elliptic_divA")
 _FIELD_NAMES = tuple(f.name for f in fields(ExperimentConfig))
 
 
@@ -66,12 +77,7 @@ def _convert(key: str, raw: str):
             return tuple(int(p) for p in raw.replace(" ", "").split(",") if p)
         if key in _OPTIONAL_FLOATS:
             return None if raw.lower() in ("", "none") else float(raw)
-        default = getattr(ExperimentConfig(), key)
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        return raw
+        return type(getattr(ExperimentConfig(), key))(raw)  # int, float or str
     except ValueError as err:
         raise ConfigError(f"bad value for {key!r}: {raw!r} ({err})") from None
 
@@ -124,32 +130,23 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canonical_text(config).encode()).hexdigest()[:12]
 
 
-# -- output helpers ------------------------------------------------------------
+# -- output and the one training loop ------------------------------------------
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
+def _write_lines(out_dir, name: str, config: ExperimentConfig, lines: list[str]) -> None:
+    path = Path(out_dir if out_dir is not None else config.out_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
-def _csv_lines(config: ExperimentConfig, seed, header: str, rows,
-               trailer: list[str] | None = None) -> list[str]:
-    lines = [f"# config_hash={config_hash(config)} seed={seed}"]
-    lines.append(header)
-    lines.extend(rows)
-    for extra in trailer or []:
-        lines.append(f"# {extra}")
-    return lines
-
-
-def _fmt(*values) -> str:
-    parts = []
-    for v in values:
-        if isinstance(v, (float, np.floating)):
-            parts.append(repr(float(v)))
-        else:
-            parts.append(str(v))
-    return ",".join(parts)
+def _write_csv(out_dir, name: str, config: ExperimentConfig, seed, header: str,
+               rows, trailer=()) -> None:
+    """Hash line, header, rows (numbers by repr) and the trailer as comments."""
+    lines = [f"# config_hash={config_hash(config)} seed={seed}", header]
+    lines.extend(",".join(v if isinstance(v, str) else repr(v) for v in row)
+                 for row in rows)
+    lines.extend(f"# {extra}" for extra in trailer)
+    _write_lines(out_dir, name, config, lines)
 
 
 def _single_seed(config: ExperimentConfig, command: str) -> int:
@@ -160,10 +157,34 @@ def _single_seed(config: ExperimentConfig, command: str) -> int:
     return config.seeds[0]
 
 
-def _schedule(config: ExperimentConfig) -> AdamSchedule:
-    return AdamSchedule(steps=config.steps, lr=config.lr, beta1=config.beta1,
-                        beta2=config.beta2, eps=config.eps,
-                        record_every=config.record_every)
+def _training_problem(config: ExperimentConfig, command: str, kinds) -> PdeProblem:
+    """The config's problem, if its kind is one of kinds and it has an exact solution."""
+    problem = _resolve_problem(config.problem)
+    if problem.kind not in kinds:
+        hint = "; heat problems go to parabolic-run" if problem.kind == "heat" else ""
+        raise ConfigError(f"{command} needs a {' or '.join(kinds)} problem, "
+                          f"{problem.name} is {problem.kind}{hint}")
+    if problem.exact is None:
+        raise ConfigError(f"problem {problem.name} has no exact solution to measure against")
+    return problem
+
+
+def _train_run(config: ExperimentConfig, problem: PdeProblem, spec: AnsatzSpec,
+               cfg, metrics=None):
+    """Adam on the config's schedule; ``metrics(v, step, loss)`` turns the
+    network at each checkpoint into one row.  Returns (rows, state, best),
+    best the network at the best loss seen, the one state.loss certifies."""
+    schedule = AdamSchedule(steps=config.steps, lr=config.lr, beta1=config.beta1,
+                            beta2=config.beta2, eps=config.eps,
+                            record_every=config.record_every)
+    rows = []
+
+    def checkpoint(step, flat, loss):
+        rows.append(metrics(spec.with_params(flat), step, loss))
+
+    state, best = train(spec, problem, cfg, schedule,
+                        on_checkpoint=checkpoint if metrics else None)
+    return rows, state, best
 
 
 # -- certified training runs ----------------------------------------------------
@@ -174,49 +195,38 @@ class CertifiedRun:
     seed: int
     rows: list                      # (step, loss, bound, h2, h1, l2)
     final_report: CertifiedReport
-    violations: list
-    csv_lines: list
+    violations: list                # one message per failed certified bound
 
 
 def _certified_single_seed(config: ExperimentConfig, seed: int) -> CertifiedRun:
-    problem = _resolve_problem(config.problem)
-    if problem.kind == "heat":
-        raise ConfigError("certify-run covers spatial problems; use parabolic-run")
-    if problem.exact is None:
-        raise ConfigError(f"problem {problem.name} has no exact solution to measure against")
+    problem = _training_problem(config, "certify-run", _SPATIAL_KINDS)
     spec = default_spec(problem, hidden=config.hidden, seed=seed)
     cfg = make_config(problem, "interior", config.quad_n)
-    rows = []
     violations = []
 
-    def checkpoint(step, flat, loss):
-        v = spec.with_params(flat)
+    def certificate(v, step, loss):
         l2, h1, h2 = sobolev_errors_upto(v, problem.exact, cfg.interior, s_max=2)
         report = certify.certified_h2_bound(loss, problem.domain, problem,
                                             user_constant=config.user_constant,
                                             measured_error=h2)
-        rows.append((step, loss, report.bound, h2, h1, l2))
         if report.certified and not report.bound_holds():
-            violations.append((step, h2, report.bound))
+            violations.append(f"step {step}: H2 error {h2:.6e} exceeds "
+                              f"bound {report.bound:.6e}")
+        return report, (step, loss, report.bound, h2, h1, l2)
 
-    state, best = train(spec, problem, cfg, _schedule(config), on_checkpoint=checkpoint)
-    final_report = certify.certified_h2_bound(
-        state.loss, problem.domain, problem, user_constant=config.user_constant,
-        measured_error=sobolev_errors_upto(best, problem.exact, cfg.interior, 2)[2],
-    )
-    formatted = [_fmt(s, l, b, h2, h1, l2) for (s, l, b, h2, h1, l2) in rows]
-    lines = _csv_lines(config, seed, "step,loss,bound,h2_error,h1_error,l2_error",
-                       formatted, trailer=final_report.text_block().splitlines())
-    return CertifiedRun(seed, rows, final_report, violations, lines)
+    rows, state, best = _train_run(config, problem, spec, cfg,
+                                   lambda v, step, loss: certificate(v, step, loss)[1])
+    final_report = certificate(best, "best", state.loss)[0]
+    return CertifiedRun(seed, rows, final_report, violations)
 
 
 def run_certified(config: ExperimentConfig, out_dir=None, parallel: int = 1):
     """Train with the exact-boundary interior loss and certify every
-    checkpoint.  Writes one CSV per seed plus an ensemble summary; raises
-    BoundViolation (after writing) if any certified row fails its bound."""
+    checkpoint and the best network.  Writes one CSV per seed plus an
+    ensemble summary; raises BoundViolation (after writing) if any certified
+    row or final report fails its bound."""
     if parallel < 1:
         raise ConfigError(f"parallel needs at least one worker process, got {parallel}")
-    out = Path(out_dir if out_dir is not None else config.out_dir)
     seeds = list(config.seeds)
     if parallel > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
@@ -226,7 +236,9 @@ def run_certified(config: ExperimentConfig, out_dir=None, parallel: int = 1):
 
     problem = _resolve_problem(config.problem)
     for run in runs:
-        _write_lines(out / f"certify_{config.problem}_seed{run.seed}.csv", run.csv_lines)
+        _write_csv(out_dir, f"certify_{config.problem}_seed{run.seed}.csv", config, run.seed,
+                   "step,loss,bound,h2_error,h1_error,l2_error", run.rows,
+                   run.final_report.text_block().splitlines())
 
     # ensemble-relative quasi-optimality split
     best_loss = min(run.final_report.loss for run in runs)
@@ -238,14 +250,11 @@ def run_certified(config: ExperimentConfig, out_dir=None, parallel: int = 1):
             cea = certify.cea_decomposition(run.final_report.loss, best_loss, problem.domain)
             summary.append(f"delta_estimate: {cea.delta_estimate!r}  ({cea.note})")
         summary.append("")
-    _write_lines(out / f"certify_{config.problem}_summary.txt", summary)
+    _write_lines(out_dir, f"certify_{config.problem}_summary.txt", config, summary)
 
-    bad = [(run.seed, v) for run in runs for v in run.violations]
-    if bad:
-        seed, (step, h2, bound) = bad[0]
-        raise BoundViolation(
-            f"seed {seed} step {step}: H2 error {h2:.6e} exceeds bound {bound:.6e}"
-        )
+    for run in runs:
+        if run.violations:
+            raise BoundViolation(f"seed {run.seed} {run.violations[0]}")
     return runs
 
 
@@ -343,14 +352,11 @@ def run_failure_demo(config: ExperimentConfig, out_dir=None):
     The penalty loss stays flat at tau * pi while the H1 error diverges like
     sqrt(n); the H^(1/2) surrogate stays bounded.  Writes failure_demo.csv
     and returns (records, fitted slope)."""
-    out = Path(out_dir if out_dir is not None else config.out_dir)
     records = harmonic_failure_records(config.n_list, config.tau, config.quad_n)
     slope = fit_ratio_slope(records)
     header = ",".join(f.name for f in fields(HarmonicFamilyRecord))
-    rows = [_fmt(*astuple(r)) for r in records]
-    lines = _csv_lines(config, "-", header, rows,
-                       trailer=[f"fitted_slope = {slope!r}"])
-    _write_lines(out / "failure_demo.csv", lines)
+    _write_csv(out_dir, "failure_demo.csv", config, "-", header,
+               [astuple(r) for r in records], [f"fitted_slope = {slope!r}"])
     return records, slope
 
 
@@ -359,51 +365,39 @@ def run_failure_demo(config: ExperimentConfig, out_dir=None):
 
 def run_penalty_vs_exact(config: ExperimentConfig, out_dir=None):
     """Same problem, same optimiser: exact-boundary ansatz with the interior
-    loss against an unconstrained ansatz with the tau-penalty loss."""
-    out = Path(out_dir if out_dir is not None else config.out_dir)
-    problem = _resolve_problem(config.problem)
-    if problem.kind == "heat":
-        raise ConfigError("compare-bc covers spatial problems")
-    if problem.exact is None:
-        raise ConfigError(f"problem {problem.name} has no exact solution to measure against")
+    loss against an unconstrained ansatz with the tau-penalty loss.  Raises
+    BoundViolation (after writing) if the exact-boundary certificate fails."""
+    problem = _training_problem(config, "compare-bc", _SPATIAL_KINDS)
     seed = _single_seed(config, "compare-bc")
-    interior_rule = build_rule(problem.domain, "interior", config.quad_n)
     boundary_rule = build_rule(problem.domain, "boundary", config.quad_n)
-    sched = _schedule(config)
     results = []
 
-    for method in ("exact_bc", "penalty"):
-        if method == "exact_bc":
-            spec = default_spec(problem, hidden=config.hidden, seed=seed)
-            cfg = make_config(problem, "interior", config.quad_n)
-        else:
-            spec = default_spec(problem, hidden=config.hidden, seed=seed,
-                                mode="unconstrained")
-            cfg = make_config(problem, "penalty", config.quad_n, tau=config.tau)
-        state, best = train(spec, problem, cfg, sched)
-        l2, h1, h2 = sobolev_errors_upto(best, problem.exact, interior_rule, s_max=2)
+    for method, mode, variant, tau in (("exact_bc", None, "interior", None),
+                                       ("penalty", "unconstrained", "penalty", config.tau)):
+        spec = default_spec(problem, hidden=config.hidden, seed=seed, mode=mode)
+        cfg = make_config(problem, variant, config.quad_n, tau=tau)
+        _, state, best = _train_run(config, problem, spec, cfg)
+        errors = sobolev_errors_upto(best, problem.exact, cfg.interior, s_max=2)
         misfit = boundary_misfit(best, problem.boundary, boundary_rule)
         if method == "exact_bc":
             report = certify.certified_h2_bound(state.loss, problem.domain, problem,
                                                 user_constant=config.user_constant,
-                                                measured_error=h2)
+                                                measured_error=errors[2])
         else:
-            report = certify.penalty_h_half_estimator(state.loss, config.tau)
-            report = replace(report,
+            report = replace(certify.penalty_h_half_estimator(state.loss, config.tau),
                              measured_error=h_half_surrogate(best, problem.exact,
-                                                             interior_rule))
-        results.append((method, state, best, (l2, h1, h2), misfit, report))
+                                                             cfg.interior))
+        results.append((method, state, best, errors, misfit, report))
 
     header = ("method,final_loss,l2_error,h1_error,h2_error,boundary_misfit,"
               "certified_bound_or_estimator")
-    rows = [_fmt(m, st.loss, e[0], e[1], e[2], mis, rep.bound)
-            for (m, st, _, e, mis, rep) in results]
-    trailer = []
-    for method, _, _, _, _, rep in results:
-        trailer.append(f"-- {method} --")
-        trailer.extend(rep.text_block().splitlines())
-    lines = _csv_lines(config, seed, header, rows, trailer=trailer)
-    _write_lines(out / f"compare_bc_{config.problem}.csv", lines)
+    rows = [(m, st.loss, *e, mis, rep.bound) for (m, st, _, e, mis, rep) in results]
+    trailer = [line for method, *_, rep in results
+               for line in (f"-- {method} --", *rep.text_block().splitlines())]
+    _write_csv(out_dir, f"compare_bc_{config.problem}.csv", config, seed, header, rows,
+               trailer)
+    for *_, report in results:
+        report.check()
     return results
 
 
@@ -430,34 +424,30 @@ def _parabolic_slice_errors(spec: AnsatzSpec, problem: PdeProblem, n: int):
 def run_parabolic(config: ExperimentConfig, out_dir=None):
     """Heat-equation run: space-time residual training with the energy-norm
     error, its ratio to sqrt(loss), and exactness of the initial and lateral
-    slices at every checkpoint."""
-    out = Path(out_dir if out_dir is not None else config.out_dir)
-    problem = _resolve_problem(config.problem)
-    if problem.kind != "heat":
-        raise ConfigError("parabolic-run needs a heat problem (P4)")
+    slices at every checkpoint.  The certificate is measured on the best
+    network and raises BoundViolation (after writing) if it fails."""
+    problem = _training_problem(config, "parabolic-run", ("heat",))
     seed = _single_seed(config, "parabolic-run")
     spec = default_spec(problem, hidden=config.hidden, seed=seed)
     cfg = make_config(problem, "parabolic", config.quad_n)
-    rows = []
-    slice_rows = []
 
-    def checkpoint(step, flat, loss):
-        v = spec.with_params(flat)
+    def metrics(v, step, loss):  # one CSV row and one slice row per checkpoint
         xerr = x_norm_error(v, problem.exact, cfg.spacetime)
         ratio = xerr / math.sqrt(loss) if loss > 0 else float("inf")
-        rows.append((step, loss, xerr, ratio))
-        init_err, lat_err = _parabolic_slice_errors(v, problem, config.quad_n)
-        slice_rows.append((step, init_err, lat_err))
+        return ((step, loss, xerr, ratio),
+                (step, *_parabolic_slice_errors(v, problem, config.quad_n)))
 
-    state, best = train(spec, problem, cfg, _schedule(config), on_checkpoint=checkpoint)
-    report = certify.parabolic_bound(state.loss, constant=config.parabolic_constant,
-                                     measured_error=rows[-1][2])
-    formatted = [_fmt(*r) for r in rows]
+    pairs, state, best = _train_run(config, problem, spec, cfg, metrics)
+    rows, slice_rows = map(list, zip(*pairs))
+    report = certify.parabolic_bound(
+        state.loss, constant=config.parabolic_constant,
+        measured_error=x_norm_error(best, problem.exact, cfg.spacetime))
     trailer = report.text_block().splitlines()
     trailer.append(f"max_initial_slice_error = {max(r[1] for r in slice_rows)!r}")
     trailer.append(f"max_lateral_slice_error = {max(r[2] for r in slice_rows)!r}")
-    lines = _csv_lines(config, seed, "step,loss,x_norm_error,ratio", formatted, trailer)
-    _write_lines(out / f"parabolic_{problem.name}.csv", lines)
+    _write_csv(out_dir, f"parabolic_{problem.name}.csv", config, seed,
+               "step,loss,x_norm_error,ratio", rows, trailer)
+    report.check()
     return rows, slice_rows, report
 
 
@@ -468,35 +458,27 @@ def run_sobolev(config: ExperimentConfig, out_dir=None):
     """Train the plain residual and the gradient-augmented residual on the
     same problem and seed; track both residual norms and the H2/H3-proxy
     errors along each trajectory.  One CSV per variant."""
-    out = Path(out_dir if out_dir is not None else config.out_dir)
-    problem = _resolve_problem(config.problem)
-    if problem.kind != "poisson":
-        raise ConfigError("sobolev-run compares residual losses on poisson problems")
+    problem = _training_problem(config, "sobolev-run", ("poisson",))
     seed = _single_seed(config, "sobolev-run")
-    interior_cfg = make_config(problem, "interior", config.quad_n)
-    sobolev_cfg = make_config(problem, "sobolev_k1", config.quad_n)
-    norm_rule = interior_cfg.interior
+    spec = default_spec(problem, hidden=config.hidden, seed=seed)
+    configs = {variant: make_config(problem, variant, config.quad_n)
+               for variant in ("interior", "sobolev_k1")}
+    value_interior, value_sobolev = (build_objective(spec, problem, cfg).value
+                                     for cfg in configs.values())
+    norm_rule = configs["interior"].interior
+
+    def metrics(v, step, loss):
+        flat = v.params.flatten()
+        _, _, h2 = sobolev_errors_upto(v, problem.exact, norm_rule, s_max=2)
+        return (step, math.sqrt(value_interior(flat)), math.sqrt(value_sobolev(flat)),
+                h2, grad_laplacian_error(v, problem.exact, norm_rule))
+
     results = {}
-    for variant, cfg in (("interior", interior_cfg), ("sobolev_k1", sobolev_cfg)):
-        spec = default_spec(problem, hidden=config.hidden, seed=seed)
-        value_interior = build_objective(spec, problem, interior_cfg).value
-        value_sobolev = build_objective(spec, problem, sobolev_cfg).value
-        rows = []
-
-        def checkpoint(step, flat, loss, rows=rows, spec=spec,
-                       vi=value_interior, vs=value_sobolev):
-            v = spec.with_params(flat)
-            l2_res = math.sqrt(vi(flat))
-            h1_res = math.sqrt(vs(flat))
-            _, _, h2 = sobolev_errors_upto(v, problem.exact, norm_rule, s_max=2)
-            h3_proxy = grad_laplacian_error(v, problem.exact, norm_rule)
-            rows.append((step, l2_res, h1_res, h2, h3_proxy))
-
-        train(spec, problem, cfg, _schedule(config), on_checkpoint=checkpoint)
-        lines = _csv_lines(config, seed, "step,l2_residual,h1_residual,h2_error,h3_error_proxy",
-                           [_fmt(*r) for r in rows])
-        _write_lines(out / f"sobolev_{config.problem}_{variant}.csv", lines)
-        results[variant] = rows
+    for variant, cfg in configs.items():
+        results[variant] = _train_run(config, problem, spec, cfg, metrics)[0]
+        _write_csv(out_dir, f"sobolev_{config.problem}_{variant}.csv", config, seed,
+                   "step,l2_residual,h1_residual,h2_error,h3_error_proxy",
+                   results[variant])
     return results
 
 
@@ -505,7 +487,6 @@ def run_sobolev(config: ExperimentConfig, out_dir=None):
 
 def run_fd_check(config: ExperimentConfig, out_dir=None, n_coords: int = 20):
     """Finite-difference audit of the loss gradient for the configured variant."""
-    out = Path(out_dir if out_dir is not None else config.out_dir)
     problem = _resolve_problem(config.problem)
     seed = _single_seed(config, "fd-check")
     mode = {"penalty": "unconstrained"}.get(config.variant)
@@ -517,11 +498,10 @@ def run_fd_check(config: ExperimentConfig, out_dir=None, n_coords: int = 20):
     except ValueError as err:
         raise ConfigError(f"cannot assemble the {config.variant!r} loss for "
                           f"{problem.name}: {err}") from None
-    header = "index,analytic,numeric,discrepancy,mode"
-    rows = [_fmt(r.index, r.analytic, r.numeric, r.discrepancy,
-                 "relative" if r.relative else "absolute") for r in report.rows]
+    rows = [(r.index, r.analytic, r.numeric, r.discrepancy,
+             "relative" if r.relative else "absolute") for r in report.rows]
     trailer = [f"max_relative_discrepancy = {report.max_discrepancy!r}",
                f"max_absolute_near_zero = {report.max_absolute_near_zero!r}"]
-    lines = _csv_lines(config, seed, header, rows, trailer)
-    _write_lines(out / f"fd_check_{config.problem}_{config.variant}.csv", lines)
+    _write_csv(out_dir, f"fd_check_{config.problem}_{config.variant}.csv", config, seed,
+               "index,analytic,numeric,discrepancy,mode", rows, trailer)
     return report

@@ -138,13 +138,6 @@ def build_rule(domain: Domain, target: str, n: int) -> QuadratureRule:
     raise TypeError(f"no quadrature for domain {type(domain).__name__}")
 
 
-def target_measure(rule: QuadratureRule) -> float:
-    """Analytic measure of the integrated set (for weight-sum checks)."""
-    if rule.target == "boundary":
-        return rule.domain.boundary_measure
-    return rule.domain.measure
-
-
 def integrate_values(rule: QuadratureRule, values) -> float:
     """Integral of a field given by its values at the rule's nodes.  Fails
     loudly on non-finite values, naming the first offending node."""

@@ -16,7 +16,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import network
 from .ansatz import AnsatzSpec
 from .losses import LossConfig, build_objective
 from .problems import PdeProblem
@@ -52,12 +51,10 @@ class AdamSchedule:
 
 @dataclass
 class TrainState:
-    """Optimiser state and the loss trajectory at recording resolution."""
+    """Best-seen parameters and loss, and the loss trajectory at recording
+    resolution."""
 
     params: np.ndarray            # best-loss parameters seen
-    final_params: np.ndarray      # parameters after the last step
-    m: np.ndarray
-    v: np.ndarray
     step: int
     loss: float                   # best loss seen (min over history)
     history: list = field(default_factory=list)  # (step, loss) pairs
@@ -175,21 +172,7 @@ def train(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig,
         history.append((best_step, best_loss))
         history.sort(key=lambda p: p[0])
 
-    state = TrainState(params=best_theta, final_params=theta, m=m, v=v,
-                       step=schedule.steps, loss=best_loss, history=history)
+    state = TrainState(params=best_theta, step=schedule.steps, loss=best_loss,
+                       history=history)
     return state, spec.with_params(best_theta)
 
-
-# -- checkpoint files ------------------------------------------------------------
-
-
-def save_checkpoint(path, spec: AnsatzSpec, state: TrainState) -> None:
-    """Parameter file with the optimiser moments and step appended; read it
-    back with ``network.load_params``."""
-    params = spec.params.with_flat(state.params)
-    network.save_params(
-        path, params,
-        extra_arrays={"adam_m": state.m, "adam_v": state.v,
-                      "final_params": state.final_params},
-        extra_header={"step": state.step, "loss": repr(state.loss)},
-    )

@@ -10,8 +10,8 @@ import pytest
 from rescert.certify import (BoundViolation, CeaReport, CertifiedReport,
                              PROVENANCE_CONVEX, PROVENANCE_HEURISTIC,
                              PROVENANCE_USER, c_reg_convex, cea_decomposition,
-                             certified_h2_bound, interp_hs_bound,
-                             parabolic_bound, penalty_h_half_estimator)
+                             certified_h2_bound, parabolic_bound,
+                             penalty_h_half_estimator)
 from rescert.ansatz import build_spec
 from rescert.fields import AnalyticField
 from rescert.geometry import Disk, Interval, Rectangle, SpaceTimeBox
@@ -146,21 +146,6 @@ def test_cea_decomposition():
         cea_decomposition(0.25, 1.0, square)
 
 
-def test_interpolation_between_norm_scales():
-    assert interp_hs_bound(0.5, 3.0, 7.0) == pytest.approx(3.0, rel=1e-15)
-    assert interp_hs_bound(2.0, 3.0, 7.0) == pytest.approx(7.0, rel=1e-15)
-    # geometric midpoint of the exponent range
-    assert interp_hs_bound(1.25, 1.0, 8.0) == pytest.approx(
-        math.sqrt(8.0), rel=1e-15)
-    # monotone in s when h2 > h_half
-    values = [interp_hs_bound(s, 1.0, 8.0) for s in np.linspace(0.5, 2.0, 7)]
-    assert all(a < b for a, b in zip(values, values[1:]))
-    with pytest.raises(ValueError, match="s must lie"):
-        interp_hs_bound(2.5, 1.0, 1.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        interp_hs_bound(1.0, -1.0, 1.0)
-
-
 def test_penalty_estimator_is_never_certified():
     rep = penalty_h_half_estimator(4.0, tau=1.0)
     assert rep.constant == 2.0  # 1 + tau^(-1/2)
@@ -193,3 +178,14 @@ def test_parabolic_bound_paths():
 
     with pytest.raises(ValueError, match="positive"):
         parabolic_bound(0.16, constant=-1.0)
+
+
+@pytest.mark.parametrize("loss", [math.inf, math.nan])
+def test_certificates_reject_non_finite_loss(loss):
+    # a run that never evaluated its loss must not stamp an infinite bound
+    with pytest.raises(ValueError, match="finite"):
+        certified_h2_bound(loss, Rectangle((0.0, 0.0), (1.0, 1.0)))
+    with pytest.raises(ValueError, match="finite"):
+        parabolic_bound(loss, constant=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        penalty_h_half_estimator(loss, tau=1.0)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from rescert import certify, cli
+from rescert import certify, cli, experiments
 from rescert.certify import BoundViolation
 from rescert.experiments import (ConfigError, ExperimentConfig, canonical_text,
                                  config_hash, fit_ratio_slope,
@@ -16,6 +16,7 @@ from rescert.experiments import (ConfigError, ExperimentConfig, canonical_text,
                                  run_failure_demo, run_fd_check,
                                  run_parabolic, run_penalty_vs_exact,
                                  run_sobolev)
+from rescert.training import AdamSchedule
 
 TINY = ExperimentConfig(problem="P5", hidden=(4,), quad_n=6, steps=10, lr=1e-2,
                         record_every=5, seeds=(0,))
@@ -244,6 +245,42 @@ def test_run_fd_check_penalty_uses_unconstrained_ansatz(tmp_path):
     assert any(l.startswith("# max_relative_discrepancy") for l in lines)
 
 
+def test_every_driver_trains_through_the_module_name(tmp_path, monkeypatch):
+    # benchmarks/harness.py times checkpoints by wrapping experiments.train
+    # and its tracer reads the schedule as the fourth positional argument
+    calls = []  # per train() call: the steps its checkpoint callback saw
+    real = experiments.train
+
+    def counting_train(*args, **kwargs):
+        assert len(args) == 4 and isinstance(args[3], AdamSchedule)
+        seen = []
+        calls.append(seen)
+        callback = kwargs.get("on_checkpoint")
+        if callback is not None:
+            def counted(step, flat, loss):
+                callback(step, flat, loss)
+                seen.append(step)
+            kwargs["on_checkpoint"] = counted
+        return real(*args, **kwargs)
+
+    def steps_of(rows):
+        return [r[0] for r in rows]
+
+    monkeypatch.setattr(experiments, "train", counting_train)
+    tiny = dict(hidden=(4,), quad_n=4, steps=4, lr=1e-2, record_every=2)
+    runs = run_certified(ExperimentConfig(problem="P5", seeds=(0, 1), **tiny), tmp_path)
+    assert calls == [steps_of(run.rows) for run in runs] == [[0, 2, 4]] * 2
+    calls.clear()
+    run_penalty_vs_exact(ExperimentConfig(problem="P5", **tiny), tmp_path)
+    assert calls == [[], []]  # two networks, no rows recorded
+    calls.clear()
+    rows = run_parabolic(ExperimentConfig(problem="P4", **tiny), tmp_path)[0]
+    assert calls == [steps_of(rows)] == [[0, 2, 4]]
+    calls.clear()
+    results = run_sobolev(ExperimentConfig(problem="P1", **tiny), tmp_path)
+    assert calls == [steps_of(rows) for rows in results.values()] == [[0, 2, 4]] * 2
+
+
 # -- command line ------------------------------------------------------------------
 
 
@@ -356,6 +393,38 @@ def test_cli_bound_violation_exit_code(tmp_path, capsys):
     assert code == 2
     assert "bound violation" in capsys.readouterr().err
     assert (tmp_path / "out" / "certify_P5_seed0.csv").exists()
+
+
+@pytest.mark.parametrize("command,kv,csv", [
+    ("compare-bc", dict(problem="P5", steps=10, record_every=5, user_constant="1e-3"),
+     "compare_bc_P5.csv"),
+    ("parabolic-run", dict(problem="P4", steps=10, record_every=5,
+                           parabolic_constant="1e-3"), "parabolic_P4.csv"),
+])
+def test_cli_every_certifying_command_checks_its_bound(tmp_path, capsys, command, kv, csv):
+    # both commands used to print "certified: True" beside "holds: False"
+    # and exit 0
+    cfg = write_cfg(tmp_path, hidden="4", quad_n=4, lr=0.01, **kv)
+    code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "bound violation" in capsys.readouterr().err
+    assert "(holds: False)" in (tmp_path / "out" / csv).read_text()
+
+
+@pytest.mark.parametrize("kv,fragment", [
+    (dict(steps=-5), "steps"),
+    (dict(seeds=""), "seeds"),
+    (dict(quad_n=1), "quad_n"),
+    (dict(record_every=0), "record_every"),
+])
+def test_cli_out_of_range_config_is_config_error(tmp_path, capsys, kv, fragment):
+    cfg = write_cfg(tmp_path, **{"problem": "P5", "hidden": "4", "quad_n": 4, "steps": 2,
+                                 **kv})
+    code = cli.main(["certify-run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "config error" in err and fragment in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_divergence_exit_code(tmp_path, capsys):
