@@ -17,7 +17,7 @@ from rescert import (AnalyticField, NetworkParams, build_rule, coeff_layout,
                      forward_jets, h_half_surrogate, integrate_values,
                      sobolev_errors_upto)
 from rescert.geometry import Disk, Interval, Rectangle
-from rescert.jets import seed_point, tanh
+from rescert.jets import seed_point, sin, tanh
 
 # -- jets by hand: tanh(x * y) to second order -------------------------------------
 
@@ -67,7 +67,8 @@ for domain, target, name in [
 
 # -- Sobolev norms against a closed form ----------------------------------------------
 
-u = AnalyticField.from_string("sin(pi*x1)*sin(pi*x2)", 2)
+# a closed-form field is a jet expression on the coordinate seeds
+u = AnalyticField(lambda s: sin(math.pi * s[0]) * sin(math.pi * s[1]), 2)
 square = build_rule(Rectangle((0.0, 0.0), (1.0, 1.0)), "interior", 24)
 h2 = sobolev_errors_upto(u, None, square, 2)[2]
 closed = math.sqrt(0.25 + math.pi**2 / 2 + math.pi**4)

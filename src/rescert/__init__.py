@@ -16,7 +16,7 @@ from .experiments import (ConfigError, ExperimentConfig, fit_ratio_slope,
                           parse_config_text, run_certified, run_failure_demo,
                           run_fd_check, run_parabolic, run_penalty_vs_exact,
                           run_sobolev)
-from .fields import AnalyticField, HarmonicMode, MatrixField, TimeExtendedField
+from .fields import AnalyticField, HarmonicMode
 from .geometry import Disk, Interval, Rectangle, SpaceTimeBox
 from .jets import TaylorJet, coeff_layout, seed_point, seed_variable
 from .losses import LossConfig, build_objective, make_config
@@ -33,9 +33,9 @@ __all__ = [
     "AdamSchedule", "AnalyticField", "AnsatzSpec", "BoundViolation",
     "CeaReport", "CertifiedReport", "ConfigError", "Disk", "DivergenceError",
     "ExperimentConfig", "FdCheckReport", "HarmonicMode", "Interval",
-    "LossConfig", "MatrixField", "NetworkParams", "PdeProblem",
+    "LossConfig", "NetworkParams", "PdeProblem",
     "QuadratureRule", "Rectangle", "SpaceTimeBox", "TaylorJet",
-    "TimeExtendedField", "TrainState", "build_objective", "build_rule",
+    "TrainState", "build_objective", "build_rule",
     "build_spec", "builtin_problems", "c_reg_convex", "cea_decomposition",
     "certified_h2_bound", "coeff_layout", "default_spec", "fd_check",
     "fit_ratio_slope", "forward_jets", "get_problem", "h_half_surrogate",

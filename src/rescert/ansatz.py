@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import geometry, network
-from .fields import TimeExtendedField
 from .geometry import Domain, SpaceTimeBox
 from .jets import coeff_layout, product_terms
 from .network import NetworkParams
@@ -48,7 +47,7 @@ class AnsatzSpec:
     domain: Domain
     mode: str = "exact_bc"
     lift: object = None      # G: jet-evaluable extension of the boundary data
-    initial: object = None   # u0 for parabolic_exact (spatial field)
+    initial: object = None   # u0 for parabolic_exact (spatial AnalyticField)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -98,7 +97,7 @@ class AnsatzSpec:
         L = geometry.distance_jets(self.domain, X, order)
         P = product_matrix_batch(L, self.domain.dim, order)
         if self.mode == "parabolic_exact":
-            base = TimeExtendedField(self.initial).jets(X, order)
+            base = self.initial.time_extended().jets(X, order)
         elif self.lift is not None:
             base = np.asarray(self.lift.jets(X, order), dtype=float)
         else:

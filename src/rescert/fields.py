@@ -1,9 +1,11 @@
 """Closed-form scalar fields with exact derivatives.
 
-``AnalyticField`` wraps a sympy expression and evaluates packed jets of any
-order up to 3 through symbolically differentiated, vectorised callables.
-These fields describe boundary data, lifts, right-hand sides and manufactured
-solutions; the network itself never goes through sympy.
+``AnalyticField`` is a jet expression: a function that maps the coordinate
+seeds of ``rescert.jets`` (``seed_point(X, order)``) to a ``TaylorJet``, or
+to a plain number for a constant field.  Its derivatives come from the same
+jet algebra as the network's and the distance factors', so there is no
+second derivative engine.  These fields describe boundary data, lifts,
+right-hand sides, coefficients and manufactured solutions.
 
 Fields evaluate batches only, ``values(X)`` (N,) and ``jets(X, order)``
 (N, C) at points X (N, d); a single point is a batch of one.
@@ -12,101 +14,36 @@ Fields evaluate batches only, ``values(X)`` (N,) and ``jets(X, order)``
 from __future__ import annotations
 
 import numpy as np
-import sympy as sp
 
-from .jets import coeff_layout
-
-_SPATIAL = (sp.Symbol("x"), sp.Symbol("y"), sp.Symbol("z"))
-_TIME = sp.Symbol("t")
-
-
-def symbols_for(dim: int, spacetime: bool = False):
-    """Coordinate symbols: (x[, y[, z]]) or (t, x[, y]) for space-time fields."""
-    if spacetime:
-        return (_TIME,) + _SPATIAL[: dim - 1]
-    return _SPATIAL[:dim]
+from .jets import TaylorJet, coeff_layout, seed_point
 
 
 class AnalyticField:
-    """Scalar field given in closed form; derivatives come from sympy."""
+    """Scalar field in closed form: ``expr`` maps the list of coordinate
+    seeds (one jet per coordinate) to a jet or a number."""
 
-    def __init__(self, expr, syms):
-        self.syms = tuple(syms)
-        self.dim = len(self.syms)
-        self.expr = sp.sympify(expr)
-        extra = self.expr.free_symbols - set(self.syms)
-        if extra:
-            raise ValueError(f"expression uses unknown symbols {sorted(map(str, extra))}")
-        self._funcs: dict[tuple[int, ...], object] = {}
-
-    @classmethod
-    def from_string(cls, text: str, dim: int, spacetime: bool = False) -> "AnalyticField":
-        syms = symbols_for(dim, spacetime)
-        names = {str(s): s for s in syms}
-        # friendly aliases for coordinate names in config files
-        alias = {"x1": "x", "x2": "y", "x3": "z"}
-        local = dict(names)
-        for a, target in alias.items():
-            if target in names:
-                local[a] = names[target]
-        expr = sp.sympify(text, locals=local)
-        return cls(expr, syms)
-
-    def partial(self, i: int) -> "AnalyticField":
-        return AnalyticField(sp.diff(self.expr, self.syms[i]), self.syms)
-
-    def _func(self, idx: tuple[int, ...]):
-        f = self._funcs.get(idx)
-        if f is None:
-            e = self.expr
-            for i in idx:
-                e = sp.diff(e, self.syms[i])
-            f = sp.lambdify(self.syms, e, modules="numpy")
-            self._funcs[idx] = f
-        return f
-
-    def values(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        cols = [X[:, k] for k in range(self.dim)]
-        out = self._func(())(*cols)
-        return np.broadcast_to(np.asarray(out, dtype=float), (X.shape[0],)).copy()
+    def __init__(self, expr, dim: int):
+        self.expr = expr
+        self.dim = dim
 
     def jets(self, X, order: int) -> np.ndarray:
         """Packed derivative jets at a batch of points, shape (N, C)."""
         X = np.asarray(X, dtype=float)
-        lay = coeff_layout(self.dim, order)
-        cols = [X[:, k] for k in range(self.dim)]
-        out = np.empty((X.shape[0], lay.size))
-        for c, mi in enumerate(lay.multi_indices):
-            vals = self._func(mi)(*cols)
-            out[:, c] = np.broadcast_to(np.asarray(vals, dtype=float), (X.shape[0],))
-        return out
-
-    def __repr__(self):
-        return f"AnalyticField({self.expr}, syms={tuple(map(str, self.syms))})"
-
-
-class TimeExtendedField:
-    """Spatial field reinterpreted on (t, x...) nodes; time derivatives are zero."""
-
-    def __init__(self, spatial: AnalyticField):
-        self.spatial = spatial
-        self.dim = spatial.dim + 1
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ValueError(f"need points of shape (N, {self.dim}), got {X.shape}")
+        out = self.expr(seed_point(X, order))
+        if isinstance(out, TaylorJet):
+            return np.ascontiguousarray(out.coeffs.T)
+        jets = np.zeros((X.shape[0], coeff_layout(self.dim, order).size))
+        jets[:, 0] = out
+        return jets
 
     def values(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return self.spatial.values(X[:, 1:])
+        return self.jets(X, 0)[:, 0]
 
-    def jets(self, X, order: int) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        lay = coeff_layout(self.dim, order)
-        sub = self.spatial.jets(X[:, 1:], order)
-        sub_lay = coeff_layout(self.spatial.dim, order)
-        out = np.zeros((X.shape[0], lay.size))
-        for c, mi in enumerate(sub_lay.multi_indices):
-            shifted = tuple(i + 1 for i in mi)
-            out[:, lay.position(shifted)] = sub[:, c]
-        return out
+    def time_extended(self) -> "AnalyticField":
+        """The same field on (t, x...) nodes; its time derivatives are zero."""
+        return AnalyticField(lambda s: self.expr(s[1:]), self.dim + 1)
 
 
 class HarmonicMode:
@@ -148,42 +85,4 @@ class HarmonicMode:
             zp = self._zpow(X, n - k)
             part = (zp.real, -zp.imag, -zp.real, zp.imag)[b % 4]
             out[:, c] = coef * part
-        return out
-
-
-class MatrixField:
-    """Symmetric matrix of analytic fields (diffusion coefficients)."""
-
-    def __init__(self, entries):
-        self.entries = [list(row) for row in entries]
-        self.dim = len(self.entries)
-        for row in self.entries:
-            if len(row) != self.dim:
-                raise ValueError("matrix field must be square")
-        for i in range(self.dim):
-            for j in range(i):
-                if sp.simplify(self.entries[i][j].expr - self.entries[j][i].expr) != 0:
-                    raise ValueError("matrix field must be symmetric")
-
-    @classmethod
-    def isotropic(cls, scalar: AnalyticField) -> "MatrixField":
-        zero = AnalyticField(0, scalar.syms)
-        d = scalar.dim
-        return cls([[scalar if i == j else zero for j in range(d)] for i in range(d)])
-
-    def values(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = np.empty((X.shape[0], self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(self.dim):
-                out[:, i, j] = self.entries[i][j].values(X)
-        return out
-
-    def divergence(self) -> list[AnalyticField]:
-        """Row divergence (div A)_j = sum_i d_i A_ij, in closed form."""
-        syms = self.entries[0][0].syms
-        out = []
-        for j in range(self.dim):
-            e = sum(sp.diff(self.entries[i][j].expr, syms[i]) for i in range(self.dim))
-            out.append(AnalyticField(e, syms))
         return out

@@ -9,7 +9,10 @@ once, per-node row vectors C and offsets d with
     loss = sum_nodes w * |r|^2,
 
 after which evaluation is a jet forward pass and the parameter gradient is
-one reverse sweep with cotangent 2 w r C on the output jets.
+one reverse sweep with cotangent 2 w r C on the output jets.  The rows and
+offsets come from the problem's fields, all read through ``jets``/``values``:
+f's values (and its order-1 jets for the residual gradient), and for
+div(a grad v) the coefficient's value and gradient from one order-1 jet.
 
 Variants: interior (exact-boundary residual), penalty (interior residual
 plus tau * boundary misfit), sobolev_k1 (residual plus its gradient, one
@@ -95,18 +98,13 @@ def residual_rows(problem: PdeProblem, X, order: int, with_gradient: bool = Fals
         rows[:, 0] = lay.laplacian_row()
         const[:, 0] = problem.rhs.values(X)
         if with_gradient:
-            if not hasattr(problem.rhs, "partial"):
-                raise TypeError("gradient rows need a right-hand side with closed-form partials")
             rows[:, 1:] = lay.grad_laplacian_rows()
-            for k in range(d):
-                const[:, 1 + k] = problem.rhs.partial(k).values(X)
+            const[:, 1:] = problem.rhs.jets(X, 1)[:, 1:]
     elif problem.kind == "elliptic_divA":
-        # A : D2 v + div(A) . grad v + f, each mixed slot weighted by its multiplicity
-        hess = slice(lay.hess_offset, lay.third_offset)
-        i, j = np.array(lay.pairs()).T
-        rows[:, 0, hess] = lay.multiplicity[hess] * problem.coeff.values(X)[:, i, j]
-        for k, div_k in enumerate(problem.coeff_div):
-            rows[:, 0, 1 + k] = div_k.values(X)
+        # div(a grad v) + f = a Laplace(v) + grad a . grad v + f
+        a = problem.coeff.jets(X, 1)
+        rows[:, 0] = a[:, :1] * lay.laplacian_row()
+        rows[:, 0, 1:1 + d] = a[:, 1:]
         const[:, 0] = problem.rhs.values(X)
     else:  # heat: r = d_t v - Laplace_x v - f on (t, x...) nodes
         rows[:, 0] -= lay.laplacian_row(range(1, d))

@@ -2,11 +2,13 @@
 
 Each problem fixes a domain, a right-hand side f, boundary data g (with a
 closed-form lift where g is nonzero) and, when available, the exact solution
-used for error measurement.  Residual conventions (assembled as jet rows by
-``losses.residual_rows``):
+used for error measurement.  Every field is an ``AnalyticField`` jet
+expression; f is written by hand next to u*, not derived at build time, and
+the tests check that each u* solves its PDE.  Residual conventions
+(assembled as jet rows by ``losses.residual_rows``):
 
     poisson        r = Laplace(v) + f
-    elliptic_divA  r = div(A grad v) + f
+    elliptic_divA  r = div(a grad v) + f, isotropic A = a I with a >= c_A > 0
     heat           r = d_t v - Laplace(v) - f
 """
 
@@ -14,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import pi
 from typing import Optional
 
-import sympy as sp
-
 from .ansatz import AnsatzSpec, build_spec
-from .fields import AnalyticField, MatrixField, symbols_for
+from .fields import AnalyticField
 from .geometry import Disk, Domain, Rectangle, SpaceTimeBox
+from .jets import cos, exp, sin
 
 KINDS = ("poisson", "elliptic_divA", "heat")
 
@@ -34,9 +36,8 @@ class PdeProblem:
     boundary: Optional[AnalyticField] = None  # g; None means zero data
     lift: Optional[AnalyticField] = None      # closed-form extension of g
     initial: Optional[AnalyticField] = None   # u0, heat problems only
-    coeff: Optional[MatrixField] = None       # A, elliptic_divA only
-    coeff_div: Optional[tuple] = None         # rows of div A, closed form
-    ellipticity: Optional[float] = None       # uniform lower bound c_A
+    coeff: Optional[AnalyticField] = None     # a of A = a I, elliptic_divA only
+    ellipticity: Optional[float] = None       # uniform lower bound of a
     exact: Optional[AnalyticField] = None     # manufactured solution
 
     def __post_init__(self):
@@ -53,7 +54,7 @@ class PdeProblem:
             if isinstance(self.domain, SpaceTimeBox):
                 raise ValueError(f"{self.kind} problems need a spatial domain")
         if self.kind == "elliptic_divA" and self.coeff is None:
-            raise ValueError("elliptic_divA problems need a coefficient matrix")
+            raise ValueError("elliptic_divA problems need a coefficient a")
 
 
 def default_spec(problem: PdeProblem, hidden=(16, 16), seed: int = 0,
@@ -71,57 +72,58 @@ def default_spec(problem: PdeProblem, hidden=(16, 16), seed: int = 0,
     return build_spec(problem.domain, mode=mode, hidden=hidden, seed=seed)
 
 
-def _poisson_from_exact(name, domain, u_expr, lift_expr=None) -> PdeProblem:
-    """Manufacture f = -Laplace(u*) symbolically."""
-    syms = symbols_for(2)
-    u = sp.sympify(u_expr)
-    f = sp.expand(-sum(sp.diff(u, s, 2) for s in syms))
-    g = None
-    lift = None
-    if lift_expr is not None:
-        lift = AnalyticField(lift_expr, syms)
-        g = AnalyticField(lift_expr, syms)
-    return PdeProblem(
-        name=name, kind="poisson", domain=domain,
-        rhs=AnalyticField(f, syms), boundary=g, lift=lift,
-        exact=AnalyticField(u, syms),
-    )
+def _sinsin(s):
+    return sin(pi * s[0]) * sin(pi * s[1])
 
 
 @lru_cache(maxsize=1)
 def builtin_problems() -> dict[str, PdeProblem]:
-    x, y = symbols_for(2)
-    t, xs, ys = symbols_for(3, spacetime=True)
+    """The five model problems.  P1's f is evaluated left to right as
+    2 pi^2 sin(pi x) sin(pi y): the benchmark's recorded reference losses
+    rest on exactly those bits."""
+    unit_square = Rectangle((0.0, 0.0), (1.0, 1.0))
 
-    p1 = _poisson_from_exact(
-        "P1", Rectangle((0.0, 0.0), (1.0, 1.0)), sp.sin(sp.pi * x) * sp.sin(sp.pi * y)
+    # u* = sin(pi x) sin(pi y), f = -Laplace(u*) = 2 pi^2 u*
+    p1 = PdeProblem(
+        name="P1", kind="poisson", domain=unit_square,
+        rhs=AnalyticField(lambda s: 2 * pi**2 * sin(pi * s[0]) * sin(pi * s[1]), 2),
+        exact=AnalyticField(_sinsin, 2),
     )
-    p2 = _poisson_from_exact("P2", Disk((0.0, 0.0), 1.0), (1 - x**2 - y**2) / 4)
+    # u* = (1 - x^2 - y^2) / 4, f = -Laplace(u*) = 1
+    p2 = PdeProblem(
+        name="P2", kind="poisson", domain=Disk((0.0, 0.0), 1.0),
+        rhs=AnalyticField(lambda s: 1.0, 2),
+        exact=AnalyticField(lambda s: -0.25 * (s[0] * s[0]) - 0.25 * (s[1] * s[1]) + 0.25, 2),
+    )
+    # A = a I with a = 1 + (x^2 + y^2) / 2 >= 1 and u* = sin(pi x) sin(pi y):
+    # f = -div(a grad u*) = -a Laplace(u*) - grad a . grad u*
+    def a(s):
+        return 0.5 * (s[0] * s[0]) + 0.5 * (s[1] * s[1]) + 1
 
-    # variable-coefficient divergence-form problem, f manufactured symbolically
-    a = 1 + (x**2 + y**2) / 2
-    u3 = sp.sin(sp.pi * x) * sp.sin(sp.pi * y)
-    coeff = MatrixField.isotropic(AnalyticField(a, (x, y)))
-    f3 = sp.expand(-sum(sp.diff(a * sp.diff(u3, s), s) for s in (x, y)))
+    def f3(s):
+        x, y = s
+        return (2 * pi**2 * a(s) * _sinsin(s) - pi * x * cos(pi * x) * sin(pi * y)
+                - pi * y * sin(pi * x) * cos(pi * y))
+
     p3 = PdeProblem(
-        name="P3", kind="elliptic_divA", domain=Rectangle((0.0, 0.0), (1.0, 1.0)),
-        rhs=AnalyticField(f3, (x, y)), coeff=coeff,
-        coeff_div=tuple(coeff.divergence()), ellipticity=1.0,
-        exact=AnalyticField(u3, (x, y)),
+        name="P3", kind="elliptic_divA", domain=unit_square,
+        rhs=AnalyticField(f3, 2), coeff=AnalyticField(a, 2), ellipticity=1.0,
+        exact=AnalyticField(_sinsin, 2),
     )
-
-    u4 = sp.exp(-2 * sp.pi**2 * t) * sp.sin(sp.pi * xs) * sp.sin(sp.pi * ys)
-    f4 = sp.simplify(sp.diff(u4, t) - sp.diff(u4, xs, 2) - sp.diff(u4, ys, 2))
+    # u* = exp(-2 pi^2 t) sin(pi x) sin(pi y) on (t, x, y): d_t u* = Laplace(u*), f = 0
     p4 = PdeProblem(
-        name="P4", kind="heat",
-        domain=SpaceTimeBox(0.2, Rectangle((0.0, 0.0), (1.0, 1.0))),
-        rhs=AnalyticField(f4, (t, xs, ys)),
-        initial=AnalyticField(sp.sin(sp.pi * x) * sp.sin(sp.pi * y), (x, y)),
-        exact=AnalyticField(u4, (t, xs, ys)),
+        name="P4", kind="heat", domain=SpaceTimeBox(0.2, unit_square),
+        rhs=AnalyticField(lambda s: 0.0, 3),
+        initial=AnalyticField(_sinsin, 2),
+        exact=AnalyticField(
+            lambda s: exp(-2 * pi**2 * s[0]) * sin(pi * s[1]) * sin(pi * s[2]), 3),
     )
-
-    p5 = _poisson_from_exact(
-        "P5", Rectangle((0.0, 0.0), (1.0, 1.0)), x**2 - y**2, lift_expr=x**2 - y**2
+    # u* = x^2 - y^2 is harmonic (f = 0) and is its own lift of g = u*
+    harmonic = AnalyticField(lambda s: s[0] * s[0] - s[1] * s[1], 2)
+    p5 = PdeProblem(
+        name="P5", kind="poisson", domain=unit_square,
+        rhs=AnalyticField(lambda s: 0.0, 2), boundary=harmonic, lift=harmonic,
+        exact=harmonic,
     )
 
     return {p.name: p for p in (p1, p2, p3, p4, p5)}

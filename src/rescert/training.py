@@ -48,6 +48,12 @@ class AdamSchedule:
     eps: float = 1e-8
     record_every: int = 100
 
+    def __post_init__(self):
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if self.record_every < 1:
+            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+
 
 @dataclass
 class TrainState:

@@ -15,6 +15,7 @@ from rescert.certify import (BoundViolation, CeaReport, CertifiedReport,
 from rescert.ansatz import build_spec
 from rescert.fields import AnalyticField
 from rescert.geometry import Disk, Interval, Rectangle, SpaceTimeBox
+from rescert.jets import sin
 from rescert.losses import build_objective, make_config
 from rescert.problems import PdeProblem, get_problem
 from rescert.quadrature import sobolev_errors_upto
@@ -112,11 +113,13 @@ def test_h2_bound_holds_on_large_square():
     # network, no lift): the loss is ||f||^2 and the H2 error is ||u*||_H2.
     # u* is the first eigenmode, so the certified bound is attained.
     domain = Rectangle((0.0, 0.0), (10.0, 10.0))
-    u = "sin(pi*x1/10)*sin(pi*x2/10)"
+    def u(s):
+        return sin(math.pi / 10 * s[0]) * sin(math.pi / 10 * s[1])
+
     problem = PdeProblem(
         name="big", kind="poisson", domain=domain,
-        rhs=AnalyticField.from_string(f"pi**2/50*{u}", 2),
-        exact=AnalyticField.from_string(u, 2))
+        rhs=AnalyticField(lambda s: math.pi**2 / 50 * u(s), 2),
+        exact=AnalyticField(u, 2))
     spec = build_spec(domain, hidden=(4,), seed=0)
     spec = spec.with_params(np.zeros(spec.params.n_params))
     cfg = make_config(problem, "interior", n=24)

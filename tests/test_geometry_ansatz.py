@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from rescert.ansatz import AnsatzSpec, build_spec
-from rescert.fields import AnalyticField, TimeExtendedField, symbols_for
+from rescert.fields import AnalyticField
 from rescert.geometry import (Disk, Interval, Rectangle, SpaceTimeBox,
                               distance_jet, distance_jets)
-from rescert.jets import TaylorJet
+from rescert.jets import TaylorJet, coeff_layout, sin
 from rescert.network import NetworkParams
 from rescert.problems import get_problem, default_spec
 from rescert.quadrature import build_rule
+from sympy_oracle import sympy_jet
 
 UNIT_SQUARE = Rectangle((0.0, 0.0), (1.0, 1.0))
 UNIT_DISK = Disk((0.0, 0.0), 1.0)
@@ -68,33 +70,39 @@ def test_distance_factor_sign():
 
 
 def test_distance_jets_match_closed_form():
-    # independent route: jets of the closed-form polynomial via sympy fields
+    # independent route: jets of the closed-form polynomial from sympy (the
+    # order-k slots are the leading slots of the order-3 layout)
+    t, x, y = sp.symbols("t x y")
     cases = (
-        (Interval(0.0, 1.0), AnalyticField.from_string("x1*(1-x1)", dim=1)),
-        (UNIT_SQUARE, AnalyticField.from_string("x1*(1-x1)*x2*(1-x2)", dim=2)),
-        (UNIT_DISK, AnalyticField.from_string("1 - x1**2 - x2**2", dim=2)),
-        (SpaceTimeBox(0.2, UNIT_SQUARE),
-         AnalyticField.from_string("t*x*(1-x)*y*(1-y)", dim=3, spacetime=True)),
+        (Interval(0.0, 1.0), x * (1 - x), (x,)),
+        (UNIT_SQUARE, x * (1 - x) * y * (1 - y), (x, y)),
+        (UNIT_DISK, 1 - x**2 - y**2, (x, y)),
+        (SpaceTimeBox(0.2, UNIT_SQUARE), t * x * (1 - x) * y * (1 - y), (t, x, y)),
     )
     rng = np.random.default_rng(5)
-    for dom, field in cases:
+    for dom, expr, syms in cases:
         X = rng.uniform(0.1, 0.9, size=(6, dom.dim))
+        want3 = np.array([sympy_jet(expr, syms, p, 3) for p in X])
         for order in (0, 1, 2, 3):
             got = distance_jets(dom, X, order)
-            want = field.jets(X, order)
+            want = want3[:, :coeff_layout(dom.dim, order).size]
             assert got.shape == want.shape
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
         j = distance_jet(dom, X[0], 2)
-        assert j.d() == pytest.approx(field.values(X[:1])[0])
+        assert j.d() == pytest.approx(want3[0, 0])
 
 
 def test_lift_field_examples():
-    g = AnalyticField.from_string("x1 + x2", dim=2)
+    g = AnalyticField(lambda s: s[0] + s[1], 2)
     assert g.values([[0.3, 0.4]])[0] == pytest.approx(0.7)
-    h = AnalyticField.from_string("x1**2 - x2**2", dim=2)
+    h = AnalyticField(lambda s: s[0] * s[0] - s[1] * s[1], 2)
     assert h.values([[1.0, 0.0]])[0] == 1.0
-    with pytest.raises(ValueError):
-        AnalyticField.from_string("x1 + x3", dim=2)  # unknown symbol
+    # a coordinate the field does not have fails at the first evaluation,
+    # and so do points of the wrong dimension
+    with pytest.raises(IndexError):
+        AnalyticField(lambda s: s[0] + s[2], 2).values([[0.3, 0.4]])
+    with pytest.raises(ValueError, match="shape"):
+        g.values([[0.3, 0.4, 0.5]])
 
 
 def test_exact_bc_boundary_values():
@@ -180,7 +188,7 @@ def test_spec_validation():
         build_spec(SpaceTimeBox(0.5, UNIT_SQUARE), mode="parabolic_exact")  # no initial
     # a lift outside exact_bc or an initial field outside parabolic_exact
     # would be ignored (or fail at the first evaluation), so both are refused
-    g = AnalyticField.from_string("x1 + x2", dim=2)
+    g = AnalyticField(lambda s: s[0] + s[1], 2)
     with pytest.raises(ValueError, match="lift"):
         build_spec(UNIT_SQUARE, mode="unconstrained", lift=g)
     with pytest.raises(ValueError, match="lift"):
@@ -191,11 +199,18 @@ def test_spec_validation():
 
 
 def test_time_extended_field_jets():
-    u0 = AnalyticField.from_string("sin(pi*x1)*sin(pi*x2)", dim=2)
-    f = TimeExtendedField(u0)
+    u0 = AnalyticField(lambda s: sin(np.pi * s[0]) * sin(np.pi * s[1]), 2)
+    f = u0.time_extended()
+    assert f.dim == 3
     X = np.array([[0.1, 0.3, 0.4], [0.2, 0.6, 0.9]])  # (t, x, y)
-    jets = f.jets(X, 2)
-    want = u0.jets(X[:, 1:], 2)
-    assert np.allclose(jets[:, 0], want[:, 0])
-    assert np.allclose(jets[:, 1], 0.0)          # d/dt
-    assert np.allclose(jets[:, 2:4], want[:, 1:3])  # spatial gradient
+    for order in (0, 1, 2, 3):
+        jets = f.jets(X, order)
+        want = u0.jets(X[:, 1:], order)
+        lay = coeff_layout(3, order)
+        # spatial slots are u0's, bit for bit; every slot with a d/dt is zero
+        for c, mi in enumerate(coeff_layout(2, order).multi_indices):
+            assert np.array_equal(jets[:, lay.position(tuple(i + 1 for i in mi))],
+                                  want[:, c])
+        for c, mi in enumerate(lay.multi_indices):
+            if 0 in mi:
+                assert np.all(jets[:, c] == 0.0)

@@ -9,19 +9,7 @@ import sympy as sp
 
 from rescert.jets import (TaylorJet, coeff_layout, exp, power, product_terms,
                           seed_point, seed_variable, sin, cos, tanh)
-
-
-def sympy_jet(expr, syms, point, order):
-    """Packed coefficient vector of expr at point, via sympy — the oracle."""
-    lay = coeff_layout(len(syms), order)
-    subs = dict(zip(syms, point))
-    out = np.zeros(lay.size)
-    for c, mi in enumerate(lay.multi_indices):
-        d = expr
-        for i in mi:
-            d = sp.diff(d, syms[i])
-        out[c] = float(d.subs(subs))
-    return out
+from sympy_oracle import sympy_jet
 
 
 def tensor(j, k):

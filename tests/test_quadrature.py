@@ -7,6 +7,7 @@ import pytest
 
 from rescert.fields import AnalyticField, HarmonicMode
 from rescert.geometry import Disk, Interval, Rectangle, SpaceTimeBox
+from rescert.jets import cos, exp, sin
 from rescert.problems import get_problem
 from rescert.quadrature import (build_rule, boundary_misfit, grad_laplacian_error,
                                 h_half_surrogate, integrate_values, kahan_sum,
@@ -87,7 +88,7 @@ def test_kahan_sum_matches_fsum():
 
 
 def test_sobolev_error_closed_forms():
-    sinsin = AnalyticField.from_string("sin(pi*x1)*sin(pi*x2)", dim=2)
+    sinsin = AnalyticField(lambda s: sin(math.pi * s[0]) * sin(math.pi * s[1]), 2)
     rule = build_rule(UNIT_SQUARE, "interior", 24)
     want = math.sqrt(0.25 + math.pi**2 / 2.0 + math.pi**4)
     got = sobolev_errors_upto(sinsin, None, rule, 2)[2]
@@ -104,8 +105,8 @@ def test_sobolev_error_closed_forms():
 
 
 def test_sobolev_monotone_in_s():
-    f = AnalyticField.from_string("exp(x1)*cos(x2) + x1*x2", dim=2)
-    g = AnalyticField.from_string("x1**3 - x2", dim=2)
+    f = AnalyticField(lambda s: exp(s[0]) * cos(s[1]) + s[0] * s[1], 2)
+    g = AnalyticField(lambda s: s[0] * s[0] * s[0] - s[1], 2)
     rule = build_rule(UNIT_SQUARE, "interior", 12)
     h0, h1, h2 = sobolev_errors_upto(f, g, rule, s_max=2)
     assert h0 <= h1 <= h2
@@ -114,7 +115,7 @@ def test_sobolev_monotone_in_s():
 
 
 def test_quadrature_convergence_beyond_24():
-    f = AnalyticField.from_string("exp(x1)*sin(3*x2)", dim=2)
+    f = AnalyticField(lambda s: exp(s[0]) * sin(3 * s[1]), 2)
     r24 = build_rule(UNIT_SQUARE, "interior", 24)
     r48 = build_rule(UNIT_SQUARE, "interior", 48)
     a = sobolev_errors_upto(f, None, r24, 2)[2]
@@ -123,7 +124,7 @@ def test_quadrature_convergence_beyond_24():
 
 
 def test_h_half_surrogate_wedged():
-    f = AnalyticField.from_string("x1**2*x2 + cos(x1)", dim=2)
+    f = AnalyticField(lambda s: s[0] * s[0] * s[1] + cos(s[0]), 2)
     rule = build_rule(UNIT_SQUARE, "interior", 16)
     h0, h1 = sobolev_errors_upto(f, None, rule, s_max=1)
     s = h_half_surrogate(f, None, rule)
@@ -138,8 +139,8 @@ def test_h_half_surrogate_wedged():
 
 
 def test_x_norm_zero_for_exact_heat_solution():
-    u = AnalyticField.from_string("exp(-2*pi**2*t)*sin(pi*x1)*sin(pi*x2)",
-                                  dim=3, spacetime=True)
+    u = AnalyticField(lambda s: exp(-2 * math.pi**2 * s[0]) * sin(math.pi * s[1])
+                      * sin(math.pi * s[2]), 3)
     rule = build_rule(SpaceTimeBox(0.2, UNIT_SQUARE), "spacetime", 8)
     assert x_norm_error(u, u, rule) == 0.0
     # against zero reference it is a positive number
@@ -170,7 +171,7 @@ def test_grad_laplacian_error_closed_form():
 
 
 def test_boundary_misfit():
-    g = AnalyticField.from_string("x1**2 - x2**2", dim=2)
+    g = AnalyticField(lambda s: s[0] * s[0] - s[1] * s[1], 2)
     rule = build_rule(UNIT_SQUARE, "boundary", 12)
     assert boundary_misfit(g, g, rule) == 0.0
     # ||x1^2 - x2^2||^2 over the unit-square boundary = 4 * int_0^1 (t^2-1)^2? no:

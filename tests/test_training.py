@@ -21,8 +21,8 @@ def toy_problem():
     """
     return PdeProblem(
         name="toy", kind="poisson", domain=Interval(0.0, 1.0),
-        rhs=AnalyticField.from_string("2", 1),
-        exact=AnalyticField.from_string("x1*(1-x1)", 1),
+        rhs=AnalyticField(lambda s: 2.0, 1),
+        exact=AnalyticField(lambda s: s[0] * (1 - s[0]), 1),
     )
 
 
@@ -87,6 +87,15 @@ def test_zero_steps_is_a_noop():
     assert state.history == [(0, pytest.approx(4.0, rel=1e-12))]
     assert np.array_equal(state.params, start)
     assert np.array_equal(best.params.flatten(), start)
+
+
+@pytest.mark.parametrize("bad", [{"record_every": 0}, {"steps": -2}],
+                         ids=["record_every_zero", "steps_negative"])
+def test_schedule_rejects_invalid_steps_and_recording(bad):
+    # refused at construction, before train can divide by record_every or
+    # return an infinite loss from a run that evaluated nothing
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        AdamSchedule(**bad)
 
 
 def test_training_is_deterministic():
