@@ -1,13 +1,13 @@
 """Space-time residual training for the heat equation with exact initial
 and boundary conditions.
 
-The ansatz v = u0(x) + t * L(x) * net(t, x) matches the initial condition
-at t = 0 and the zero lateral boundary values identically, so training only
-has to drive the space-time residual d_t v - lap v - f to zero.  The run
-tracks the energy-norm error against sqrt(loss): the two stay proportional
-along the whole trajectory, which is the parabolic counterpart of the
-elliptic certificate (the constant is the solution-map norm of the heat
-operator and is reported as heuristic unless supplied).
+The exact_bc ansatz v = u0(x) + t * L(x) * net(t, x) matches the initial
+condition at t = 0 and the zero lateral boundary values identically, so
+training only has to drive the space-time residual d_t v - lap v - f to
+zero.  The run tracks the energy-norm error against sqrt(loss): the two
+stay proportional along the whole trajectory, which is the parabolic
+counterpart of the elliptic certificate (the constant is the solution-map
+norm of the heat operator and is reported as heuristic unless supplied).
 """
 
 import numpy as np
@@ -35,6 +35,6 @@ print(report.text_block())
 
 # supplying the constant upgrades the same loss to a certified bound
 certified = ExperimentConfig(problem="P4", hidden=(16, 16), quad_n=10,
-                             steps=0, seeds=(0,), parabolic_constant=3.0)
+                             steps=0, seeds=(0,), constant=3.0)
 print("\nwith a user-supplied constant the report certifies:")
 print(run_parabolic(certified, out_dir="out")[2].text_block())

@@ -16,7 +16,7 @@ from .experiments import (ConfigError, ExperimentConfig, fit_ratio_slope,
                           parse_config_text, run_certified, run_failure_demo,
                           run_fd_check, run_parabolic, run_penalty_vs_exact,
                           run_sobolev)
-from .fields import AnalyticField, HarmonicMode
+from .fields import AnalyticField, harmonic_mode
 from .geometry import Disk, Interval, Rectangle, SpaceTimeBox
 from .jets import TaylorJet, coeff_layout, seed_point, seed_variable
 from .losses import LossConfig, build_objective, make_config
@@ -32,14 +32,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamSchedule", "AnalyticField", "AnsatzSpec", "BoundViolation",
     "CeaReport", "CertifiedReport", "ConfigError", "Disk", "DivergenceError",
-    "ExperimentConfig", "FdCheckReport", "HarmonicMode", "Interval",
+    "ExperimentConfig", "FdCheckReport", "Interval",
     "LossConfig", "NetworkParams", "PdeProblem",
     "QuadratureRule", "Rectangle", "SpaceTimeBox", "TaylorJet",
     "TrainState", "build_objective", "build_rule",
     "build_spec", "builtin_problems", "c_reg_convex", "cea_decomposition",
     "certified_h2_bound", "coeff_layout", "default_spec", "fd_check",
     "fit_ratio_slope", "forward_jets", "get_problem", "h_half_surrogate",
-    "harmonic_failure_records", "integrate_values",
+    "harmonic_failure_records", "harmonic_mode", "integrate_values",
     "load_config", "load_params", "make_config", "parabolic_bound",
     "parse_config_text", "penalty_h_half_estimator", "run_certified",
     "run_failure_demo", "run_fd_check", "run_parabolic", "run_penalty_vs_exact",

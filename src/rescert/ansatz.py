@@ -1,18 +1,18 @@
 """Hard-constrained ansatz fields.
 
-exact_bc:        v = L(x) * u_net(x) + G(x), so v restricts to the boundary
-                 data exactly (L vanishes on the boundary, G extends g).
-unconstrained:   v = u_net(x); boundary data only enters through penalties.
-parabolic_exact: v = u0(x) + t * L(x) * u_net(t, x), matching the initial
-                 slice exactly and pinning the lateral boundary to zero data.
+exact_bc:      v = L * u_net + G, so v restricts to the Dirichlet data
+               exactly: L vanishes where the data are prescribed and G
+               extends them.
+unconstrained: v = u_net; the data only enter through penalties.
+
+On a space-time box (t, x...) the same rule makes the initial and lateral
+values exact: L is ``t * L(x)`` and the lift G is u0 extended in time.
 
 The map from network jets to ansatz jets is linear at every node (the
 Leibniz rule applied to a fixed factor), which the loss assembly exploits.
-Both constrained modes build it the same way at every jet order, 0 (plain
-values) included: the factor is the domain's batched distance factor
-(``t * L(x)`` on a space-time box) and the offset is the lift's or the
-time-extended initial field's jets.  A lift belongs to exact_bc and an
-initial field to parabolic_exact; a spec in any other mode rejects them.
+exact_bc builds it the same way at every jet order, 0 (plain values)
+included: the factor is the domain's batched distance factor and the offset
+is the lift's jets (zero without a lift).  Only exact_bc takes a lift.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import geometry, network
-from .geometry import Domain, SpaceTimeBox
+from .geometry import Domain
 from .jets import coeff_layout, product_terms
 from .network import NetworkParams
 
-MODES = ("exact_bc", "unconstrained", "parabolic_exact")
+MODES = ("exact_bc", "unconstrained")
 
 
 def product_matrix_batch(factor_jets: np.ndarray, dim: int, order: int) -> np.ndarray:
@@ -46,8 +46,7 @@ class AnsatzSpec:
     params: NetworkParams
     domain: Domain
     mode: str = "exact_bc"
-    lift: object = None      # G: jet-evaluable extension of the boundary data
-    initial: object = None   # u0 for parabolic_exact (spatial AnalyticField)
+    lift: object = None  # G: jet-evaluable extension of the Dirichlet data
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -59,15 +58,6 @@ class AnsatzSpec:
             )
         if self.params.widths[-1] != 1:
             raise ValueError("ansatz networks are scalar valued")
-        if self.mode == "parabolic_exact":
-            if not isinstance(self.domain, SpaceTimeBox):
-                raise ValueError("parabolic_exact needs a space-time domain")
-            if self.initial is None:
-                raise ValueError("parabolic_exact needs the initial field u0")
-        elif isinstance(self.domain, SpaceTimeBox):
-            raise ValueError(f"{self.mode} ansatz needs a spatial domain")
-        elif self.initial is not None:
-            raise ValueError(f"{self.mode} ansatz does not take an initial field")
         if self.lift is not None and self.mode != "exact_bc":
             raise ValueError(f"{self.mode} ansatz does not take a lift")
 
@@ -96,9 +86,7 @@ class AnsatzSpec:
             return None, np.zeros((X.shape[0], size))
         L = geometry.distance_jets(self.domain, X, order)
         P = product_matrix_batch(L, self.domain.dim, order)
-        if self.mode == "parabolic_exact":
-            base = self.initial.time_extended().jets(X, order)
-        elif self.lift is not None:
+        if self.lift is not None:
             base = np.asarray(self.lift.jets(X, order), dtype=float)
         else:
             base = np.zeros((X.shape[0], size))
@@ -121,9 +109,9 @@ class AnsatzSpec:
         return self.jets(X, 0)[:, 0]
 
 
-def build_spec(domain: Domain, mode: str = "exact_bc", lift=None, initial=None,
+def build_spec(domain: Domain, mode: str = "exact_bc", lift=None,
                hidden=(16, 16), seed: int = 0) -> AnsatzSpec:
     """Fresh Xavier-initialised spec with the default two-hidden-layer net."""
     widths = (domain.dim,) + tuple(hidden) + (1,)
     params = NetworkParams.xavier(widths, seed=seed)
-    return AnsatzSpec(params=params, domain=domain, mode=mode, lift=lift, initial=initial)
+    return AnsatzSpec(params=params, domain=domain, mode=mode, lift=lift)

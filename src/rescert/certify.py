@@ -139,7 +139,7 @@ def c_reg_convex(domain: Domain) -> float:
 
 def certified_h2_bound(loss: float, domain: Domain,
                        problem: Optional[PdeProblem] = None,
-                       user_constant: Optional[float] = None,
+                       constant: Optional[float] = None,
                        measured_error: Optional[float] = None) -> CertifiedReport:
     """H2 certificate for an exact-boundary residual loss.
 
@@ -148,10 +148,10 @@ def certified_h2_bound(loss: float, domain: Domain,
     report is labelled heuristic with constant 1.
     """
     loss = _check_loss(loss)
-    if user_constant is not None:
-        if not user_constant > 0:
+    if constant is not None:
+        if not constant > 0:
             raise ValueError("user-supplied constant must be positive")
-        c, prov = float(user_constant), PROVENANCE_USER
+        c, prov = float(constant), PROVENANCE_USER
         note = "constant supplied by caller"
     elif problem is None or problem.kind == "poisson":
         c, prov = c_reg_convex(domain), PROVENANCE_CONVEX

@@ -24,7 +24,7 @@ import numpy as np
 from . import certify, quadrature
 from .ansatz import AnsatzSpec
 from .certify import BoundViolation, CertifiedReport
-from .fields import HarmonicMode
+from .fields import harmonic_mode
 from .geometry import Disk
 from .jets import coeff_layout
 from .losses import build_objective, make_config
@@ -54,8 +54,7 @@ class ExperimentConfig:
     record_every: int = 100
     out_dir: str = "out"
     n_list: tuple = (2, 4, 8, 16, 32, 64)
-    parabolic_constant: Optional[float] = None
-    user_constant: Optional[float] = None
+    constant: Optional[float] = None  # supplied constant of the certified norm
 
     def __post_init__(self):
         for name, low in (("steps", 0), ("quad_n", 2), ("record_every", 1)):
@@ -66,7 +65,6 @@ class ExperimentConfig:
 
 
 _INT_TUPLES = {"hidden", "seeds", "n_list"}
-_OPTIONAL_FLOATS = {"parabolic_constant", "user_constant"}
 _SPATIAL_KINDS = ("poisson", "elliptic_divA")
 _FIELD_NAMES = tuple(f.name for f in fields(ExperimentConfig))
 
@@ -75,7 +73,7 @@ def _convert(key: str, raw: str):
     try:
         if key in _INT_TUPLES:
             return tuple(int(p) for p in raw.replace(" ", "").split(",") if p)
-        if key in _OPTIONAL_FLOATS:
+        if key == "constant":
             return None if raw.lower() in ("", "none") else float(raw)
         return type(getattr(ExperimentConfig(), key))(raw)  # int, float or str
     except ValueError as err:
@@ -207,7 +205,7 @@ def _certified_single_seed(config: ExperimentConfig, seed: int) -> CertifiedRun:
     def certificate(v, step, loss):
         l2, h1, h2 = sobolev_errors_upto(v, problem.exact, cfg.interior, s_max=2)
         report = certify.certified_h2_bound(loss, problem.domain, problem,
-                                            user_constant=config.user_constant,
+                                            constant=config.constant,
                                             measured_error=h2)
         if report.certified and not report.bound_holds():
             violations.append(f"step {step}: H2 error {h2:.6e} exceeds "
@@ -302,7 +300,7 @@ def harmonic_failure_records(n_list, tau: float, quad_n: int):
         nq = max(quad_n, n + 2)  # radial degree 2n+1 and angular frequency 2n covered
         interior = build_rule(disk, "interior", nq)
         boundary = build_rule(disk, "boundary", nq)
-        mode = HarmonicMode(n)
+        mode = harmonic_mode(n)
 
         jets = mode.jets(interior.nodes, 2)
         lap = jets @ coeff_layout(2, 2).laplacian_row()
@@ -372,7 +370,7 @@ def run_penalty_vs_exact(config: ExperimentConfig, out_dir=None):
     boundary_rule = build_rule(problem.domain, "boundary", config.quad_n)
     results = []
 
-    for method, mode, variant, tau in (("exact_bc", None, "interior", None),
+    for method, mode, variant, tau in (("exact_bc", "exact_bc", "interior", None),
                                        ("penalty", "unconstrained", "penalty", config.tau)):
         spec = default_spec(problem, hidden=config.hidden, seed=seed, mode=mode)
         cfg = make_config(problem, variant, config.quad_n, tau=tau)
@@ -381,7 +379,7 @@ def run_penalty_vs_exact(config: ExperimentConfig, out_dir=None):
         misfit = boundary_misfit(best, problem.boundary, boundary_rule)
         if method == "exact_bc":
             report = certify.certified_h2_bound(state.loss, problem.domain, problem,
-                                                user_constant=config.user_constant,
+                                                constant=config.constant,
                                                 measured_error=errors[2])
         else:
             report = replace(certify.penalty_h_half_estimator(state.loss, config.tau),
@@ -405,13 +403,13 @@ def run_penalty_vs_exact(config: ExperimentConfig, out_dir=None):
 
 
 def _parabolic_slice_errors(spec: AnsatzSpec, problem: PdeProblem, n: int):
-    """Max misfit on the t=0 slice (against u0) and the lateral boundary
-    (against zero data)."""
+    """Max misfit on the t=0 slice (against the lift, u0) and the lateral
+    boundary (against zero data)."""
     domain = spec.domain
     srule = build_rule(domain.spatial, "interior", n)
     init_nodes = np.column_stack([np.zeros(srule.n_nodes), srule.nodes])
     init_err = float(np.max(np.abs(spec.values(init_nodes)
-                                   - problem.initial.values(srule.nodes))))
+                                   - problem.lift.values(init_nodes))))
     brule = build_rule(domain.spatial, "boundary", n)
     tq, _ = np.polynomial.legendre.leggauss(n)
     tq = 0.5 * domain.horizon * (tq + 1.0)
@@ -429,10 +427,10 @@ def run_parabolic(config: ExperimentConfig, out_dir=None):
     problem = _training_problem(config, "parabolic-run", ("heat",))
     seed = _single_seed(config, "parabolic-run")
     spec = default_spec(problem, hidden=config.hidden, seed=seed)
-    cfg = make_config(problem, "parabolic", config.quad_n)
+    cfg = make_config(problem, "interior", config.quad_n)
 
     def metrics(v, step, loss):  # one CSV row and one slice row per checkpoint
-        xerr = x_norm_error(v, problem.exact, cfg.spacetime)
+        xerr = x_norm_error(v, problem.exact, cfg.interior)
         ratio = xerr / math.sqrt(loss) if loss > 0 else float("inf")
         return ((step, loss, xerr, ratio),
                 (step, *_parabolic_slice_errors(v, problem, config.quad_n)))
@@ -440,8 +438,8 @@ def run_parabolic(config: ExperimentConfig, out_dir=None):
     pairs, state, best = _train_run(config, problem, spec, cfg, metrics)
     rows, slice_rows = map(list, zip(*pairs))
     report = certify.parabolic_bound(
-        state.loss, constant=config.parabolic_constant,
-        measured_error=x_norm_error(best, problem.exact, cfg.spacetime))
+        state.loss, constant=config.constant,
+        measured_error=x_norm_error(best, problem.exact, cfg.interior))
     trailer = report.text_block().splitlines()
     trailer.append(f"max_initial_slice_error = {max(r[1] for r in slice_rows)!r}")
     trailer.append(f"max_lateral_slice_error = {max(r[2] for r in slice_rows)!r}")
@@ -489,7 +487,7 @@ def run_fd_check(config: ExperimentConfig, out_dir=None, n_coords: int = 20):
     """Finite-difference audit of the loss gradient for the configured variant."""
     problem = _resolve_problem(config.problem)
     seed = _single_seed(config, "fd-check")
-    mode = {"penalty": "unconstrained"}.get(config.variant)
+    mode = "unconstrained" if config.variant == "penalty" else "exact_bc"
     try:
         spec = default_spec(problem, hidden=config.hidden, seed=seed, mode=mode)
         cfg = make_config(problem, config.variant, config.quad_n,

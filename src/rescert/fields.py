@@ -46,43 +46,17 @@ class AnalyticField:
         return AnalyticField(lambda s: self.expr(s[1:]), self.dim + 1)
 
 
-class HarmonicMode:
-    """Re((x + iy)^n) = r^n cos(n theta): the harmonic family on the unit disk.
+def harmonic_mode(n: int) -> AnalyticField:
+    """Re((x + iy)^n) = r^n cos(n theta): the harmonic family on the unit disk,
+    as the real part of n - 1 complex multiplications by x + iy."""
+    if n < 1:
+        raise ValueError("mode number must be a positive integer")
 
-    Derivatives follow from d/dx Re z^k = k Re z^(k-1) and
-    d/dy Re z^k = -k Im z^(k-1), so all jets come from complex powers.
-    """
+    def expr(s):
+        x, y = s
+        re, im = x, y
+        for _ in range(int(n) - 1):
+            re, im = re * x - im * y, re * y + im * x
+        return re
 
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("mode number must be a positive integer")
-        self.n = int(n)
-        self.dim = 2
-
-    def _zpow(self, X, k: int) -> np.ndarray:
-        z = X[:, 0] + 1j * X[:, 1]
-        return z ** k if k >= 0 else np.zeros(X.shape[0], dtype=complex)
-
-    def values(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return self._zpow(X, self.n).real
-
-    def jets(self, X, order: int) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        n = self.n
-        lay = coeff_layout(2, order)
-        out = np.zeros((X.shape[0], lay.size))
-        # falling factorial prefactor n (n-1) ... and Re/Im alternation per
-        # y-derivative count: d^a_x d^b_y Re z^n = c * {Re, -Im, -Re, Im}[b mod 4] z^(n-a-b)
-        for c, mi in enumerate(lay.multi_indices):
-            k = len(mi)
-            b = sum(1 for i in mi if i == 1)
-            coef = 1.0
-            for j in range(k):
-                coef *= n - j
-            if coef == 0.0:
-                continue
-            zp = self._zpow(X, n - k)
-            part = (zp.real, -zp.imag, -zp.real, zp.imag)[b % 4]
-            out[:, c] = coef * part
-        return out
+    return AnalyticField(expr, 2)

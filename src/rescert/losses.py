@@ -14,9 +14,13 @@ offsets come from the problem's fields, all read through ``jets``/``values``:
 f's values (and its order-1 jets for the residual gradient), and for
 div(a grad v) the coefficient's value and gradient from one order-1 jet.
 
-Variants: interior (exact-boundary residual), penalty (interior residual
-plus tau * boundary misfit), sobolev_k1 (residual plus its gradient, one
-extra derivative order), parabolic (space-time heat residual).
+Variants: interior (residual of an exact-boundary ansatz, for every problem
+kind; on a space-time box it is the heat residual), penalty (interior
+residual plus tau * boundary misfit), sobolev_k1 (residual plus its
+gradient, one extra derivative order).  ``build_objective`` refuses a spec
+that does not fit its problem: the spec must live on the problem's domain,
+and an exact_bc spec must carry the problem's own lift, or its boundary
+values are not the problem's and the certificate does not hold.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .jets import coeff_layout
 from .problems import PdeProblem
 from .quadrature import QuadratureRule, build_rule, kahan_sum
 
-VARIANTS = ("interior", "penalty", "sobolev_k1", "parabolic")
+VARIANTS = ("interior", "penalty", "sobolev_k1")
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,6 @@ class LossConfig:
     tau: Optional[float] = None
     interior: Optional[QuadratureRule] = None
     boundary: Optional[QuadratureRule] = None
-    spacetime: Optional[QuadratureRule] = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -55,19 +58,13 @@ class LossConfig:
                 raise ValueError("penalty loss needs a boundary rule")
         elif self.tau is not None:
             raise ValueError("tau only applies to the penalty loss")
-        if self.variant == "parabolic":
-            if self.spacetime is None:
-                raise ValueError("parabolic loss needs a space-time rule")
-        elif self.interior is None:
+        if self.interior is None:
             raise ValueError(f"{self.variant} loss needs an interior rule")
 
 
 def make_config(problem: PdeProblem, variant: str = "interior", n: int = 24,
                 tau: Optional[float] = None) -> LossConfig:
     """Default rules for a problem: one tensor rule per needed target."""
-    if variant == "parabolic":
-        return LossConfig(variant=variant,
-                          spacetime=build_rule(problem.domain, "spacetime", n))
     interior = build_rule(problem.domain, "interior", n)
     if variant == "penalty":
         return LossConfig(variant=variant, tau=tau if tau is not None else 1.0,
@@ -184,36 +181,30 @@ def build_objective(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig) -> O
         rows, const = residual_rows(problem, rule.nodes, order, with_gradient)
         return _compose_block(spec, rule, order, rows, const)
 
+    if spec.domain != problem.domain:
+        raise ValueError(f"the ansatz lives on {spec.domain}, problem {problem.name} "
+                         f"on {problem.domain}")
+    if spec.mode == "exact_bc" and spec.lift is not problem.lift:
+        raise ValueError(f"an exact_bc ansatz for {problem.name} needs the problem's "
+                         f"own lift, or its boundary values are not {problem.name}'s")
     v = cfg.variant
+    if v != "penalty" and spec.mode != "exact_bc":
+        raise ValueError(f"{v} loss requires an exact-boundary ansatz")
     if v == "interior":
-        if spec.mode != "exact_bc":
-            raise ValueError("interior loss requires an exact-boundary ansatz")
-        if problem.kind == "heat":
-            raise ValueError("interior loss covers spatial problems; use the parabolic loss")
         return Objective(spec, [residual_block(cfg.interior, 2)])
     if v == "penalty":
         if problem.kind == "heat":
             raise ValueError("penalty loss covers spatial problems")
-        if spec.mode not in ("unconstrained", "exact_bc"):
-            raise ValueError("penalty loss needs an unconstrained or exact-boundary ansatz")
         # boundary misfit v - g: one order-0 row per boundary node
         b = cfg.boundary
         g = (problem.boundary.values(b.nodes) if problem.boundary is not None
              else np.zeros(b.n_nodes))
         misfit = _compose_block(spec, b, 0, np.ones((b.n_nodes, 1, 1)), -g[:, None], cfg.tau)
         return Objective(spec, [residual_block(cfg.interior, 2), misfit])
-    if v == "sobolev_k1":
-        if spec.mode != "exact_bc":
-            raise ValueError("sobolev_k1 loss requires an exact-boundary ansatz")
-        if problem.kind != "poisson":
-            raise ValueError("sobolev_k1 loss is assembled for poisson problems")
-        return Objective(spec, [residual_block(cfg.interior, 3, with_gradient=True)])
-    # parabolic
-    if spec.mode != "parabolic_exact":
-        raise ValueError("parabolic loss requires a parabolic_exact ansatz")
-    if problem.kind != "heat":
-        raise ValueError("parabolic loss covers heat problems")
-    return Objective(spec, [residual_block(cfg.spacetime, 2)])
+    # sobolev_k1
+    if problem.kind != "poisson":
+        raise ValueError("sobolev_k1 loss is assembled for poisson problems")
+    return Objective(spec, [residual_block(cfg.interior, 3, with_gradient=True)])
 
 
 # -- residuals of arbitrary jet-evaluable fields ----------------------------------

@@ -13,7 +13,6 @@ matrix in row-major order followed by its bias vector.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,39 +96,24 @@ class NetworkParams:
 # -- serialization ------------------------------------------------------------
 
 
-def _header_lines(params: NetworkParams, extra: dict | None = None) -> list[str]:
-    lines = [
+def save_params(path, params: NetworkParams) -> None:
+    """Text header, blank line, then the flat parameter vector as
+    little-endian float64."""
+    header = [
         "rescert-params v1",
         "widths: " + ",".join(str(w) for w in params.widths),
         f"activation: {_FIXED_HEADER['activation']}",
         f"seed: {'' if params.seed is None else params.seed}",
         f"dtype: {_FIXED_HEADER['dtype']}",
     ]
-    for k, v in (extra or {}).items():
-        lines.append(f"{k}: {v}")
-    return lines
-
-
-def save_params(path, params: NetworkParams, extra_arrays: dict | None = None,
-                extra_header: dict | None = None) -> None:
-    """Text header, blank line, then the flat parameter vector (and any extra
-    arrays, in sorted key order) as little-endian float64."""
-    extra_arrays = {k: np.asarray(v, dtype=float).ravel()
-                    for k, v in (extra_arrays or {}).items()}
-    spec = ",".join(f"{k}:{extra_arrays[k].size}" for k in sorted(extra_arrays))
-    header = _header_lines(params, dict(extra_header or {}, arrays=spec))
-    buf = io.BytesIO()
-    buf.write(("\n".join(header) + "\n\n").encode("ascii"))
-    buf.write(params.flatten().astype("<f8").tobytes())
-    for k in sorted(extra_arrays):
-        buf.write(extra_arrays[k].astype("<f8").tobytes())
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(("\n".join(header) + "\n\n").encode("ascii"))
+        fh.write(params.flatten().astype("<f8").tobytes())
 
 
 def load_params(path):
-    """Inverse of save_params; returns (NetworkParams, extra_arrays, header).
-    A malformed file raises ValueError naming the file and the cause."""
+    """Inverse of save_params; returns (NetworkParams, header).  A malformed
+    file raises ValueError naming the file and the cause."""
     with open(path, "rb") as fh:
         raw = fh.read()
 
@@ -150,26 +134,17 @@ def load_params(path):
     try:
         widths = tuple(int(w) for w in meta["widths"].split(","))
         seed = int(meta["seed"]) if meta.get("seed") else None
-        arrays = [(name, int(size)) for name, _, size in
-                  (a.partition(":") for a in meta.get("arrays", "").split(",") if a)]
         template = NetworkParams.zeros(widths)
     except KeyError as err:
         raise bad(f"no {err.args[0]!r} line in the header") from None
     except ValueError as err:
         raise bad(f"malformed header: {err}") from None
     template.seed = seed
-    n = template.n_params
-    want = 8 * (n + sum(size for _, size in arrays))
+    want = 8 * template.n_params
     if len(body) != want:
-        raise bad(f"body holds {len(body)} bytes, the header declares {want}")
-    values = np.frombuffer(body, dtype="<f8")
-    params = template.with_flat(values[:n])
-    extra = {}
-    k = n
-    for name, size in arrays:
-        extra[name] = np.array(values[k:k + size])
-        k += size
-    return params, extra, meta
+        raise bad(f"body holds {len(body)} bytes, the {template.n_params} "
+                  f"parameters of widths {meta['widths']} take {want}")
+    return template.with_flat(np.frombuffer(body, dtype="<f8")), meta
 
 
 # -- jet-space forward / backward ---------------------------------------------

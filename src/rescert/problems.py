@@ -2,10 +2,12 @@
 
 Each problem fixes a domain, a right-hand side f, boundary data g (with a
 closed-form lift where g is nonzero) and, when available, the exact solution
-used for error measurement.  Every field is an ``AnalyticField`` jet
-expression; f is written by hand next to u*, not derived at build time, and
-the tests check that each u* solves its PDE.  Residual conventions
-(assembled as jet rows by ``losses.residual_rows``):
+used for error measurement.  A heat problem lives on a space-time box and
+carries its initial data u0 as the lift, u0 extended in time; its lateral
+data are zero.  Every field is an ``AnalyticField`` jet expression; f is
+written by hand next to u*, not derived at build time, and the tests check
+that each u* solves its PDE.  Residual conventions (assembled as jet rows
+by ``losses.residual_rows``):
 
     poisson        r = Laplace(v) + f
     elliptic_divA  r = div(a grad v) + f, isotropic A = a I with a >= c_A > 0
@@ -34,8 +36,7 @@ class PdeProblem:
     domain: Domain
     rhs: AnalyticField                       # f
     boundary: Optional[AnalyticField] = None  # g; None means zero data
-    lift: Optional[AnalyticField] = None      # closed-form extension of g
-    initial: Optional[AnalyticField] = None   # u0, heat problems only
+    lift: Optional[AnalyticField] = None      # closed-form extension of g (heat: of u0)
     coeff: Optional[AnalyticField] = None     # a of A = a I, elliptic_divA only
     ellipticity: Optional[float] = None       # uniform lower bound of a
     exact: Optional[AnalyticField] = None     # manufactured solution
@@ -46,8 +47,8 @@ class PdeProblem:
         if self.kind == "heat":
             if not isinstance(self.domain, SpaceTimeBox):
                 raise ValueError("heat problems need a space-time domain")
-            if self.initial is None:
-                raise ValueError("heat problems need initial data u0")
+            if self.lift is None:
+                raise ValueError("heat problems need initial data u0 as the lift")
             if self.boundary is not None:
                 raise ValueError("heat problems are restricted to zero boundary data")
         else:
@@ -58,18 +59,10 @@ class PdeProblem:
 
 
 def default_spec(problem: PdeProblem, hidden=(16, 16), seed: int = 0,
-                 mode: str | None = None) -> AnsatzSpec:
-    """Ansatz matching the problem: boundary-exact for elliptic problems,
-    initial/boundary-exact for heat problems."""
-    if mode is None:
-        mode = "parabolic_exact" if problem.kind == "heat" else "exact_bc"
-    if mode == "parabolic_exact":
-        return build_spec(problem.domain, mode=mode, initial=problem.initial,
-                          hidden=hidden, seed=seed)
-    if mode == "exact_bc":
-        return build_spec(problem.domain, mode=mode, lift=problem.lift,
-                          hidden=hidden, seed=seed)
-    return build_spec(problem.domain, mode=mode, hidden=hidden, seed=seed)
+                 mode: str = "exact_bc") -> AnsatzSpec:
+    """Ansatz on the problem's domain; exact_bc takes the problem's lift."""
+    lift = problem.lift if mode == "exact_bc" else None
+    return build_spec(problem.domain, mode=mode, lift=lift, hidden=hidden, seed=seed)
 
 
 def _sinsin(s):
@@ -114,7 +107,7 @@ def builtin_problems() -> dict[str, PdeProblem]:
     p4 = PdeProblem(
         name="P4", kind="heat", domain=SpaceTimeBox(0.2, unit_square),
         rhs=AnalyticField(lambda s: 0.0, 3),
-        initial=AnalyticField(_sinsin, 2),
+        lift=AnalyticField(_sinsin, 2).time_extended(),
         exact=AnalyticField(
             lambda s: exp(-2 * pi**2 * s[0]) * sin(pi * s[1]) * sin(pi * s[2]), 3),
     )

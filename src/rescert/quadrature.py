@@ -3,9 +3,10 @@
 Tensor Gauss-Legendre everywhere a box direction exists; disks combine a
 radial Gauss rule (the Jacobian r is absorbed into the weights) with a
 uniform angular grid, which integrates trigonometric polynomials below the
-node count exactly.  All reductions are correctly rounded sums
-(``math.fsum``), so their results do not depend on the node order and
-repeated runs are bit-identical.  There is one integral,
+node count exactly.  A rule covers a domain's interior or its boundary; the
+interior of a space-time box is the cylinder (0, T) x Omega.  All
+reductions are correctly rounded sums (``math.fsum``), so their results do
+not depend on the node order and repeated runs are bit-identical.  There is one integral,
 ``integrate_values(rule, f(rule.nodes))``, and one family of Sobolev
 distances, ``sobolev_errors_upto(v, ref, rule, s)[s]`` for H^0 ... H^s.
 Norms read derivatives off the packed jets through ``jets.CoeffLayout``:
@@ -22,7 +23,7 @@ import numpy as np
 from .geometry import Disk, Domain, Interval, Rectangle, SpaceTimeBox
 from .jets import coeff_layout
 
-TARGETS = ("interior", "boundary", "spacetime")
+TARGETS = ("interior", "boundary")
 
 
 @dataclass(frozen=True)
@@ -69,9 +70,10 @@ def build_rule(domain: Domain, target: str, n: int) -> QuadratureRule:
     """Quadrature for a domain target with n nodes per tensor direction.
 
     interior: tensor Gauss-Legendre; disks use radial Gauss x 4n uniform
-    angles.  boundary: Gauss-Legendre per rectangle edge, 4n uniform angular
-    nodes on a circle, the two endpoints (unit weights) of an interval.
-    spacetime: Gauss-Legendre in time tensored with the spatial interior rule.
+    angles; a space-time box tensors Gauss-Legendre in time with the spatial
+    interior rule.  boundary: Gauss-Legendre per rectangle edge, 4n uniform
+    angular nodes on a circle, the two endpoints (unit weights) of an
+    interval.
     """
     if target not in TARGETS:
         raise ValueError(f"unknown quadrature target {target!r}")
@@ -79,15 +81,12 @@ def build_rule(domain: Domain, target: str, n: int) -> QuadratureRule:
         raise ValueError("node count per direction must be >= 2")
 
     if isinstance(domain, SpaceTimeBox):
-        if target != "spacetime":
-            raise ValueError("space-time domains only carry the 'spacetime' target")
+        if target != "interior":
+            raise ValueError("space-time domains only carry the 'interior' target")
         tq, tw = _gauss(0.0, domain.horizon, n)
         srule = build_rule(domain.spatial, "interior", n)
         nodes, weights = _tensor(tq, tw, srule.nodes, srule.weights)
         return QuadratureRule(nodes, weights, domain, target)
-
-    if target == "spacetime":
-        raise ValueError("'spacetime' target needs a space-time domain")
 
     if isinstance(domain, Interval):
         if target == "interior":
@@ -196,11 +195,11 @@ def grad_laplacian_error(v, ref, rule: QuadratureRule) -> float:
 
 
 def x_norm_error(v, ref, rule: QuadratureRule) -> float:
-    """Parabolic energy distance ||d_t e||_{L2(L2)} + ||e||_{L2(H2)} on a
-    space-time rule with (t, x...) nodes: the H2 part sums the slots that
-    carry no time index."""
-    if rule.target != "spacetime":
-        raise ValueError("x_norm_error needs a space-time rule")
+    """Parabolic energy distance ||d_t e||_{L2(L2)} + ||e||_{L2(H2)} on the
+    rule of a space-time box, (t, x...) nodes: the H2 part sums the slots
+    that carry no time index."""
+    if not isinstance(rule.domain, SpaceTimeBox):
+        raise ValueError("x_norm_error needs a rule on a space-time box")
     lay = coeff_layout(rule.nodes.shape[1], 2)
     e = _jet_difference(v, ref, rule.nodes, 2)
     spatial = np.array([0 not in mi for mi in lay.multi_indices])

@@ -73,7 +73,7 @@ def test_criterion_2_certificates_on_disk_and_variable_coefficients():
     rep3 = certify.certified_h2_bound(1.0, p3.domain, p3)
     assert not rep3.certified
     assert rep3.constant_provenance == "unknown_labeled_heuristic"
-    rep3u = certify.certified_h2_bound(1.0, p3.domain, p3, user_constant=4.0)
+    rep3u = certify.certified_h2_bound(1.0, p3.domain, p3, constant=4.0)
     assert rep3u.certified
     assert rep3u.constant_provenance == "user_supplied"
     print(f"criterion 2: PASS (disk constant {c:.6f} holds at "
@@ -101,7 +101,8 @@ def test_criterion_3_boundary_penalty_failure_family():
 
 
 def test_criterion_4_gradients_match_finite_differences():
-    """All four loss variants, 20 random coordinates, 3 seeds."""
+    """Every loss variant (interior on P1 and on the heat problem P4), 20
+    random coordinates, 3 seeds."""
     p1, p4, p5 = get_problem("P1"), get_problem("P4"), get_problem("P5")
     setups = [
         ("interior", default_spec(p1, hidden=(8, 8), seed=0), p1,
@@ -110,8 +111,8 @@ def test_criterion_4_gradients_match_finite_differences():
          p5, make_config(p5, "penalty", 8, tau=10.0)),
         ("sobolev_k1", default_spec(p1, hidden=(8, 8), seed=0), p1,
          make_config(p1, "sobolev_k1", 8)),
-        ("parabolic", default_spec(p4, hidden=(8, 8), seed=0), p4,
-         make_config(p4, "parabolic", 6)),
+        ("interior (heat)", default_spec(p4, hidden=(8, 8), seed=0), p4,
+         make_config(p4, "interior", 6)),
     ]
     worst_rel, worst_abs = 0.0, 0.0
     for name, spec, problem, cfg in setups:
@@ -132,8 +133,7 @@ def test_criterion_5_manufactured_solutions_have_zero_loss():
     worst = 0.0
     for name in ("P1", "P2", "P3", "P4", "P5"):
         problem = get_problem(name)
-        target = "spacetime" if problem.kind == "heat" else "interior"
-        rule = build_rule(problem.domain, target, 12)
+        rule = build_rule(problem.domain, "interior", 12)
         val = field_residual_sq(problem.exact, problem, rule)
         assert val < 1e-20, f"{name}: residual {val}"
         worst = max(worst, val)
@@ -164,7 +164,7 @@ def test_criterion_6_quadrature_exactness():
         (square, "boundary", 4.0),
         (disk, "interior", math.pi),
         (disk, "boundary", 2.0 * math.pi),
-        (box, "spacetime", 0.2),
+        (box, "interior", 0.2),
     ]
     for domain, target, measure in targets:
         rule = build_rule(domain, target, 8)

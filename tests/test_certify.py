@@ -56,7 +56,7 @@ def test_h2_bound_provenance_paths():
     square = Rectangle((0.0, 0.0), (1.0, 1.0))
     p3 = get_problem("P3")
 
-    user = certified_h2_bound(1.0, square, problem=p3, user_constant=2.5)
+    user = certified_h2_bound(1.0, square, problem=p3, constant=2.5)
     assert user.constant_provenance == PROVENANCE_USER
     assert user.certified and user.bound == 2.5
 
@@ -68,7 +68,7 @@ def test_h2_bound_provenance_paths():
     assert "without certification" in heur.note
 
     with pytest.raises(ValueError, match="positive"):
-        certified_h2_bound(1.0, square, user_constant=0.0)
+        certified_h2_bound(1.0, square, constant=0.0)
 
 
 def test_report_validation_and_check():

@@ -35,8 +35,7 @@ def test_parse_defaults_and_types():
     seeds = 0,1,2
     steps = 120
 
-    user_constant = none
-    parabolic_constant = 3.5
+    constant = 3.5
     """
     cfg = parse_config_text(text)
     assert cfg.problem == "P2"
@@ -44,8 +43,8 @@ def test_parse_defaults_and_types():
     assert cfg.hidden == (8, 8)
     assert cfg.seeds == (0, 1, 2)
     assert cfg.steps == 120
-    assert cfg.user_constant is None
-    assert cfg.parabolic_constant == 3.5
+    assert cfg.constant == 3.5
+    assert parse_config_text("constant = none").constant is None
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -117,7 +116,7 @@ def test_run_certified_rejects_heat_problem(tmp_path):
 def test_run_certified_bound_violation_still_writes(tmp_path):
     # an absurdly small user constant forces a certified bound under the error
     bad = ExperimentConfig(problem="P5", hidden=(4,), quad_n=6, steps=10, lr=1e-2,
-                           record_every=5, seeds=(0,), user_constant=1e-9)
+                           record_every=5, seeds=(0,), constant=1e-9)
     with pytest.raises(BoundViolation):
         run_certified(bad, tmp_path)
     assert (tmp_path / "certify_P5_seed0.csv").exists()
@@ -211,7 +210,7 @@ def test_run_parabolic_slices_stay_exact(tmp_path):
 
     certified = run_parabolic(
         ExperimentConfig(problem="P4", hidden=(4,), quad_n=4, steps=0,
-                         seeds=(0,), parabolic_constant=10.0), tmp_path)[2]
+                         seeds=(0,), constant=10.0), tmp_path)[2]
     assert certified.certified
     assert certified.constant == 10.0
 
@@ -324,10 +323,16 @@ def test_cli_fd_check_ok(tmp_path, capsys):
     code = cli.main(["fd-check", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 0
     assert "PASS" in capsys.readouterr().out
+    # the default variant covers the heat problem too (it used to exit 4)
+    cfg = write_cfg(tmp_path, problem="P4", hidden="4", quad_n=4)
+    code = cli.main(["fd-check", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert "PASS" in capsys.readouterr().out
+    assert (tmp_path / "out" / "fd_check_P4_interior.csv").exists()
 
 
 @pytest.mark.parametrize("problem,variant", [
-    ("P4", "interior"), ("P1", "parabolic"), ("P3", "sobolev_k1"), ("P1", "bogus")])
+    ("P4", "penalty"), ("P1", "parabolic"), ("P3", "sobolev_k1"), ("P1", "bogus")])
 def test_cli_fd_check_mismatch_is_config_error(tmp_path, capsys, problem, variant):
     cfg = write_cfg(tmp_path, problem=problem, variant=variant, hidden="4", quad_n=4)
     code = cli.main(["fd-check", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -388,7 +393,7 @@ def test_cli_usage_errors():
 
 def test_cli_bound_violation_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, problem="P5", hidden="4", quad_n=6, steps=10,
-                    lr=0.01, record_every=5, user_constant="1e-9")
+                    lr=0.01, record_every=5, constant="1e-9")
     code = cli.main(["certify-run", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 2
     assert "bound violation" in capsys.readouterr().err
@@ -396,10 +401,10 @@ def test_cli_bound_violation_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,kv,csv", [
-    ("compare-bc", dict(problem="P5", steps=10, record_every=5, user_constant="1e-3"),
+    ("compare-bc", dict(problem="P5", steps=10, record_every=5, constant="1e-3"),
      "compare_bc_P5.csv"),
     ("parabolic-run", dict(problem="P4", steps=10, record_every=5,
-                           parabolic_constant="1e-3"), "parabolic_P4.csv"),
+                           constant="1e-3"), "parabolic_P4.csv"),
 ])
 def test_cli_every_certifying_command_checks_its_bound(tmp_path, capsys, command, kv, csv):
     # both commands used to print "certified: True" beside "holds: False"

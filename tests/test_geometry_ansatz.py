@@ -134,9 +134,9 @@ def test_parabolic_initial_and_lateral_slices():
     # t = 0: value u0 and spatial gradient grad u0, any parameters
     nodes0 = np.column_stack([np.zeros(srule.n_nodes), srule.nodes])
     jets = spec.jets(nodes0, 1)
-    u0 = problem.initial
-    assert np.max(np.abs(jets[:, 0] - u0.values(srule.nodes))) < 1e-12
-    want_dx = u0.jets(srule.nodes, 1)[:, 1:3]
+    u0 = problem.lift  # the initial data, extended in time
+    assert np.max(np.abs(jets[:, 0] - u0.values(nodes0))) < 1e-12
+    want_dx = u0.jets(nodes0, 1)[:, 2:4]
     assert np.max(np.abs(jets[:, 2:4] - want_dx)) < 1e-12
 
     # lateral boundary: v = 0 at any time
@@ -184,18 +184,15 @@ def test_spec_validation():
     params = NetworkParams.xavier((3, 4, 1), seed=0)
     with pytest.raises(ValueError):
         AnsatzSpec(params=params, domain=UNIT_SQUARE, mode="exact_bc")  # dim mismatch
-    with pytest.raises(ValueError):
-        build_spec(SpaceTimeBox(0.5, UNIT_SQUARE), mode="parabolic_exact")  # no initial
-    # a lift outside exact_bc or an initial field outside parabolic_exact
-    # would be ignored (or fail at the first evaluation), so both are refused
+    with pytest.raises(ValueError, match="mode"):  # heat takes exact_bc
+        build_spec(SpaceTimeBox(0.5, UNIT_SQUARE), mode="parabolic_exact")
+    # a lift outside exact_bc would be ignored, so it is refused
     g = AnalyticField(lambda s: s[0] + s[1], 2)
     with pytest.raises(ValueError, match="lift"):
         build_spec(UNIT_SQUARE, mode="unconstrained", lift=g)
     with pytest.raises(ValueError, match="lift"):
-        build_spec(SpaceTimeBox(0.5, UNIT_SQUARE), mode="parabolic_exact",
-                   initial=g, lift=g)
-    with pytest.raises(ValueError, match="initial"):
-        build_spec(UNIT_SQUARE, mode="exact_bc", initial=g)
+        build_spec(SpaceTimeBox(0.5, UNIT_SQUARE), mode="unconstrained",
+                   lift=g.time_extended())
 
 
 def test_time_extended_field_jets():

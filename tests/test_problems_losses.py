@@ -23,7 +23,7 @@ from sympy_oracle import sympy_jet
 PI = np.pi
 
 
-def zero_spec(problem, mode=None, hidden=(8, 8)):
+def zero_spec(problem, mode="exact_bc", hidden=(8, 8)):
     spec = default_spec(problem, hidden=hidden, seed=0, mode=mode)
     return spec.with_params(np.zeros(spec.params.n_params))
 
@@ -78,8 +78,7 @@ def test_manufactured_rhs_values():
 @pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4", "P5"])
 def test_exact_solution_integrated_residual_vanishes(name):
     problem = get_problem(name)
-    target = "spacetime" if problem.kind == "heat" else "interior"
-    rule = build_rule(problem.domain, target, 12)
+    rule = build_rule(problem.domain, "interior", 12)
     assert field_residual_sq(problem.exact, problem, rule) < 1e-20
     if problem.kind == "poisson":
         # the residual gradient too, through the order-1 jets of f
@@ -108,8 +107,7 @@ def test_runtime_does_not_import_sympy():
         "import sys\n"
         "from rescert import build_objective, builtin_problems, default_spec, make_config\n"
         "for p in builtin_problems().values():\n"
-        "    variant = 'parabolic' if p.kind == 'heat' else 'interior'\n"
-        "    cfg = make_config(p, variant, n=4)\n"
+        "    cfg = make_config(p, 'interior', n=4)\n"
         "    build_objective(default_spec(p, hidden=(4,)), p, cfg)\n"
         "print('sympy' in sys.modules)\n"
     )
@@ -171,7 +169,7 @@ def test_zero_network_losses_hit_closed_forms():
 def test_zero_network_parabolic_loss():
     # v = u0(x) for all t: residual is -laplace(u0) = 2 pi^2 u0, f = 0
     p4 = get_problem("P4")
-    got = loss_of(zero_spec(p4), p4, make_config(p4, "parabolic", n=16))
+    got = loss_of(zero_spec(p4), p4, make_config(p4, "interior", n=16))
     assert got == pytest.approx(0.2 * PI**4, rel=1e-10)
 
 
@@ -185,7 +183,7 @@ def test_field_residual_sq_nonsolution_closed_forms():
     # heat route: w = t x(1-x) y(1-y) on P4, integral 163/67500
     p4 = get_problem("P4")
     w = AnalyticField(lambda s: s[0] * s[1] * (1 - s[1]) * s[2] * (1 - s[2]), 3)
-    srule = build_rule(p4.domain, "spacetime", 10)
+    srule = build_rule(p4.domain, "interior", 10)
     assert field_residual_sq(w, p4, srule) == pytest.approx(163.0 / 67500.0, rel=1e-12)
 
 
@@ -272,8 +270,8 @@ def test_loss_config_validation():
         LossConfig(variant="interior", tau=1.0, interior=rule)
     with pytest.raises(ValueError):
         LossConfig(variant="interior")
-    with pytest.raises(ValueError, match="space-time"):
-        LossConfig(variant="parabolic")
+    with pytest.raises(ValueError, match="variant"):
+        LossConfig(variant="parabolic", interior=rule)
 
 
 def test_build_objective_rejects_mismatched_modes():
@@ -284,19 +282,33 @@ def test_build_objective_rejects_mismatched_modes():
         build_objective(free, p1, make_config(p1, "interior", n=4))
     with pytest.raises(ValueError, match="exact-boundary"):
         build_objective(free, p1, make_config(p1, "sobolev_k1", n=4))
-    exact = default_spec(p1, hidden=(4,), seed=0)
-    with pytest.raises(ValueError, match="parabolic_exact"):
-        build_objective(exact, p1, LossConfig(
-            variant="parabolic", spacetime=build_rule(p4.domain, "spacetime", 4)))
-    heat_spec = default_spec(p4, hidden=(4,), seed=0)
-    with pytest.raises(ValueError, match="heat"):
-        build_objective(heat_spec, p1, LossConfig(
-            variant="parabolic", spacetime=build_rule(p4.domain, "spacetime", 4)))
+    heat_free = default_spec(p4, hidden=(4,), seed=0, mode="unconstrained")
+    with pytest.raises(ValueError, match="spatial"):
+        build_objective(heat_free, p4, LossConfig(
+            variant="penalty", tau=1.0, interior=build_rule(p4.domain, "interior", 4),
+            boundary=build_rule(p1.domain, "boundary", 4)))
     with pytest.raises(ValueError, match="poisson"):
         p3 = get_problem("P3")
         build_objective(default_spec(p3, hidden=(4,), seed=0), p3,
                         LossConfig(variant="sobolev_k1",
                                    interior=build_rule(p3.domain, "interior", 4)))
+
+
+def test_build_objective_refuses_a_spec_for_another_problem():
+    # both used to build: the trained network then misses the problem's
+    # boundary data, and the H2 certificate, which assumes exact boundary
+    # values, reads certified: True for a bound the true error exceeds
+    p1, p2, p4, p5 = (get_problem(n) for n in ("P1", "P2", "P4", "P5"))
+    with pytest.raises(ValueError, match="lives on"):
+        build_objective(default_spec(p1, hidden=(4,)), p2, make_config(p2, "interior", n=4))
+    with pytest.raises(ValueError, match="lives on"):
+        build_objective(default_spec(p4, hidden=(4,)), p1, make_config(p1, "interior", n=4))
+    for spec in (build_spec(p5.domain, hidden=(4,)), default_spec(p1, hidden=(4,))):
+        with pytest.raises(ValueError, match="own lift"):
+            build_objective(spec, p5, make_config(p5, "interior", n=4))
+    # an unconstrained spec takes no lift, so the rule leaves it to the penalty
+    free = default_spec(p1, hidden=(4,), mode="unconstrained")
+    build_objective(free, p5, make_config(p5, "penalty", n=4, tau=1.0))
 
 
 def test_problem_registry():

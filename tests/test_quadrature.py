@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rescert.fields import AnalyticField, HarmonicMode
+from rescert.fields import AnalyticField, harmonic_mode
 from rescert.geometry import Disk, Interval, Rectangle, SpaceTimeBox
 from rescert.jets import cos, exp, sin
 from rescert.problems import get_problem
@@ -43,7 +43,7 @@ def test_weights_sum_to_measure():
         (Interval(0.0, 1.0), "interior"), (Interval(0.0, 1.0), "boundary"),
         (UNIT_SQUARE, "interior"), (UNIT_SQUARE, "boundary"),
         (UNIT_DISK, "interior"), (UNIT_DISK, "boundary"),
-        (SpaceTimeBox(0.2, UNIT_SQUARE), "spacetime"),
+        (SpaceTimeBox(0.2, UNIT_SQUARE), "interior"),
     ]
     for domain, target in cases:
         rule = build_rule(domain, target, 9)
@@ -95,7 +95,7 @@ def test_sobolev_error_closed_forms():
     assert got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx(10.1289, abs=5e-5)
 
-    mode = HarmonicMode(4)
+    mode = harmonic_mode(4)
     drule = build_rule(UNIT_DISK, "interior", 10)
     want = math.sqrt(math.pi / 10.0 + 4.0 * math.pi)
     assert sobolev_errors_upto(mode, None, drule, 1)[1] == pytest.approx(want, rel=1e-10)
@@ -131,7 +131,7 @@ def test_h_half_surrogate_wedged():
     assert h0 <= s <= h1
     assert s == pytest.approx(math.sqrt(h0 * h1), rel=1e-13)
 
-    mode = HarmonicMode(16)
+    mode = harmonic_mode(16)
     drule = build_rule(UNIT_DISK, "interior", 18)
     l2sq = math.pi / 34.0
     want = (l2sq) ** 0.25 * (l2sq + 16.0 * math.pi) ** 0.25
@@ -141,10 +141,14 @@ def test_h_half_surrogate_wedged():
 def test_x_norm_zero_for_exact_heat_solution():
     u = AnalyticField(lambda s: exp(-2 * math.pi**2 * s[0]) * sin(math.pi * s[1])
                       * sin(math.pi * s[2]), 3)
-    rule = build_rule(SpaceTimeBox(0.2, UNIT_SQUARE), "spacetime", 8)
+    rule = build_rule(SpaceTimeBox(0.2, UNIT_SQUARE), "interior", 8)
     assert x_norm_error(u, u, rule) == 0.0
     # against zero reference it is a positive number
     assert x_norm_error(u, None, rule) > 1.0
+    # a spatial rule has no time axis to split off
+    sinsin = AnalyticField(lambda s: sin(math.pi * s[0]) * sin(math.pi * s[1]), 2)
+    with pytest.raises(ValueError, match="space-time"):
+        x_norm_error(sinsin, None, build_rule(UNIT_SQUARE, "interior", 4))
 
 
 def test_x_norm_closed_form_on_heat_solution():
@@ -156,7 +160,7 @@ def test_x_norm_closed_form_on_heat_solution():
     assert T == 0.2
     k = (1.0 - math.exp(-4.0 * math.pi**2 * T)) / (4.0 * math.pi**2)
     want = math.sqrt(math.pi**4 * k) + math.sqrt((0.25 + math.pi**2 / 2 + math.pi**4) * k)
-    rule = build_rule(p4.domain, "spacetime", 12)
+    rule = build_rule(p4.domain, "interior", 12)
     assert x_norm_error(p4.exact, None, rule) == pytest.approx(want, rel=1e-13)
 
 
@@ -181,7 +185,7 @@ def test_boundary_misfit():
 
 
 def test_build_rule_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="target"):  # a box's interior covers time
         build_rule(UNIT_SQUARE, "spacetime", 4)
     with pytest.raises(ValueError):
         build_rule(SpaceTimeBox(0.1, UNIT_SQUARE), "boundary", 4)

@@ -155,3 +155,19 @@ def test_fd_check_on_real_problem():
     report = fd_check(spec, p1, make_config(p1, "interior", n=6), n_coords=10, seed=1)
     assert report.passed()
     assert report.max_discrepancy < 1e-5
+
+
+@pytest.mark.parametrize("name,n", [("P1", 24), ("P2", 12)])
+@pytest.mark.parametrize("seed", [20, 26])
+def test_fd_check_passes_at_the_benchmark_settings(name, n, seed):
+    """The audit the benchmark gates its timing runs on: (16, 16) network,
+    20 coordinates, P1 on the 24 x 24 rule and P2 on the 12-point rule.  On
+    P1 these two initialisations sit within a factor of two of the
+    tolerance, on coordinates below what central differences resolve, so a
+    change in the last bits of the loss can fail a correct gradient; this
+    catches that before a timing run does."""
+    problem = get_problem(name)
+    spec = default_spec(problem, hidden=(16, 16), seed=seed)
+    report = fd_check(spec, problem, make_config(problem, "interior", n), n_coords=20,
+                      seed=seed)
+    assert report.passed(), report.max_discrepancy
