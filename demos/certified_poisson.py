@@ -11,27 +11,28 @@ for the bound, the manufactured solution is only used to check it.
 
 import math
 
-from rescert import (AdamSchedule, cea_decomposition, certified_h2_bound,
-                     default_spec, get_problem, make_config,
+from rescert import (AdamSchedule, build_objective, cea_decomposition,
+                     certified_h2_bound, default_spec, get_problem, make_config,
                      sobolev_errors_upto, train)
 
 problem = get_problem("P1")  # -lap u = 2 pi^2 sin(pi x) sin(pi y), u = 0 on the boundary
 spec = default_spec(problem, hidden=(16, 16), seed=0)
 cfg = make_config(problem, "interior", n=16)
+objective = build_objective(spec, problem, cfg)
 
 print(f"problem {problem.name}: {problem.kind} on {type(problem.domain).__name__}, "
       f"{spec.params.n_params} parameters")
 
-# record the loss and the measured H2 error along the trajectory
+# record the loss and the measured H2 error along the trajectory; the
+# objective hands each checkpoint the ansatz jets of the step it just took
 trace = []
 
 def checkpoint(step, flat, loss):
-    v = spec.with_params(flat)
-    l2, h1, h2 = sobolev_errors_upto(v, problem.exact, cfg.interior, s_max=2)
+    v_jets = objective.ansatz_jets(flat)
+    l2, h1, h2 = sobolev_errors_upto(v_jets, problem.exact, cfg.interior, s_max=2)
     trace.append((step, loss, h2))
 
-state, best = train(spec, problem, cfg,
-                    AdamSchedule(steps=1500, lr=1e-3, record_every=100),
+state, best = train(objective, AdamSchedule(steps=1500, lr=1e-3, record_every=100),
                     on_checkpoint=checkpoint)
 
 print(f"\n{'step':>6} {'loss':>12} {'bound':>10} {'H2 error':>10}  bound holds")

@@ -39,6 +39,14 @@ def product_matrix_batch(factor_jets: np.ndarray, dim: int, order: int) -> np.nd
     return P
 
 
+def compose_jets(P, base, U) -> np.ndarray:
+    """Ansatz jets P @ U + base from network jets U (N, C), for a
+    composition (P, base) on the same nodes; P None is the identity."""
+    if P is None:
+        return U + base
+    return np.einsum("ncd,nd->nc", P, U) + base
+
+
 @dataclass(frozen=True)
 class AnsatzSpec:
     """Network plus the boundary-conforming composition it is used in."""
@@ -99,10 +107,7 @@ class AnsatzSpec:
         X = np.asarray(X, dtype=float)
         scale, shift = self.input_scaling()
         U = network.forward_jets(self.params, X, order, scale, shift)
-        P, base = self.composition(X, order)
-        if P is None:
-            return U + base
-        return np.einsum("ncd,nd->nc", P, U) + base
+        return compose_jets(*self.composition(X, order), U)
 
     def values(self, X) -> np.ndarray:
         """Plain values of v (order-0 pass)."""

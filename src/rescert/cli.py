@@ -122,6 +122,8 @@ def main(argv=None) -> int:
                   f"max absolute near zero {report.max_absolute_near_zero!r}: "
                   f"{'PASS' if ok else 'FAIL'}")
             if not ok:
+                for r in report.failures():
+                    print(f"failed: {r.kind} {r.index}, discrepancy {r.discrepancy!r}")
                 return 1
 
     except experiments.ConfigError as err:

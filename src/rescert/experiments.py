@@ -169,20 +169,24 @@ def _training_problem(config: ExperimentConfig, command: str, kinds) -> PdeProbl
 
 def _train_run(config: ExperimentConfig, problem: PdeProblem, spec: AnsatzSpec,
                cfg, metrics=None):
-    """Adam on the config's schedule; ``metrics(v, step, loss)`` turns the
-    network at each checkpoint into one row.  Returns (rows, state, best),
-    best the network at the best loss seen, the one state.loss certifies."""
+    """Adam on the config's schedule and on one objective built here;
+    ``metrics(objective, flat, step, loss)`` turns the parameters at each
+    checkpoint into one row, and ``objective.ansatz_jets(flat)`` gives it the
+    ansatz jets on the training rule without a second forward pass.  Returns
+    (rows, state, objective); state.params is the network at the best loss
+    seen, the one state.loss certifies."""
     schedule = AdamSchedule(steps=config.steps, lr=config.lr, beta1=config.beta1,
                             beta2=config.beta2, eps=config.eps,
                             record_every=config.record_every)
+    objective = build_objective(spec, problem, cfg)
     rows = []
 
     def checkpoint(step, flat, loss):
-        rows.append(metrics(spec.with_params(flat), step, loss))
+        rows.append(metrics(objective, flat, step, loss))
 
-    state, best = train(spec, problem, cfg, schedule,
-                        on_checkpoint=checkpoint if metrics else None)
-    return rows, state, best
+    state, _ = train(objective, schedule=schedule,
+                     on_checkpoint=checkpoint if metrics else None)
+    return rows, state, objective
 
 
 # -- certified training runs ----------------------------------------------------
@@ -200,10 +204,12 @@ def _certified_single_seed(config: ExperimentConfig, seed: int) -> CertifiedRun:
     problem = _training_problem(config, "certify-run", _SPATIAL_KINDS)
     spec = default_spec(problem, hidden=config.hidden, seed=seed)
     cfg = make_config(problem, "interior", config.quad_n)
+    exact = problem.exact.jets(cfg.interior.nodes, 2)
     violations = []
 
-    def certificate(v, step, loss):
-        l2, h1, h2 = sobolev_errors_upto(v, problem.exact, cfg.interior, s_max=2)
+    def certificate(objective, flat, step, loss):
+        l2, h1, h2 = sobolev_errors_upto(objective.ansatz_jets(flat), exact,
+                                         cfg.interior, s_max=2)
         report = certify.certified_h2_bound(loss, problem.domain, problem,
                                             constant=config.constant,
                                             measured_error=h2)
@@ -212,9 +218,9 @@ def _certified_single_seed(config: ExperimentConfig, seed: int) -> CertifiedRun:
                               f"bound {report.bound:.6e}")
         return report, (step, loss, report.bound, h2, h1, l2)
 
-    rows, state, best = _train_run(config, problem, spec, cfg,
-                                   lambda v, step, loss: certificate(v, step, loss)[1])
-    final_report = certificate(best, "best", state.loss)[0]
+    rows, state, objective = _train_run(config, problem, spec, cfg,
+                                        lambda *checkpoint: certificate(*checkpoint)[1])
+    final_report = certificate(objective, state.params, "best", state.loss)[0]
     return CertifiedRun(seed, rows, final_report, violations)
 
 
@@ -374,8 +380,10 @@ def run_penalty_vs_exact(config: ExperimentConfig, out_dir=None):
                                        ("penalty", "unconstrained", "penalty", config.tau)):
         spec = default_spec(problem, hidden=config.hidden, seed=seed, mode=mode)
         cfg = make_config(problem, variant, config.quad_n, tau=tau)
-        _, state, best = _train_run(config, problem, spec, cfg)
-        errors = sobolev_errors_upto(best, problem.exact, cfg.interior, s_max=2)
+        _, state, objective = _train_run(config, problem, spec, cfg)
+        best = spec.with_params(state.params)
+        errors = sobolev_errors_upto(objective.ansatz_jets(state.params), problem.exact,
+                                     cfg.interior, s_max=2)
         misfit = boundary_misfit(best, problem.boundary, boundary_rule)
         if method == "exact_bc":
             report = certify.certified_h2_bound(state.loss, problem.domain, problem,
@@ -428,18 +436,21 @@ def run_parabolic(config: ExperimentConfig, out_dir=None):
     seed = _single_seed(config, "parabolic-run")
     spec = default_spec(problem, hidden=config.hidden, seed=seed)
     cfg = make_config(problem, "interior", config.quad_n)
+    exact = problem.exact.jets(cfg.interior.nodes, 2)
 
-    def metrics(v, step, loss):  # one CSV row and one slice row per checkpoint
-        xerr = x_norm_error(v, problem.exact, cfg.interior)
+    def metrics(objective, flat, step, loss):  # one CSV row and one slice row
+        xerr = x_norm_error(objective.ansatz_jets(flat), exact, cfg.interior)
         ratio = xerr / math.sqrt(loss) if loss > 0 else float("inf")
         return ((step, loss, xerr, ratio),
-                (step, *_parabolic_slice_errors(v, problem, config.quad_n)))
+                (step, *_parabolic_slice_errors(spec.with_params(flat), problem,
+                                                config.quad_n)))
 
-    pairs, state, best = _train_run(config, problem, spec, cfg, metrics)
+    pairs, state, objective = _train_run(config, problem, spec, cfg, metrics)
     rows, slice_rows = map(list, zip(*pairs))
     report = certify.parabolic_bound(
         state.loss, constant=config.constant,
-        measured_error=x_norm_error(best, problem.exact, cfg.interior))
+        measured_error=x_norm_error(objective.ansatz_jets(state.params), exact,
+                                    cfg.interior))
     trailer = report.text_block().splitlines()
     trailer.append(f"max_initial_slice_error = {max(r[1] for r in slice_rows)!r}")
     trailer.append(f"max_lateral_slice_error = {max(r[2] for r in slice_rows)!r}")
@@ -465,8 +476,8 @@ def run_sobolev(config: ExperimentConfig, out_dir=None):
                                      for cfg in configs.values())
     norm_rule = configs["interior"].interior
 
-    def metrics(v, step, loss):
-        flat = v.params.flatten()
+    def metrics(objective, flat, step, loss):
+        v = spec.with_params(flat)
         _, _, h2 = sobolev_errors_upto(v, problem.exact, norm_rule, s_max=2)
         return (step, math.sqrt(value_interior(flat)), math.sqrt(value_sobolev(flat)),
                 h2, grad_laplacian_error(v, problem.exact, norm_rule))
@@ -484,7 +495,8 @@ def run_sobolev(config: ExperimentConfig, out_dir=None):
 
 
 def run_fd_check(config: ExperimentConfig, out_dir=None, n_coords: int = 20):
-    """Finite-difference audit of the loss gradient for the configured variant."""
+    """Finite-difference audit of the loss gradient for the configured variant:
+    one CSV row per coordinate and per direction (see ``training.fd_check``)."""
     problem = _resolve_problem(config.problem)
     seed = _single_seed(config, "fd-check")
     mode = "unconstrained" if config.variant == "penalty" else "exact_bc"
@@ -496,10 +508,10 @@ def run_fd_check(config: ExperimentConfig, out_dir=None, n_coords: int = 20):
     except ValueError as err:
         raise ConfigError(f"cannot assemble the {config.variant!r} loss for "
                           f"{problem.name}: {err}") from None
-    rows = [(r.index, r.analytic, r.numeric, r.discrepancy,
-             "relative" if r.relative else "absolute") for r in report.rows]
+    rows = [(r.kind, r.index, r.analytic, r.numeric, r.discrepancy,
+             "relative" if r.relative else "absolute", r.floor) for r in report.rows]
     trailer = [f"max_relative_discrepancy = {report.max_discrepancy!r}",
                f"max_absolute_near_zero = {report.max_absolute_near_zero!r}"]
     _write_csv(out_dir, f"fd_check_{config.problem}_{config.variant}.csv", config, seed,
-               "index,analytic,numeric,discrepancy,mode", rows, trailer)
+               "kind,index,analytic,numeric,discrepancy,mode,rounding_floor", rows, trailer)
     return report

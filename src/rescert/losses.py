@@ -14,6 +14,15 @@ offsets come from the problem's fields, all read through ``jets``/``values``:
 f's values (and its order-1 jets for the residual gradient), and for
 div(a grad v) the coefficient's value and gradient from one order-1 jet.
 
+An ``Objective`` remembers the network jets of its last forward pass on its
+first block, with a copy of the parameter vector they belong to, so that
+``ansatz_jets`` can hand a checkpoint the ansatz jets of the parameters the
+optimiser step just evaluated without a second forward pass.  The memo is
+used only when the vector asked for is bit for bit the remembered one; any
+other vector, including the same array mutated in place, gets a fresh pass.
+It holds the array ``network.forward_jets`` returned, which no later forward
+pass writes: every pass allocates its own output.
+
 Variants: interior (residual of an exact-boundary ansatz, for every problem
 kind; on a space-time box it is the heat residual), penalty (interior
 residual plus tau * boundary misfit), sobolev_k1 (residual plus its
@@ -31,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from . import network
-from .ansatz import AnsatzSpec
+from .ansatz import AnsatzSpec, compose_jets
 from .jets import coeff_layout
 from .problems import PdeProblem
 from .quadrature import QuadratureRule, build_rule, kahan_sum
@@ -120,6 +129,8 @@ class _Block:
     order: int
     cmat: np.ndarray     # (N, M, C) rows acting on network jets
     dvec: np.ndarray     # (N, M) residual offsets
+    P: Optional[np.ndarray]  # the composition v_jets = P @ u_jets + base folded
+    base: np.ndarray         # into cmat and dvec (P None: identity)
 
 
 class Objective:
@@ -127,21 +138,26 @@ class Objective:
 
     ``value`` and ``value_and_grad`` take the flat parameter vector, so
     optimisation and finite-difference probing never rebuild the geometry.
+    Both remember the first block's network jets for ``ansatz_jets`` (see
+    the module docstring).
     """
 
     def __init__(self, spec: AnsatzSpec, blocks: list[_Block]):
         self.spec = spec
         self.blocks = blocks
         self._scale, self._shift = spec.input_scaling()
+        self._last = None  # (copy of flat, network jets on blocks[0])
 
     @property
     def n_params(self) -> int:
         return self.spec.params.n_params
 
-    def _residuals(self, params, block, need_cache=False):
+    def _residuals(self, flat, params, block, need_cache=False):
         out = network.forward_jets(params, block.nodes, block.order,
                                    self._scale, self._shift, need_cache)
         jets, cache = out if need_cache else (out, None)
+        if block is self.blocks[0]:
+            self._last = (np.array(flat, dtype=float), jets)
         r = np.einsum("nmc,nc->nm", block.cmat, jets) + block.dvec
         return r, cache
 
@@ -149,7 +165,7 @@ class Objective:
         params = self.spec.params.with_flat(flat)
         parts = []
         for block in self.blocks:
-            r, _ = self._residuals(params, block)
+            r, _ = self._residuals(flat, params, block)
             parts.append(block.weights * np.sum(r * r, axis=1))
         return kahan_sum(np.concatenate(parts))
 
@@ -158,11 +174,26 @@ class Objective:
         grad = np.zeros(self.n_params)
         parts = []
         for block in self.blocks:
-            r, cache = self._residuals(params, block, need_cache=True)
+            r, cache = self._residuals(flat, params, block, need_cache=True)
             parts.append(block.weights * np.sum(r * r, axis=1))
             out_bar = np.einsum("nm,nmc->nc", 2.0 * block.weights[:, None] * r, block.cmat)
             grad += network.backward_jets(params, cache, out_bar, block.order)
         return kahan_sum(np.concatenate(parts)), grad
+
+    def ansatz_jets(self, flat) -> np.ndarray:
+        """Jets (N, C) of the ansatz v at parameters flat, on the first
+        block's nodes and to its order: ``compose_jets`` with the block's
+        composition, as in ``AnsatzSpec.jets``.  The network jets
+        come from the last forward pass when flat is bit for bit its vector,
+        and from a fresh pass otherwise."""
+        block = self.blocks[0]
+        flat = np.asarray(flat, dtype=float)
+        if self._last is not None and self._last[0].tobytes() == flat.tobytes():
+            U = self._last[1]
+        else:
+            U = network.forward_jets(self.spec.params.with_flat(flat), block.nodes,
+                                     block.order, self._scale, self._shift)
+        return compose_jets(block.P, block.base, U)
 
 
 def _compose_block(spec, rule, order, rows, const, weight=1.0):
@@ -171,7 +202,7 @@ def _compose_block(spec, rule, order, rows, const, weight=1.0):
     P, base = spec.composition(rule.nodes, order)
     cmat = rows if P is None else np.einsum("nmc,ncd->nmd", rows, P)
     dvec = const + np.einsum("nmc,nc->nm", rows, base)
-    return _Block(rule.nodes, weight * rule.weights, order, cmat, dvec)
+    return _Block(rule.nodes, weight * rule.weights, order, cmat, dvec, P, base)
 
 
 def build_objective(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig) -> Objective:

@@ -152,17 +152,31 @@ def integrate_values(rule: QuadratureRule, values) -> float:
 # -- Sobolev norms of differences --------------------------------------------
 
 
+def _jets_on(field, nodes, order) -> np.ndarray:
+    """A field's (N, C) jets on the nodes; an array is taken as those jets,
+    precomputed, once its shape is checked."""
+    if not isinstance(field, np.ndarray):
+        return np.asarray(field.jets(nodes, order), dtype=float)
+    want = (nodes.shape[0], coeff_layout(nodes.shape[1], order).size)
+    if field.shape != want:
+        raise ValueError(f"precomputed jets have shape {field.shape}, the rule's "
+                         f"order-{order} jets {want}")
+    return np.asarray(field, dtype=float)
+
+
 def _jet_difference(v, ref, nodes, order) -> np.ndarray:
-    J = np.asarray(v.jets(nodes, order), dtype=float)
+    J = _jets_on(v, nodes, order)
     if ref is not None:
-        J = J - np.asarray(ref.jets(nodes, order), dtype=float)
+        J = J - _jets_on(ref, nodes, order)
     return J
 
 
 def sobolev_errors_upto(v, ref, rule: QuadratureRule, s_max: int = 2):
     """(H^0, ..., H^s_max) distances between two jet-evaluable fields from a
-    single jet evaluation; ref=None measures v against zero.  The order-k
-    density is the squared Frobenius norm of the k-th derivative tensor."""
+    single jet evaluation; ref=None measures v against zero.  Either field
+    may be given as its precomputed (N, C) jets on the rule's nodes, of order
+    s_max.  The order-k density is the squared Frobenius norm of the k-th
+    derivative tensor."""
     if s_max not in (0, 1, 2):
         raise ValueError(f"Sobolev distances cover s_max in {{0, 1, 2}}, got {s_max}")
     lay = coeff_layout(rule.nodes.shape[1], s_max)
@@ -197,7 +211,8 @@ def grad_laplacian_error(v, ref, rule: QuadratureRule) -> float:
 def x_norm_error(v, ref, rule: QuadratureRule) -> float:
     """Parabolic energy distance ||d_t e||_{L2(L2)} + ||e||_{L2(H2)} on the
     rule of a space-time box, (t, x...) nodes: the H2 part sums the slots
-    that carry no time index."""
+    that carry no time index.  Either field may be given as its precomputed
+    order-2 (N, C) jets on the rule's nodes."""
     if not isinstance(rule.domain, SpaceTimeBox):
         raise ValueError("x_norm_error needs a rule on a space-time box")
     lay = coeff_layout(rule.nodes.shape[1], 2)

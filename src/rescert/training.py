@@ -5,6 +5,12 @@ accumulation through the jet forward pass), so it can be checked against
 central finite differences of the loss value; ``fd_check`` does exactly that
 and is the standing correctness oracle for the whole differentiation path.
 
+``train`` runs on an objective its caller built, so a run assembles its
+rows, distance factor and lift once.  A checkpoint reads the ansatz jets of
+the step just evaluated through ``Objective.ansatz_jets``, which reuses the
+objective's last network jets only for a parameter vector bit for bit equal
+to theirs, and whose memo never holds an array a later pass writes.
+
 The divergence guard stops a run with ``DivergenceError`` once its loss is
 not finite or above ``DIVERGENCE_FACTOR`` (1e6) times the initial loss.
 """
@@ -17,11 +23,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .ansatz import AnsatzSpec
-from .losses import LossConfig, build_objective
+from .losses import LossConfig, Objective, build_objective
 from .problems import PdeProblem
 
 DIVERGENCE_FACTOR = 1e6
 FD_REL_STEP = 1e-4
+FD_DIR_STEP = 1e-5
+FD_DIRECTIONS = 8
 FD_ZERO_SCALE = 1e-8
 FD_REL_TOL = 1e-5
 FD_ABS_TOL = 1e-8
@@ -61,7 +69,6 @@ class TrainState:
     resolution."""
 
     params: np.ndarray            # best-loss parameters seen
-    step: int
     loss: float                   # best loss seen (min over history)
     history: list = field(default_factory=list)  # (step, loss) pairs
 
@@ -73,11 +80,21 @@ class TrainState:
 
 @dataclass(frozen=True)
 class FdCheckRow:
+    """One central difference against the analytic gradient.
+
+    kind is "coordinate" (index: the parameter), "random" (index: the
+    direction) or "weights" / "bias" (index: the layer whose block the unit
+    direction is restricted to).  floor is the rounding floor of the
+    difference quotient, eps * |L| / h.
+    """
+
+    kind: str
     index: int
     analytic: float
     numeric: float
     discrepancy: float  # relative where the scale allows, absolute near zero
     relative: bool
+    floor: float
 
 
 @dataclass(frozen=True)
@@ -86,39 +103,74 @@ class FdCheckReport:
     max_discrepancy: float
     max_absolute_near_zero: float
 
+    def failures(self) -> list:
+        return [r for r in self.rows
+                if not ((r.discrepancy < FD_REL_TOL) if r.relative
+                        else (r.discrepancy < FD_ABS_TOL))]
+
     def passed(self) -> bool:
-        return all(
-            (r.discrepancy < FD_REL_TOL) if r.relative else (r.discrepancy < FD_ABS_TOL)
-            for r in self.rows
-        )
+        return not self.failures()
+
+
+def _layer_blocks(widths):
+    """(kind, layer, slice) of every weight and bias block of the flat vector."""
+    blocks, k = [], 0
+    for layer, (i, o) in enumerate(zip(widths[:-1], widths[1:])):
+        blocks.append(("weights", layer, slice(k, k + o * i)))
+        blocks.append(("bias", layer, slice(k + o * i, k + o * i + o)))
+        k += o * i + o
+    return blocks
 
 
 def fd_check(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig,
              n_coords: int = 20, seed: int = 0) -> FdCheckReport:
-    """Central-difference audit of the analytic gradient on random coordinates.
+    """Central-difference audit of the analytic gradient.
 
-    Steps are FD_REL_STEP * (1 + |theta_i|).  Coordinates where both the
-    analytic and numeric values sit below FD_ZERO_SCALE are compared
-    absolutely instead of relatively.
+    Coordinate rows probe random coordinates with steps
+    FD_REL_STEP * (1 + |theta_i|).  Directional rows probe unit directions
+    with step FD_DIR_STEP: FD_DIRECTIONS random ones over all parameters,
+    then one inside each layer's weights and one inside each layer's bias,
+    so a failing gradient block is named by its layer.  A block's direction
+    is the analytic gradient's part in that block (a random one where that
+    part is zero), whose directional derivative is the largest a unit
+    direction in the block has.  A directional derivative has the size of
+    the gradient, not of one small coordinate, so these rows decide far
+    above the rounding floor that every row records.  All rows are held to
+    FD_REL_TOL; where both values sit below FD_ZERO_SCALE a row is compared
+    absolutely instead, against FD_ABS_TOL.
     """
     objective = build_objective(spec, problem, cfg)
     theta = spec.params.flatten()
-    g = objective.value_and_grad(theta)[1]
+    loss, g = objective.value_and_grad(theta)
+    eps_loss = float(np.finfo(float).eps) * abs(loss)
     rng = np.random.default_rng(seed)
     n_coords = min(n_coords, theta.size)
     coords = rng.choice(theta.size, size=n_coords, replace=False)
+
+    def row(kind, index, ana, h, plus, minus):
+        num = (objective.value(plus) - objective.value(minus)) / (2.0 * h)
+        scale = max(abs(ana), abs(num))
+        relative = scale >= FD_ZERO_SCALE
+        return FdCheckRow(kind, index, ana, num,
+                          abs(ana - num) / (scale if relative else 1.0), relative,
+                          eps_loss / h)
+
     rows = []
     for i in sorted(int(c) for c in coords):
         h = FD_REL_STEP * (1.0 + abs(float(theta[i])))
         tp = theta.copy(); tp[i] += h
         tm = theta.copy(); tm[i] -= h
-        num = (objective.value(tp) - objective.value(tm)) / (2.0 * h)
-        ana = float(g[i])
-        scale = max(abs(ana), abs(num))
-        if scale < FD_ZERO_SCALE:
-            rows.append(FdCheckRow(i, ana, num, abs(ana - num), relative=False))
-        else:
-            rows.append(FdCheckRow(i, ana, num, abs(ana - num) / scale, relative=True))
+        rows.append(row("coordinate", i, float(g[i]), h, tp, tm))
+    directions = [("random", k, slice(None)) for k in range(FD_DIRECTIONS)]
+    for kind, index, block in directions + _layer_blocks(spec.params.widths):
+        d = np.zeros_like(theta)
+        if kind != "random":
+            d[block] = g[block]
+        if not d.any():
+            d[block] = rng.standard_normal(d[block].size)
+        d /= np.linalg.norm(d)
+        h = FD_DIR_STEP
+        rows.append(row(kind, index, float(g @ d), h, theta + h * d, theta - h * d))
     rel = [r.discrepancy for r in rows if r.relative]
     zer = [r.discrepancy for r in rows if not r.relative]
     return FdCheckReport(tuple(rows),
@@ -126,18 +178,19 @@ def fd_check(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig,
                          max(zer) if zer else 0.0)
 
 
-def train(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig,
-          schedule: AdamSchedule = AdamSchedule(),
+def train(objective: Objective, schedule: AdamSchedule = AdamSchedule(),
           on_checkpoint: Optional[Callable] = None):
-    """Full-batch Adam.  Returns (TrainState, spec at best-seen parameters).
+    """Full-batch Adam on a built objective.  Returns (TrainState, spec at
+    best-seen parameters).
 
     ``on_checkpoint(step, flat_params, loss)`` fires at every recorded step
-    (step 0, every record_every, and the final step).  The run aborts with
-    DivergenceError if the loss exceeds DIVERGENCE_FACTOR times its initial
-    value; parameters are left untouched by that failure.
+    (step 0, every record_every, and the final step), after the loss at
+    flat_params was evaluated, so ``objective.ansatz_jets(flat_params)``
+    reuses that pass's network jets.  The run aborts with DivergenceError if
+    the loss exceeds DIVERGENCE_FACTOR times its initial value; parameters
+    are left untouched by that failure.
     """
-    objective = build_objective(spec, problem, cfg)
-    theta = spec.params.flatten()
+    theta = objective.spec.params.flatten()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     history: list[tuple[int, float]] = []
@@ -178,7 +231,6 @@ def train(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig,
         history.append((best_step, best_loss))
         history.sort(key=lambda p: p[0])
 
-    state = TrainState(params=best_theta, step=schedule.steps, loss=best_loss,
-                       history=history)
-    return state, spec.with_params(best_theta)
+    state = TrainState(params=best_theta, loss=best_loss, history=history)
+    return state, objective.spec.with_params(best_theta)
 

@@ -32,7 +32,8 @@ def test_criterion_1_certified_h2_bound_on_unit_square():
         h2 = sobolev_errors_upto(v, p1.exact, cfg.interior, s_max=2)[2]
         checks.append((step, loss, h2))
 
-    state, _ = train(spec, p1, cfg, AdamSchedule(steps=5000, record_every=100),
+    state, _ = train(build_objective(spec, p1, cfg),
+                     AdamSchedule(steps=5000, record_every=100),
                      on_checkpoint=checkpoint)
     elapsed = time.monotonic() - t0
 
@@ -61,7 +62,7 @@ def test_criterion_2_certificates_on_disk_and_variable_coefficients():
         h2 = sobolev_errors_upto(v, p2.exact, cfg.interior, s_max=2)[2]
         checks.append((step, loss, h2))
 
-    train(spec, p2, cfg, AdamSchedule(steps=1500, record_every=100),
+    train(build_objective(spec, p2, cfg), AdamSchedule(steps=1500, record_every=100),
           on_checkpoint=checkpoint)
     c = 1.0967290869346529
     for step, loss, h2 in checks:

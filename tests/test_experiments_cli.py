@@ -16,6 +16,9 @@ from rescert.experiments import (ConfigError, ExperimentConfig, canonical_text,
                                  run_failure_demo, run_fd_check,
                                  run_parabolic, run_penalty_vs_exact,
                                  run_sobolev)
+from rescert.losses import make_config
+from rescert.problems import default_spec, get_problem
+from rescert.quadrature import sobolev_errors_upto, x_norm_error
 from rescert.training import AdamSchedule
 
 TINY = ExperimentConfig(problem="P5", hidden=(4,), quad_n=6, steps=10, lr=1e-2,
@@ -240,18 +243,24 @@ def test_run_fd_check_penalty_uses_unconstrained_ansatz(tmp_path):
     report = run_fd_check(cfg, tmp_path, n_coords=8)
     assert report.passed()
     lines = (tmp_path / "fd_check_P5_penalty.csv").read_text().splitlines()
-    assert lines[1] == "index,analytic,numeric,discrepancy,mode"
+    assert lines[1] == "kind,index,analytic,numeric,discrepancy,mode,rounding_floor"
+    rows = [line.split(",") for line in lines[2:] if not line.startswith("#")]
+    assert [r[0] for r in rows] == (["coordinate"] * 8 + ["random"] * 8
+                                    + ["weights", "bias"] * 2)
+    for r in rows:  # every number is written as a plain float repr
+        assert [float(x) for x in r[2:5] + r[6:]] and r[5] in ("relative", "absolute")
     assert any(l.startswith("# max_relative_discrepancy") for l in lines)
 
 
 def test_every_driver_trains_through_the_module_name(tmp_path, monkeypatch):
     # benchmarks/harness.py times checkpoints by wrapping experiments.train
-    # and its tracer reads the schedule as the fourth positional argument
+    # and its tracer reads the schedule as the fourth positional argument or
+    # the keyword schedule; only the keyword fits train(objective, ...)
     calls = []  # per train() call: the steps its checkpoint callback saw
     real = experiments.train
 
     def counting_train(*args, **kwargs):
-        assert len(args) == 4 and isinstance(args[3], AdamSchedule)
+        assert len(args) == 1 and isinstance(kwargs["schedule"], AdamSchedule)
         seen = []
         calls.append(seen)
         callback = kwargs.get("on_checkpoint")
@@ -278,6 +287,96 @@ def test_every_driver_trains_through_the_module_name(tmp_path, monkeypatch):
     calls.clear()
     results = run_sobolev(ExperimentConfig(problem="P1", **tiny), tmp_path)
     assert calls == [steps_of(rows) for rows in results.values()] == [[0, 2, 4]] * 2
+
+
+def _capture_train(monkeypatch):
+    """Wrap experiments.train; returns the per-call records of the
+    checkpoint parameters and the final state."""
+    runs = []
+    real = experiments.train
+
+    def train(*args, **kwargs):
+        flats = []
+        callback = kwargs["on_checkpoint"]
+
+        def on_checkpoint(step, flat, loss):
+            flats.append(flat.copy())
+            callback(step, flat, loss)
+
+        kwargs["on_checkpoint"] = on_checkpoint
+        state, best = real(*args, **kwargs)
+        runs.append((flats, state))
+        return state, best
+
+    monkeypatch.setattr(experiments, "train", train)
+    return runs
+
+
+@pytest.mark.parametrize("record_every", [1, 6])
+def test_certify_run_checkpoints_reuse_the_step_and_the_run_constants(
+        tmp_path, monkeypatch, record_every):
+    """S steps and K checkpoints: S + 1 forward passes on the training nodes
+    (one per loss evaluation), at most one more for the best network, and a
+    distance factor and u* jets count that does not depend on K."""
+    from rescert import geometry, network
+
+    problem = get_problem("P2")
+    counts = dict.fromkeys(("forward", "distance", "exact"), 0)
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(network, "forward_jets", counting("forward", network.forward_jets))
+    monkeypatch.setattr(geometry, "distance_jets",
+                        counting("distance", geometry.distance_jets))
+    monkeypatch.setattr(problem.exact, "jets", counting("exact", problem.exact.jets))
+    steps = 12
+    (run,) = run_certified(ExperimentConfig(problem="P2", hidden=(4,), quad_n=4,
+                                            steps=steps, lr=1e-2,
+                                            record_every=record_every), tmp_path)
+    assert len(run.rows) == steps // record_every + 1
+    assert steps + 1 <= counts["forward"] <= steps + 2
+    assert (counts["distance"], counts["exact"]) == (1, 1)
+
+
+@pytest.mark.parametrize("problem", ["P1", "P2", "P5"])
+def test_certify_run_norms_equal_the_spec_route_bitwise(tmp_path, monkeypatch, problem):
+    config = ExperimentConfig(problem=problem, hidden=(6,), quad_n=6, steps=8,
+                              lr=1e-2, record_every=3, seeds=(2,))
+    runs = _capture_train(monkeypatch)
+    (run,) = run_certified(config, tmp_path)
+    (flats, state), = runs
+    p = get_problem(problem)
+    spec = default_spec(p, hidden=config.hidden, seed=2)
+    rule = make_config(p, "interior", config.quad_n).interior
+
+    def old_route(flat):
+        return sobolev_errors_upto(spec.with_params(flat), p.exact, rule, s_max=2)
+
+    assert len(flats) == len(run.rows)
+    for flat, (_, _, _, h2, h1, l2) in zip(flats, run.rows):
+        assert (l2, h1, h2) == old_route(flat)
+    assert run.final_report.measured_error == old_route(state.params)[2]
+
+
+def test_parabolic_run_norms_equal_the_spec_route_bitwise(tmp_path, monkeypatch):
+    config = ExperimentConfig(problem="P4", hidden=(4,), quad_n=4, steps=6,
+                              lr=1e-2, record_every=2)
+    runs = _capture_train(monkeypatch)
+    rows, _, report = run_parabolic(config, tmp_path)
+    (flats, state), = runs
+    p4 = get_problem("P4")
+    spec = default_spec(p4, hidden=config.hidden, seed=0)
+    rule = make_config(p4, "interior", config.quad_n).interior
+
+    def old_route(flat):
+        return x_norm_error(spec.with_params(flat), p4.exact, rule)
+
+    assert [r[2] for r in rows] == [old_route(flat) for flat in flats]
+    assert report.measured_error == old_route(state.params)
 
 
 # -- command line ------------------------------------------------------------------

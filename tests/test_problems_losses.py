@@ -254,6 +254,42 @@ def test_objective_gradient_matches_value():
 # -- configuration validation -----------------------------------------------------
 
 
+@pytest.mark.parametrize("name,variant", [("P1", "interior"), ("P5", "interior"),
+                                          ("P5", "penalty"), ("P1", "sobolev_k1")])
+def test_ansatz_jets_reuse_only_the_vector_of_the_last_pass(name, variant, monkeypatch):
+    from rescert import network
+
+    problem = get_problem(name)
+    mode = "unconstrained" if variant == "penalty" else "exact_bc"
+    spec = default_spec(problem, hidden=(6, 6), seed=1, mode=mode)
+    cfg = make_config(problem, variant, 5, tau=2.0 if variant == "penalty" else None)
+    objective = build_objective(spec, problem, cfg)
+    block = objective.blocks[0]
+    rng = np.random.default_rng(0)
+    flat = rng.uniform(-1, 1, spec.params.n_params)
+    other = flat + 1e-3 * rng.standard_normal(flat.size)
+
+    def old_route(vec):
+        return spec.with_params(vec).jets(cfg.interior.nodes, block.order)
+
+    passes = []
+    real = network.forward_jets
+    monkeypatch.setattr(network, "forward_jets",
+                        lambda *a, **k: passes.append(1) or real(*a, **k))
+    objective.value_and_grad(flat)
+    passes.clear()
+    # the vector of the last pass: its jets, no second forward pass
+    assert np.array_equal(objective.ansatz_jets(flat.copy()), old_route(flat))
+    assert passes == [1]  # old_route's own pass
+    # any other vector: a fresh pass, bitwise the spec's jets
+    assert np.array_equal(objective.ansatz_jets(other), old_route(other))
+    # the remembered vector is a copy: mutating the caller's array in place
+    # after the pass must not hand back the jets of the old values
+    objective.value(flat)
+    flat[3] += 1e-9
+    assert np.array_equal(objective.ansatz_jets(flat), old_route(flat))
+
+
 def test_loss_config_validation():
     p1 = get_problem("P1")
     rule = build_rule(p1.domain, "interior", 4)

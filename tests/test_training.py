@@ -8,8 +8,9 @@ from rescert.fields import AnalyticField
 from rescert.geometry import Interval
 from rescert.losses import build_objective, make_config
 from rescert.problems import PdeProblem, default_spec, get_problem
-from rescert.training import (AdamSchedule, DivergenceError, TrainState,
-                              fd_check, train)
+from rescert import network
+from rescert.training import (FD_REL_STEP, FD_REL_TOL, AdamSchedule, DivergenceError,
+                              TrainState, _layer_blocks, fd_check, train)
 
 
 def toy_problem():
@@ -59,16 +60,18 @@ def test_toy_gradient_fd_audit():
     assert report.max_absolute_near_zero < 1e-10
     assert report.passed()
     # the w coordinate has zero gradient at the origin -> absolute comparison
-    kinds = {row.index: row.relative for row in report.rows}
+    kinds = {row.index: row.relative for row in report.rows if row.kind == "coordinate"}
     assert kinds[0] is False
     assert kinds[1] is True
+    # the rounding floor eps * |L| / h of each coordinate row, at L = 4, theta = 0
+    for row in report.rows[:2]:
+        assert row.floor == np.finfo(float).eps * 4.0 / FD_REL_STEP
 
 
 def test_toy_adam_converges():
     problem, spec, cfg = toy_setup()
-    state, best = train(spec, problem, cfg,
-                        AdamSchedule(steps=200, lr=0.1, record_every=50))
-    assert state.step == 200
+    state, best = train(build_objective(spec, problem, cfg),
+                        schedule=AdamSchedule(steps=200, lr=0.1, record_every=50))
     assert abs(state.params[1] - 1.0) < 1e-3
     assert state.loss < 1e-5
     assert state.history[0] == (0, pytest.approx(4.0, rel=1e-12))
@@ -76,14 +79,14 @@ def test_toy_adam_converges():
     # history covers start, records, best step and final step, in order
     steps = [s for s, _ in state.history]
     assert steps == sorted(set(steps))
-    assert 0 in steps and 200 in steps
+    assert steps[0] == 0 and steps[-1] == 200  # the run took schedule.steps steps
     assert min(l for _, l in state.history) == state.loss
 
 
 def test_zero_steps_is_a_noop():
     problem, spec, cfg = toy_setup()
     start = spec.params.flatten()
-    state, best = train(spec, problem, cfg, AdamSchedule(steps=0))
+    state, best = train(build_objective(spec, problem, cfg), AdamSchedule(steps=0))
     assert state.history == [(0, pytest.approx(4.0, rel=1e-12))]
     assert np.array_equal(state.params, start)
     assert np.array_equal(best.params.flatten(), start)
@@ -106,7 +109,7 @@ def test_training_is_deterministic():
 
     def run():
         seen = []
-        state, _ = train(spec, p1, cfg, sched,
+        state, _ = train(build_objective(spec, p1, cfg), sched,
                          on_checkpoint=lambda step, flat, loss: seen.append(flat))
         return state, seen[-1]  # the parameters after the last step
 
@@ -124,7 +127,7 @@ def test_checkpoint_callback_fires_on_schedule():
         seen.append((step, flat, loss))
         flat[:] = np.nan  # must be a defensive copy
 
-    state, _ = train(spec, problem, cfg,
+    state, _ = train(build_objective(spec, problem, cfg),
                      AdamSchedule(steps=25, lr=0.05, record_every=10), on_checkpoint=cb)
     assert [s for s, _, _ in seen] == [0, 10, 20, 25]
     assert np.isfinite(state.params).all()
@@ -135,9 +138,11 @@ def test_checkpoint_callback_fires_on_schedule():
 def test_divergence_guard_trips():
     problem, spec, cfg = toy_setup()
     with pytest.raises(DivergenceError, match="diverged"):
-        train(spec, problem, cfg, AdamSchedule(steps=10, lr=1e4, record_every=5))
+        train(build_objective(spec, problem, cfg),
+              AdamSchedule(steps=10, lr=1e4, record_every=5))
     try:
-        train(spec, problem, cfg, AdamSchedule(steps=10, lr=1e4, record_every=5))
+        train(build_objective(spec, problem, cfg),
+              AdamSchedule(steps=10, lr=1e4, record_every=5))
     except DivergenceError as err:
         assert err.step == 1
         assert err.loss > 1e6 * 4.0
@@ -145,7 +150,7 @@ def test_divergence_guard_trips():
 
 def test_history_validation():
     with pytest.raises(ValueError, match="increasing"):
-        TrainState(params=np.zeros(1), step=2, loss=1.0,
+        TrainState(params=np.zeros(1), loss=1.0,
                    history=[(0, 1.0), (0, 0.5)])
 
 
@@ -171,3 +176,50 @@ def test_fd_check_passes_at_the_benchmark_settings(name, n, seed):
     report = fd_check(spec, problem, make_config(problem, "interior", n), n_coords=20,
                       seed=seed)
     assert report.passed(), report.max_discrepancy
+    # the directional rows decide with a hundredfold margin
+    directional = [r for r in report.rows if r.kind != "coordinate"]
+    assert [r.kind for r in directional] == ["random"] * 8 + ["weights", "bias"] * 3
+    assert max(r.discrepancy for r in directional) < FD_REL_TOL / 100
+
+
+def _scale_bias_gradient_of_layer_1(monkeypatch, widths):
+    real = network.backward_jets
+    bias1 = next(sl for kind, layer, sl in _layer_blocks(widths)
+                 if (kind, layer) == ("bias", 1))
+
+    def backward(*args):
+        grad = real(*args)
+        grad[bias1] *= 1.0 + 1e-4
+        return grad
+
+    monkeypatch.setattr(network, "backward_jets", backward)
+    return {("bias", 1)}
+
+
+def _perturb_order2_tanh_term(monkeypatch, widths):
+    # f3 enters the order-2 backward only through the term f3 * yb * gi * gj
+    real = network._tanh_jet_backward
+
+    def backward(Z, derivs, Ybar, lay, order):
+        t, f1, f2, f3 = derivs
+        return real(Z, (t, f1, f2, f3 * (1.0 + 1e-3)), Ybar, lay, order)
+
+    monkeypatch.setattr(network, "_tanh_jet_backward", backward)
+    # both tanh layers' gradients are wrong; the linear output layer's is not
+    return {(kind, layer) for kind in ("weights", "bias") for layer in (0, 1)}
+
+
+@pytest.mark.parametrize("inject", [_scale_bias_gradient_of_layer_1,
+                                    _perturb_order2_tanh_term],
+                         ids=["bias_gradient_scaled", "order2_tanh_term"])
+def test_fd_check_directional_rows_name_the_defective_layer(inject, monkeypatch):
+    p1 = get_problem("P1")
+    spec = default_spec(p1, hidden=(8, 8), seed=3)
+    cfg = make_config(p1, "interior", n=8)
+    assert fd_check(spec, p1, cfg, seed=3).passed()
+    wrong = inject(monkeypatch, spec.params.widths)
+    report = fd_check(spec, p1, cfg, seed=3)
+    assert not report.passed()
+    failed = {(r.kind, r.index) for r in report.failures()}
+    assert {(k, i) for k, i in failed if k in ("weights", "bias")} == wrong
+    assert any(k == "random" for k, _ in failed)
