@@ -8,9 +8,8 @@ turns a training loss into a Sobolev-norm error bound.
 """
 
 from .ansatz import AnsatzSpec, build_spec
-from .certify import (BoundViolation, CeaReport, CertifiedReport, c_reg_convex,
-                      cea_decomposition, certified_h2_bound, parabolic_bound,
-                      penalty_h_half_estimator)
+from .certify import (BoundViolation, CertifiedReport, c_reg_convex,
+                      certified_h2_bound, parabolic_bound)
 from .experiments import (ConfigError, ExperimentConfig, fit_ratio_slope,
                           harmonic_failure_records, load_config,
                           parse_config_text, run_certified, run_failure_demo,
@@ -31,17 +30,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamSchedule", "AnalyticField", "AnsatzSpec", "BoundViolation",
-    "CeaReport", "CertifiedReport", "ConfigError", "Disk", "DivergenceError",
+    "CertifiedReport", "ConfigError", "Disk", "DivergenceError",
     "ExperimentConfig", "FdCheckReport", "Interval",
     "LossConfig", "NetworkParams", "PdeProblem",
     "QuadratureRule", "Rectangle", "SpaceTimeBox", "TaylorJet",
     "TrainState", "build_objective", "build_rule",
-    "build_spec", "builtin_problems", "c_reg_convex", "cea_decomposition",
+    "build_spec", "builtin_problems", "c_reg_convex",
     "certified_h2_bound", "coeff_layout", "default_spec", "fd_check",
     "fit_ratio_slope", "forward_jets", "get_problem", "h_half_surrogate",
     "harmonic_failure_records", "harmonic_mode", "integrate_values",
     "load_config", "load_params", "make_config", "parabolic_bound",
-    "parse_config_text", "penalty_h_half_estimator", "run_certified",
+    "parse_config_text", "run_certified",
     "run_failure_demo", "run_fd_check", "run_parabolic", "run_penalty_vs_exact",
     "run_sobolev", "save_params", "seed_point", "seed_variable",
     "sobolev_errors_upto", "train", "x_norm_error",

@@ -7,12 +7,12 @@ full H2 error with the explicit constant
 
 lambda_1 the first Dirichlet eigenvalue of the domain (exact for every
 built-in domain; see ``c_reg_convex``), so ||v - u||_H2 <= c_reg * sqrt(loss)
-holds for any ansatz with exact boundary values.  Constants from this
-formula carry provenance "convex_formula"; constants the caller supplies carry
-"user_supplied"; everything else is "unknown_labeled_heuristic".  A report
-derives its bound constant * sqrt(loss) and its certified flag (provenance
-not heuristic) from these, and compares measured errors against the bound
-with the fixed 2 percent quadrature headroom ``QUAD_HEADROOM``.
+holds for any ansatz with exact boundary values; a penalty loss certifies
+nothing above H^(1/2).  Constants carry provenance "convex_formula" (this
+formula), "user_supplied" or "unknown_labeled_heuristic".  A report derives
+its bound constant * sqrt(loss) and its certified flag (provenance not
+heuristic); ``CertifiedReport.violation`` is the one predicate for a broken
+bound: a measured error above it beyond the 2 percent ``QUAD_HEADROOM``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ PROVENANCES = (PROVENANCE_CONVEX, PROVENANCE_USER, PROVENANCE_HEURISTIC)
 
 NORM_H2 = "H2"
 NORM_X_PARABOLIC = "X_parabolic"
-NORM_H_HALF = "H_half_surrogate"
 
 QUAD_HEADROOM = 0.02
 
@@ -72,12 +71,18 @@ class CertifiedReport:
             return True
         return self.measured_error <= self.bound * (1.0 + QUAD_HEADROOM)
 
+    def violation(self) -> str:
+        """Why the certified bound fails its measurement; "" when it holds
+        or when nothing is certified."""
+        if not self.certified or self.bound_holds():
+            return ""
+        return (f"{self.norm_label} error {self.measured_error:.6e} exceeds "
+                f"bound {self.bound:.6e} (headroom {QUAD_HEADROOM:.0%})")
+
     def check(self) -> "CertifiedReport":
-        if self.certified and not self.bound_holds():
-            raise BoundViolation(
-                f"{self.norm_label} error {self.measured_error:.6e} exceeds "
-                f"bound {self.bound:.6e} (headroom {QUAD_HEADROOM:.0%})"
-            )
+        """self, or BoundViolation with ``violation()``'s message."""
+        if message := self.violation():
+            raise BoundViolation(message)
         return self
 
     def text_block(self) -> str:
@@ -137,6 +142,21 @@ def c_reg_convex(domain: Domain) -> float:
     return sqrt(1.0 + 1.0 / lam + 1.0 / lam**2)
 
 
+
+
+def _supplied(norm_label: str, loss: float, constant: float,
+              measured_error: Optional[float]) -> CertifiedReport:
+    """Certificate with the caller's constant, which must be positive."""
+    loss = _check_loss(loss)
+    if not constant > 0:
+        raise ValueError(f"supplied constant must be positive, got {constant}")
+    return CertifiedReport(
+        norm_label=norm_label, loss=loss, constant=float(constant),
+        constant_provenance=PROVENANCE_USER, measured_error=measured_error,
+        note="constant supplied by caller",
+    )
+
+
 def certified_h2_bound(loss: float, domain: Domain,
                        problem: Optional[PdeProblem] = None,
                        constant: Optional[float] = None,
@@ -147,15 +167,11 @@ def certified_h2_bound(loss: float, domain: Domain,
     user-supplied constant is required for certification, otherwise the
     report is labelled heuristic with constant 1.
     """
-    loss = _check_loss(loss)
     if constant is not None:
-        if not constant > 0:
-            raise ValueError("user-supplied constant must be positive")
-        c, prov = float(constant), PROVENANCE_USER
-        note = "constant supplied by caller"
-    elif problem is None or problem.kind == "poisson":
-        c, prov = c_reg_convex(domain), PROVENANCE_CONVEX
-        note = ""
+        return _supplied(NORM_H2, loss, constant, measured_error)
+    loss = _check_loss(loss)
+    if problem is None or problem.kind == "poisson":
+        c, prov, note = c_reg_convex(domain), PROVENANCE_CONVEX, ""
     else:
         c, prov = 1.0, PROVENANCE_HEURISTIC
         note = (f"no explicit constant for kind {problem.kind!r}; "
@@ -163,55 +179,6 @@ def certified_h2_bound(loss: float, domain: Domain,
     return CertifiedReport(
         norm_label=NORM_H2, loss=loss, constant=c, constant_provenance=prov,
         measured_error=measured_error, note=note,
-    )
-
-
-@dataclass(frozen=True)
-class CeaReport:
-    """Split of the loss into optimisation gap and best-in-ensemble part.
-
-    delta is measured against the best loss seen across an ensemble, not the
-    true infimum over the parameter class, and is flagged as such.
-    """
-
-    loss: float
-    loss_best: float
-    delta_estimate: float
-    constant: float
-    bound: float
-    note: str = "delta is ensemble-relative; the true infimum is not computable"
-
-
-def cea_decomposition(loss: float, loss_best: float, domain: Domain) -> CeaReport:
-    """Quasi-optimality split: bound^2 = c^2 * (delta + loss_best) = c^2 * loss."""
-    loss = _check_loss(loss)
-    loss_best = _check_loss(loss_best)
-    if loss_best > loss * (1.0 + 1e-12) + 1e-300:
-        raise ValueError(
-            f"ensemble best loss {loss_best} exceeds the candidate loss {loss}"
-        )
-    c = c_reg_convex(domain)
-    delta = max(loss - loss_best, 0.0)
-    return CeaReport(loss=loss, loss_best=loss_best, delta_estimate=delta,
-                     constant=c, bound=c * sqrt(loss))
-
-
-def penalty_h_half_estimator(loss_tau: float, tau: float) -> CertifiedReport:
-    """Penalty-training error indicator (1 + tau^(-1/2)) * sqrt(loss).
-
-    The constant multiplying this scaling is not computable here, so the
-    report is heuristic and never certified; above H^(1/2) no estimate of
-    this form holds at all.
-    """
-    loss_tau = _check_loss(loss_tau)
-    if not tau > 0:
-        raise ValueError(f"penalty weight tau must be positive, got {tau}")
-    c = 1.0 + tau ** -0.5
-    return CertifiedReport(
-        norm_label=NORM_H_HALF, loss=loss_tau, constant=c,
-        constant_provenance=PROVENANCE_HEURISTIC,
-        note="H^(1/2)-scale indicator up to an unknown domain constant; "
-             "penalty losses certify nothing stronger",
     )
 
 
@@ -223,17 +190,10 @@ def parabolic_bound(loss: float, constant: Optional[float] = None,
     given cylinder; no formula is fabricated for it.  Callers either supply
     it (certified) or receive sqrt(loss) labelled heuristic.
     """
-    loss = _check_loss(loss)
     if constant is not None:
-        if not constant > 0:
-            raise ValueError("parabolic constant must be positive")
-        return CertifiedReport(
-            norm_label=NORM_X_PARABOLIC, loss=loss, constant=float(constant),
-            constant_provenance=PROVENANCE_USER, measured_error=measured_error,
-            note="constant supplied by caller",
-        )
+        return _supplied(NORM_X_PARABOLIC, loss, constant, measured_error)
     return CertifiedReport(
-        norm_label=NORM_X_PARABOLIC, loss=loss, constant=1.0,
+        norm_label=NORM_X_PARABOLIC, loss=_check_loss(loss), constant=1.0,
         constant_provenance=PROVENANCE_HEURISTIC, measured_error=measured_error,
         note="solution-map norm unknown; sqrt(loss) reported without certification",
     )

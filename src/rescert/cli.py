@@ -95,11 +95,12 @@ def main(argv=None) -> int:
                   f"h_half_surrogate {last.h_half_surrogate!r}")
 
         elif args.command == "compare-bc":
-            for method, state, _, (l2, h1, h2), misfit, rep in \
+            for method, state, _, (l2, h1, h2), misfit, value, rep in \
                     experiments.run_penalty_vs_exact(config, out):
+                verdict = (f"bound {value!r} certified {rep.certified}" if rep
+                           else f"indicator {value!r}, no certificate")
                 print(f"{method}: loss {state.loss!r} h2_error {h2!r} "
-                      f"boundary_misfit {misfit!r} bound {rep.bound!r} "
-                      f"certified {rep.certified}")
+                      f"boundary_misfit {misfit!r} {verdict}")
 
         elif args.command == "parabolic-run":
             rows, slices, rep = experiments.run_parabolic(config, out)

@@ -280,22 +280,6 @@ def _exp_table(x):
     return (e, e, e, e)
 
 
-def _power_table(x, p):
-    if p != int(p) and np.any(x < 0):
-        raise ValueError(f"power with non-integer exponent {p} at a negative base")
-    if p < 3 and not (p == int(p) and p >= 0) and np.any(x == 0):
-        raise ValueError(f"power with exponent {p} has no third-order jet at a zero base")
-    out = []
-    coef = 1.0
-    for k in range(4):
-        if coef == 0.0:
-            out.append(0.0)
-        else:
-            out.append(coef * np.power(x, p - k))
-        coef *= p - k
-    return tuple(out)
-
-
 def _faa_di_bruno(Z, derivs, lay):
     """Slot-major jets of f(z) from the jets Z (C, ...) of z (Faa di Bruno up
     to ``lay.order``); derivs = (f0, f1, f2, f3) are f and its first three
@@ -341,7 +325,3 @@ def cos(a: TaylorJet) -> TaylorJet:
 
 def exp(a: TaylorJet) -> TaylorJet:
     return _compose(a, _exp_table)
-
-
-def power(a: TaylorJet, exponent: float) -> TaylorJet:
-    return _compose(a, lambda x: _power_table(x, exponent))

@@ -180,8 +180,8 @@ def fd_check(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig,
 
 def train(objective: Objective, schedule: AdamSchedule = AdamSchedule(),
           on_checkpoint: Optional[Callable] = None):
-    """Full-batch Adam on a built objective.  Returns (TrainState, spec at
-    best-seen parameters).
+    """Full-batch Adam on a built objective.  Returns the TrainState at the
+    best-seen parameters.
 
     ``on_checkpoint(step, flat_params, loss)`` fires at every recorded step
     (step 0, every record_every, and the final step), after the loss at
@@ -231,6 +231,5 @@ def train(objective: Objective, schedule: AdamSchedule = AdamSchedule(),
         history.append((best_step, best_loss))
         history.sort(key=lambda p: p[0])
 
-    state = TrainState(params=best_theta, loss=best_loss, history=history)
-    return state, objective.spec.with_params(best_theta)
+    return TrainState(params=best_theta, loss=best_loss, history=history)
 

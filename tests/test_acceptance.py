@@ -32,9 +32,9 @@ def test_criterion_1_certified_h2_bound_on_unit_square():
         h2 = sobolev_errors_upto(v, p1.exact, cfg.interior, s_max=2)[2]
         checks.append((step, loss, h2))
 
-    state, _ = train(build_objective(spec, p1, cfg),
-                     AdamSchedule(steps=5000, record_every=100),
-                     on_checkpoint=checkpoint)
+    state = train(build_objective(spec, p1, cfg),
+                  AdamSchedule(steps=5000, record_every=100),
+                  on_checkpoint=checkpoint)
     elapsed = time.monotonic() - t0
 
     assert len(checks) >= 51

@@ -1,17 +1,15 @@
 """Certificates: the convex-domain regularity constant, report semantics,
-quasi-optimality split, interpolation between norm scales, and the
-never-certified penalty/heuristic paths."""
+the one violation predicate, and the never-certified heuristic paths."""
 
 import math
 
 import numpy as np
 import pytest
 
-from rescert.certify import (BoundViolation, CeaReport, CertifiedReport,
+from rescert.certify import (BoundViolation, CertifiedReport,
                              PROVENANCE_CONVEX, PROVENANCE_HEURISTIC,
-                             PROVENANCE_USER, c_reg_convex, cea_decomposition,
-                             certified_h2_bound, parabolic_bound,
-                             penalty_h_half_estimator)
+                             PROVENANCE_USER, c_reg_convex,
+                             certified_h2_bound, parabolic_bound)
 from rescert.ansatz import build_spec
 from rescert.fields import AnalyticField
 from rescert.geometry import Disk, Interval, Rectangle, SpaceTimeBox
@@ -96,6 +94,23 @@ def test_report_validation_and_check():
     assert unmeasured.bound_holds()
 
 
+def test_violation_is_the_one_predicate():
+    bad = CertifiedReport("X_parabolic", 1.0, 2.0, PROVENANCE_USER, measured_error=2.05)
+    assert bad.violation() == ("X_parabolic error 2.050000e+00 exceeds bound "
+                               "2.000000e+00 (headroom 2%)")
+    with pytest.raises(BoundViolation) as err:
+        bad.check()
+    assert str(err.value) == bad.violation()
+
+    assert CertifiedReport("H2", 1.0, 2.0, PROVENANCE_CONVEX,
+                           measured_error=2.03).violation() == ""  # inside the headroom
+    # nothing certified, nothing violated, however absurd the measurement
+    absurd = CertifiedReport("H2", 1.0, 1.0, PROVENANCE_HEURISTIC, measured_error=1e300)
+    assert not absurd.bound_holds() and absurd.violation() == ""
+    for prov in (PROVENANCE_CONVEX, PROVENANCE_HEURISTIC):  # unmeasured
+        assert CertifiedReport("H2", 1.0, 2.0, prov).violation() == ""
+
+
 def test_report_text():
     rep = certified_h2_bound(0.25, Disk((0.0, 0.0), 1.0), measured_error=0.5)
     text = rep.text_block()
@@ -134,39 +149,6 @@ def test_h2_bound_holds_on_large_square():
     rep.check()
 
 
-def test_cea_decomposition():
-    square = Rectangle((0.0, 0.0), (1.0, 1.0))
-    rep = cea_decomposition(1.0, 0.25, square)
-    assert isinstance(rep, CeaReport)
-    assert rep.delta_estimate == 0.75
-    assert rep.bound == pytest.approx(c_reg_convex(square) * 1.0, rel=1e-15)
-    assert "ensemble" in rep.note
-
-    solo = cea_decomposition(0.5, 0.5, square)
-    assert solo.delta_estimate == 0.0
-
-    with pytest.raises(ValueError, match="exceeds"):
-        cea_decomposition(0.25, 1.0, square)
-
-
-def test_penalty_estimator_is_never_certified():
-    rep = penalty_h_half_estimator(4.0, tau=1.0)
-    assert rep.constant == 2.0  # 1 + tau^(-1/2)
-    assert rep.bound == 4.0
-    assert rep.constant_provenance == PROVENANCE_HEURISTIC
-    assert not rep.certified
-    assert rep.norm_label == "H_half_surrogate"
-
-    # large tau: indicator approaches sqrt(loss) but stays heuristic
-    big = penalty_h_half_estimator(4.0, tau=1e12)
-    assert big.bound == pytest.approx(2.0, rel=1e-5)
-    assert not big.certified
-
-    assert penalty_h_half_estimator(0.0, tau=2.0).bound == 0.0
-    with pytest.raises(ValueError, match="tau"):
-        penalty_h_half_estimator(1.0, tau=0.0)
-
-
 def test_parabolic_bound_paths():
     rep = parabolic_bound(0.16, constant=3.0)
     assert rep.bound == pytest.approx(1.2, rel=1e-15)
@@ -190,5 +172,3 @@ def test_certificates_reject_non_finite_loss(loss):
         certified_h2_bound(loss, Rectangle((0.0, 0.0), (1.0, 1.0)))
     with pytest.raises(ValueError, match="finite"):
         parabolic_bound(loss, constant=1.0)
-    with pytest.raises(ValueError, match="finite"):
-        penalty_h_half_estimator(loss, tau=1.0)

@@ -127,16 +127,35 @@ def test_run_certified_bound_violation_still_writes(tmp_path):
 
 def test_run_certified_flags_error_just_past_headroom(tmp_path, monkeypatch):
     # 1.0202x the bound is outside bound_holds' 2 % headroom, so the run
-    # must flag it like CertifiedReport.check does
+    # must flag it with CertifiedReport.check's own message
     real = certify.certified_h2_bound
+    reports = []
 
     def near_miss(loss, domain, problem, **kwargs):
         bound = real(loss, domain, problem, **dict(kwargs, measured_error=None)).bound
-        return real(loss, domain, problem, **dict(kwargs, measured_error=1.0202 * bound))
+        reports.append(real(loss, domain, problem,
+                            **dict(kwargs, measured_error=1.0202 * bound)))
+        return reports[-1]
 
     monkeypatch.setattr(certify, "certified_h2_bound", near_miss)
-    with pytest.raises(BoundViolation):
+    with pytest.raises(BoundViolation) as raised:
         run_certified(TINY, tmp_path)
+    with pytest.raises(BoundViolation) as checked:
+        reports[0].check()
+    assert str(raised.value) == f"seed 0 step 0: {checked.value}"
+    assert "(headroom 2%)" in str(raised.value)
+
+
+def test_certify_summary_delta_is_the_gap_to_the_ensemble_best(tmp_path):
+    runs = run_certified(ExperimentConfig(problem="P5", hidden=(4,), quad_n=6, steps=10,
+                                          lr=1e-2, record_every=5, seeds=(0, 1)),
+                         tmp_path)
+    best = min(run.final_report.loss for run in runs)
+    lines = (tmp_path / "certify_P5_summary.txt").read_text().splitlines()
+    deltas = [line for line in lines if line.startswith("delta_estimate:")]
+    assert deltas == [f"delta_estimate: {run.final_report.loss - best!r}  (delta is "
+                      "ensemble-relative; the true infimum is not computable)"
+                      for run in runs]
 
 
 # -- harmonic failure family -------------------------------------------------------
@@ -182,24 +201,47 @@ def test_run_failure_demo_csv(tmp_path):
 # -- comparison / parabolic / sobolev drivers ----------------------------------------
 
 
-def test_run_penalty_vs_exact(tmp_path):
+@pytest.fixture(scope="module")
+def compare_bc(tmp_path_factory):
+    """One compare-bc run on P5 with tau = 100: (results, CSV lines)."""
+    out = tmp_path_factory.mktemp("compare_bc")
     cfg = ExperimentConfig(problem="P5", hidden=(4,), quad_n=6, steps=60, lr=1e-2,
                            record_every=20, seeds=(0,), tau=100.0)
-    results = run_penalty_vs_exact(cfg, tmp_path)
-    by_method = {m: (st, errs, mis, rep) for (m, st, _, errs, mis, rep) in results}
-    assert set(by_method) == {"exact_bc", "penalty"}
-    _, _, mis_exact, rep_exact = by_method["exact_bc"]
-    _, _, mis_pen, rep_pen = by_method["penalty"]
+    return run_penalty_vs_exact(cfg, out), (out / "compare_bc_P5.csv").read_text().splitlines()
+
+
+def test_run_penalty_vs_exact(compare_bc):
+    (exact, penalty), lines = compare_bc
+    m_exact, _, _, _, mis_exact, bound, rep = exact
+    m_pen, st_pen, _, _, mis_pen, value, rep_pen = penalty
+    assert (m_exact, m_pen) == ("exact_bc", "penalty")
     assert mis_exact <= 1e-12          # boundary conditions hold by construction
     assert mis_pen > 1e-6              # penalty training leaves a boundary gap
-    assert rep_exact.certified
-    assert not rep_pen.certified
+    assert rep.certified and bound == rep.bound
+    # a penalty loss certifies nothing: no report, only the indicator
+    # (1 + tau^(-1/2)) sqrt(loss) with tau = 100
+    assert rep_pen is None
+    assert value == (1.0 + 100.0 ** -0.5) * math.sqrt(st_pen.loss)
 
-    lines = (tmp_path / "compare_bc_P5.csv").read_text().splitlines()
     assert lines[1] == ("method,final_loss,l2_error,h1_error,h2_error,"
                         "boundary_misfit,certified_bound_or_estimator")
     data = [l for l in lines[2:] if not l.startswith("#")]
-    assert [row.split(",")[0] for row in data] == ["exact_bc", "penalty"]
+    assert data == [",".join([m, *map(repr, (st.loss, *errors, misfit, v))])
+                    for m, st, _, errors, misfit, v, _ in (exact, penalty)]
+
+
+def test_compare_bc_penalty_trailer_is_not_a_certificate(compare_bc):
+    (exact, penalty), lines = compare_bc
+    trailer = [l[2:] for l in lines if l.startswith("# ")]
+    start, split = trailer.index("-- exact_bc --"), trailer.index("-- penalty --")
+    assert trailer[start + 1:split] == exact[6].text_block().splitlines()
+    block = trailer[split + 1:]
+    assert block[0].startswith("certificate: none")
+    assert block[1] == f"loss:        {penalty[1].loss!r}"
+    assert block[2].startswith(f"indicator:   {penalty[5]!r}  ")
+    assert block[3].startswith("surrogate:   ")
+    for word in ("bound:", "headroom:", "holds:", "certified:"):
+        assert not any(word in l for l in block), word
 
 
 def test_run_parabolic_slices_stay_exact(tmp_path):
@@ -304,9 +346,9 @@ def _capture_train(monkeypatch):
             callback(step, flat, loss)
 
         kwargs["on_checkpoint"] = on_checkpoint
-        state, best = real(*args, **kwargs)
+        state = real(*args, **kwargs)
         runs.append((flats, state))
-        return state, best
+        return state
 
     monkeypatch.setattr(experiments, "train", train)
     return runs

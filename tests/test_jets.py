@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from rescert.jets import (TaylorJet, coeff_layout, exp, power, product_terms,
+from rescert.jets import (TaylorJet, coeff_layout, exp, product_terms,
                           seed_point, seed_variable, sin, cos, tanh)
 from sympy_oracle import sympy_jet
 
@@ -124,41 +124,16 @@ def test_batched_jets_match_single_points():
     for order in (0, 1, 2, 3):
         x, y, z = seed_point(X, order)
         batch = tanh((2.0 - x * y) * (z - 0.5) + 3.0 * (x * x))
-        batch = batch * sin(x) + exp(y) * cos(z) + power(z + 2.0, 1.5)
+        batch = batch * sin(x) + exp(y) * cos(z)
         assert batch.coeffs.shape == (coeff_layout(3, order).size, 5)
         mi = coeff_layout(3, order).multi_indices[-1]
         assert batch.d(*mi).shape == (5,)
         for n in range(5):
             a, b, c = seed_point(X[n], order)
             single = tanh((2.0 - a * b) * (c - 0.5) + 3.0 * (a * a))
-            single = single * sin(a) + exp(b) * cos(c) + power(c + 2.0, 1.5)
+            single = single * sin(a) + exp(b) * cos(c)
             assert np.array_equal(batch.coeffs[:, n], single.coeffs)
             assert batch.d(*mi)[n] == single.d(*mi)
-
-
-def test_power_jets():
-    rng = np.random.default_rng(11)
-    x = sp.symbols("x0")
-    for p in (2, 3, -1, 0.5):
-        base = 1.5 + 0.3 * rng.uniform()
-        j = power(seed_variable(0, base, 3, 1) + 0.0, p)
-        want = sympy_jet(x ** sp.Float(p) if p != int(p) else x ** int(p),
-                         (x,), [base], 3)
-        assert np.allclose(j.coeffs, want, rtol=1e-10)
-
-    # fractional powers of negative bases have no real jet, in a batch too
-    with pytest.raises(ValueError):
-        power(seed_variable(0, -2.0, 2, 1), 0.5)
-    with pytest.raises(ValueError):
-        power(seed_variable(0, np.array([1.0, -2.0, 3.0]), 2, 1), 0.5)
-    # derivatives singular at zero (which the table always evaluates) raise
-    for p in (-1, 0.5, 2.5):
-        with pytest.raises(ValueError):
-            power(seed_variable(0, np.array([1.0, 0.0]), 2, 1), p)
-    assert power(seed_variable(0, 0.0, 3, 1), 2).d(0, 0) == 2.0
-    # integer powers of negative bases are fine
-    j = power(seed_variable(0, -2.0, 2, 1), 3)
-    assert j.d() == -8.0 and j.d(0) == 12.0
 
 
 def test_laplacian_examples():

@@ -70,12 +70,11 @@ def test_toy_gradient_fd_audit():
 
 def test_toy_adam_converges():
     problem, spec, cfg = toy_setup()
-    state, best = train(build_objective(spec, problem, cfg),
-                        schedule=AdamSchedule(steps=200, lr=0.1, record_every=50))
+    state = train(build_objective(spec, problem, cfg),
+                  schedule=AdamSchedule(steps=200, lr=0.1, record_every=50))
     assert abs(state.params[1] - 1.0) < 1e-3
     assert state.loss < 1e-5
     assert state.history[0] == (0, pytest.approx(4.0, rel=1e-12))
-    assert np.array_equal(best.params.flatten(), state.params)
     # history covers start, records, best step and final step, in order
     steps = [s for s, _ in state.history]
     assert steps == sorted(set(steps))
@@ -86,10 +85,9 @@ def test_toy_adam_converges():
 def test_zero_steps_is_a_noop():
     problem, spec, cfg = toy_setup()
     start = spec.params.flatten()
-    state, best = train(build_objective(spec, problem, cfg), AdamSchedule(steps=0))
+    state = train(build_objective(spec, problem, cfg), AdamSchedule(steps=0))
     assert state.history == [(0, pytest.approx(4.0, rel=1e-12))]
     assert np.array_equal(state.params, start)
-    assert np.array_equal(best.params.flatten(), start)
 
 
 @pytest.mark.parametrize("bad", [{"record_every": 0}, {"steps": -2}],
@@ -109,8 +107,8 @@ def test_training_is_deterministic():
 
     def run():
         seen = []
-        state, _ = train(build_objective(spec, p1, cfg), sched,
-                         on_checkpoint=lambda step, flat, loss: seen.append(flat))
+        state = train(build_objective(spec, p1, cfg), sched,
+                      on_checkpoint=lambda step, flat, loss: seen.append(flat))
         return state, seen[-1]  # the parameters after the last step
 
     (s1, last1), (s2, last2) = run(), run()
@@ -127,8 +125,8 @@ def test_checkpoint_callback_fires_on_schedule():
         seen.append((step, flat, loss))
         flat[:] = np.nan  # must be a defensive copy
 
-    state, _ = train(build_objective(spec, problem, cfg),
-                     AdamSchedule(steps=25, lr=0.05, record_every=10), on_checkpoint=cb)
+    state = train(build_objective(spec, problem, cfg),
+                  AdamSchedule(steps=25, lr=0.05, record_every=10), on_checkpoint=cb)
     assert [s for s, _, _ in seen] == [0, 10, 20, 25]
     assert np.isfinite(state.params).all()
     for (cs, _, cl), (hs, hl) in zip(seen, [h for h in state.history if h[0] % 10 == 0 or h[0] == 25]):
