@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from rescert import certify
 from rescert.certify import (BoundViolation, CertifiedReport,
                              PROVENANCE_CONVEX, PROVENANCE_HEURISTIC,
                              PROVENANCE_USER, c_reg_convex,
                              certified_h2_bound, parabolic_bound)
 from rescert.ansatz import build_spec
 from rescert.fields import AnalyticField
+from rescert.experiments import ExperimentConfig, run_penalty_vs_exact
 from rescert.geometry import Disk, Interval, Rectangle, SpaceTimeBox
 from rescert.jets import sin
 from rescert.losses import build_objective, make_config
@@ -147,6 +149,24 @@ def test_h2_bound_holds_on_large_square():
     assert rep.bound == pytest.approx(5.5596, rel=1e-4)
     assert h2 <= rep.bound * (1 + 1e-9)  # sharp, not saved by the headroom
     rep.check()
+
+
+def test_penalty_estimator_is_never_certified(tmp_path):
+    # a penalty loss certifies nothing above H^(1/2): compare-bc gives the
+    # penalty no report, only the indicator (1 + tau^(-1/2)) sqrt(loss)
+    assert not hasattr(certify, "penalty_h_half_estimator")
+    cfg = ExperimentConfig(problem="P5", hidden=(4,), quad_n=6, steps=5, lr=1e-2,
+                           record_every=5, seeds=(0,), tau=1.0)
+    exact, penalty = run_penalty_vs_exact(cfg, tmp_path)
+    method, state, _, _, _, value, report = penalty
+    assert method == "penalty" and report is None
+    assert value == 2.0 * math.sqrt(state.loss)  # 1 + tau^(-1/2) = 2 at tau = 1
+    assert exact[-1].certified
+    lines = (tmp_path / "compare_bc_P5.csv").read_text().splitlines()
+    block = [l[2:] for l in lines if l.startswith("# ")]
+    block = block[block.index("-- penalty --") + 1:]
+    assert block[0].startswith("certificate: none")
+    assert not any(l.startswith(("bound:", "certified:")) for l in block)
 
 
 def test_parabolic_bound_paths():
