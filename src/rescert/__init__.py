@@ -19,7 +19,7 @@ from .fields import AnalyticField, harmonic_mode
 from .geometry import Disk, Interval, Rectangle, SpaceTimeBox
 from .jets import TaylorJet, coeff_layout, seed_point, seed_variable
 from .losses import LossConfig, build_objective, make_config
-from .network import NetworkParams, forward_jets, load_params, save_params
+from .network import NetworkParams, forward_jets
 from .problems import PdeProblem, builtin_problems, default_spec, get_problem
 from .quadrature import (QuadratureRule, build_rule, h_half_surrogate,
                          integrate_values, sobolev_errors_upto, x_norm_error)
@@ -39,9 +39,9 @@ __all__ = [
     "certified_h2_bound", "coeff_layout", "default_spec", "fd_check",
     "fit_ratio_slope", "forward_jets", "get_problem", "h_half_surrogate",
     "harmonic_failure_records", "harmonic_mode", "integrate_values",
-    "load_config", "load_params", "make_config", "parabolic_bound",
+    "load_config", "make_config", "parabolic_bound",
     "parse_config_text", "run_certified",
     "run_failure_demo", "run_fd_check", "run_parabolic", "run_penalty_vs_exact",
-    "run_sobolev", "save_params", "seed_point", "seed_variable",
+    "run_sobolev", "seed_point", "seed_variable",
     "sobolev_errors_upto", "train", "x_norm_error",
 ]

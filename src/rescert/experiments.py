@@ -1,9 +1,10 @@
 """Reproducible experiment drivers behind the command-line subcommands.
 
 Configs are flat ``key = value`` text files; every key has a default, and
-unknown keys and out-of-range values are hard errors.  Every driver trains
-through one loop, ``_train_run``, and measures each final certificate on the
-network at the best loss seen, the loss it certifies; a certified bound that
+unknown keys and out-of-range values are hard errors.  Every driver builds
+each of its objectives and run constants once and trains through one loop,
+``_train_run``; each final certificate is measured on the network at the
+best loss seen, the loss it certifies, and a certified bound that
 measurement breaks raises ``BoundViolation`` once the files are written.
 Every CSV starts with a comment line carrying the config hash and seed,
 contains no timestamps, and formats floats with ``repr``, so reruns with the
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -22,12 +22,11 @@ from typing import Optional
 import numpy as np
 
 from . import certify, quadrature
-from .ansatz import AnsatzSpec
 from .certify import BoundViolation, CertifiedReport
 from .fields import harmonic_mode
 from .geometry import Disk
 from .jets import coeff_layout
-from .losses import build_objective, make_config
+from .losses import LossConfig, build_objective, make_config
 from .problems import PdeProblem, default_spec, get_problem
 from .quadrature import (build_rule, boundary_misfit, grad_laplacian_error,
                          h_half_surrogate, sobolev_errors_upto, x_norm_error)
@@ -62,6 +61,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} = {getattr(self, name)} is below {low}")
         if not self.seeds:
             raise ConfigError("seeds lists no seed")
+        for name in ("tau", "constant"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{name} = {value} is not positive")
 
 
 _INT_TUPLES = {"hidden", "seeds", "n_list"}
@@ -167,26 +170,20 @@ def _training_problem(config: ExperimentConfig, command: str, kinds) -> PdeProbl
     return problem
 
 
-def _train_run(config: ExperimentConfig, problem: PdeProblem, spec: AnsatzSpec,
-               cfg, metrics=None):
-    """Adam on the config's schedule and on one objective built here;
-    ``metrics(objective, flat, step, loss)`` turns the parameters at each
-    checkpoint into one row, and ``objective.ansatz_jets(flat)`` gives it the
-    ansatz jets on the training rule without a second forward pass.  Returns
-    (rows, state, objective); state.params is the network at the best loss
-    seen, the one state.loss certifies."""
+def _train_run(config: ExperimentConfig, objective, metrics=None):
+    """Adam on the config's schedule and on the objective its driver built;
+    ``metrics(step, flat, loss)`` turns the parameters at each checkpoint
+    into one row, and ``objective.ansatz_jets(flat)`` gives it the ansatz
+    jets on the training rule without a second forward pass.  Returns
+    (rows, state); state.params is the network at the best loss seen, the
+    one state.loss certifies."""
     schedule = AdamSchedule(steps=config.steps, lr=config.lr, beta1=config.beta1,
                             beta2=config.beta2, eps=config.eps,
                             record_every=config.record_every)
-    objective = build_objective(spec, problem, cfg)
     rows = []
-
-    def checkpoint(step, flat, loss):
-        rows.append(metrics(objective, flat, step, loss))
-
     state = train(objective, schedule=schedule,
-                  on_checkpoint=checkpoint if metrics else None)
-    return rows, state, objective
+                  on_checkpoint=(lambda *c: rows.append(metrics(*c))) if metrics else None)
+    return rows, state
 
 
 # -- certified training runs ----------------------------------------------------
@@ -202,12 +199,13 @@ class CertifiedRun:
 
 def _certified_single_seed(config: ExperimentConfig, seed: int) -> CertifiedRun:
     problem = _training_problem(config, "certify-run", _SPATIAL_KINDS)
-    spec = default_spec(problem, hidden=config.hidden, seed=seed)
     cfg = make_config(problem, "interior", config.quad_n)
+    objective = build_objective(default_spec(problem, hidden=config.hidden, seed=seed),
+                                problem, cfg)
     exact = problem.exact.jets(cfg.interior.nodes, 2)
     violations = []
 
-    def certificate(objective, flat, step, loss):
+    def certificate(step, flat, loss):
         l2, h1, h2 = sobolev_errors_upto(objective.ansatz_jets(flat), exact,
                                          cfg.interior, s_max=2)
         report = certify.certified_h2_bound(loss, problem.domain, problem,
@@ -217,9 +215,9 @@ def _certified_single_seed(config: ExperimentConfig, seed: int) -> CertifiedRun:
             violations.append(f"step {step}: {message}")
         return report, (step, loss, report.bound, h2, h1, l2)
 
-    rows, state, objective = _train_run(config, problem, spec, cfg,
-                                        lambda *checkpoint: certificate(*checkpoint)[1])
-    final_report = certificate(objective, state.params, "best", state.loss)[0]
+    rows, state = _train_run(config, objective,
+                             lambda *checkpoint: certificate(*checkpoint)[1])
+    final_report = certificate("best", state.params, state.loss)[0]
     return CertifiedRun(seed, rows, final_report, violations)
 
 
@@ -232,6 +230,7 @@ def run_certified(config: ExperimentConfig, out_dir=None, parallel: int = 1):
         raise ConfigError(f"parallel needs at least one worker process, got {parallel}")
     seeds = list(config.seeds)
     if parallel > 1 and len(seeds) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only this path forks
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             runs = list(pool.map(_certified_single_seed, [config] * len(seeds), seeds))
     else:
@@ -384,7 +383,8 @@ def run_penalty_vs_exact(config: ExperimentConfig, out_dir=None):
                                        ("penalty", "unconstrained", "penalty", config.tau)):
         spec = default_spec(problem, hidden=config.hidden, seed=seed, mode=mode)
         cfg = make_config(problem, variant, config.quad_n, tau=tau)
-        _, state, objective = _train_run(config, problem, spec, cfg)
+        objective = build_objective(spec, problem, cfg)
+        state = _train_run(config, objective)[1]
         best = spec.with_params(state.params)
         errors = sobolev_errors_upto(objective.ansatz_jets(state.params), problem.exact,
                                      cfg.interior, s_max=2)
@@ -416,42 +416,34 @@ def run_penalty_vs_exact(config: ExperimentConfig, out_dir=None):
 # -- parabolic run -----------------------------------------------------------------
 
 
-def _parabolic_slice_errors(spec: AnsatzSpec, problem: PdeProblem, n: int):
-    """Max misfit on the t=0 slice (against the lift, u0) and the lateral
-    boundary (against zero data)."""
-    domain = spec.domain
-    srule = build_rule(domain.spatial, "interior", n)
-    init_nodes = np.column_stack([np.zeros(srule.n_nodes), srule.nodes])
-    init_err = float(np.max(np.abs(spec.values(init_nodes)
-                                   - problem.lift.values(init_nodes))))
-    brule = build_rule(domain.spatial, "boundary", n)
-    tq, _ = np.polynomial.legendre.leggauss(n)
-    tq = 0.5 * domain.horizon * (tq + 1.0)
-    lateral = np.column_stack([np.repeat(tq, brule.n_nodes),
-                               np.tile(brule.nodes, (n, 1))])
-    lat_err = float(np.max(np.abs(spec.values(lateral))))
-    return init_err, lat_err
-
-
 def run_parabolic(config: ExperimentConfig, out_dir=None):
     """Heat-equation run: space-time residual training with the energy-norm
-    error, its ratio to sqrt(loss), and exactness of the initial and lateral
-    slices at every checkpoint.  The certificate is measured on the best
-    network and raises BoundViolation (after writing) if it fails."""
+    error, its ratio to sqrt(loss), and the max misfit on the t=0 slice
+    (against u0) and the lateral boundary (against zero) at every checkpoint.
+    The certificate is measured on the best network and raises
+    BoundViolation (after writing) if it fails."""
     problem = _training_problem(config, "parabolic-run", ("heat",))
     seed = _single_seed(config, "parabolic-run")
     spec = default_spec(problem, hidden=config.hidden, seed=seed)
     cfg = make_config(problem, "interior", config.quad_n)
+    objective = build_objective(spec, problem, cfg)
     exact = problem.exact.jets(cfg.interior.nodes, 2)
+    n, domain = config.quad_n, problem.domain
+    srule, brule = (build_rule(domain.spatial, target, n) for target in ("interior", "boundary"))
+    tq = 0.5 * domain.horizon * (np.polynomial.legendre.leggauss(n)[0] + 1.0)
+    init_nodes = np.column_stack([np.zeros(srule.n_nodes), srule.nodes])
+    lateral = np.column_stack([np.repeat(tq, brule.n_nodes), np.tile(brule.nodes, (n, 1))])
+    u0 = problem.lift.values(init_nodes)
 
-    def metrics(objective, flat, step, loss):  # one CSV row and one slice row
+    def metrics(step, flat, loss):  # one CSV row and one slice row
         xerr = x_norm_error(objective.ansatz_jets(flat), exact, cfg.interior)
         ratio = xerr / math.sqrt(loss) if loss > 0 else float("inf")
+        v = spec.with_params(flat)
         return ((step, loss, xerr, ratio),
-                (step, *_parabolic_slice_errors(spec.with_params(flat), problem,
-                                                config.quad_n)))
+                (step, float(np.max(np.abs(v.values(init_nodes) - u0))),
+                 float(np.max(np.abs(v.values(lateral))))))
 
-    pairs, state, objective = _train_run(config, problem, spec, cfg, metrics)
+    pairs, state = _train_run(config, objective, metrics)
     rows, slice_rows = map(list, zip(*pairs))
     report = certify.parabolic_bound(
         state.loss, constant=config.constant,
@@ -472,25 +464,28 @@ def run_parabolic(config: ExperimentConfig, out_dir=None):
 def run_sobolev(config: ExperimentConfig, out_dir=None):
     """Train the plain residual and the gradient-augmented residual on the
     same problem and seed; track both residual norms and the H2/H3-proxy
-    errors along each trajectory.  One CSV per variant."""
+    errors along each trajectory.  One CSV per variant.  A checkpoint reads
+    the trained objective's loss and jets and makes one pass of the other."""
     problem = _training_problem(config, "sobolev-run", ("poisson",))
     seed = _single_seed(config, "sobolev-run")
     spec = default_spec(problem, hidden=config.hidden, seed=seed)
-    configs = {variant: make_config(problem, variant, config.quad_n)
-               for variant in ("interior", "sobolev_k1")}
-    value_interior, value_sobolev = (build_objective(spec, problem, cfg).value
-                                     for cfg in configs.values())
-    norm_rule = configs["interior"].interior
+    norm_rule = build_rule(problem.domain, "interior", config.quad_n)
+    objectives = {v: build_objective(spec, problem, LossConfig(v, interior=norm_rule))
+                  for v in ("interior", "sobolev_k1")}
+    interior, sobolev = objectives.values()
+    exact3 = problem.exact.jets(norm_rule.nodes, 3)
+    exact2 = exact3[:, :coeff_layout(problem.domain.dim, 2).size]  # its order-2 jets
 
-    def metrics(objective, flat, step, loss):
-        v = spec.with_params(flat)
-        _, _, h2 = sobolev_errors_upto(v, problem.exact, norm_rule, s_max=2)
-        return (step, math.sqrt(value_interior(flat)), math.sqrt(value_sobolev(flat)),
-                h2, grad_laplacian_error(v, problem.exact, norm_rule))
+    def metrics(trained, step, flat, loss):
+        residuals = [loss if obj is trained else obj.value(flat) for obj in objectives.values()]
+        _, _, h2 = sobolev_errors_upto(interior.ansatz_jets(flat), exact2, norm_rule, s_max=2)
+        return (step, *map(math.sqrt, residuals), h2,
+                grad_laplacian_error(sobolev.ansatz_jets(flat), exact3, norm_rule))
 
     results = {}
-    for variant, cfg in configs.items():
-        results[variant] = _train_run(config, problem, spec, cfg, metrics)[0]
+    for variant, objective in objectives.items():
+        results[variant] = _train_run(config, objective,
+                                      lambda *c, o=objective: metrics(o, *c))[0]
         _write_csv(out_dir, f"sobolev_{config.problem}_{variant}.csv", config, seed,
                    "step,l2_residual,h1_residual,h2_error,h3_error_proxy",
                    results[variant])

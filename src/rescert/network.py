@@ -19,10 +19,6 @@ import numpy as np
 
 from .jets import _faa_di_bruno, _tanh_table, coeff_layout
 
-_BYTE_ORDER = "little"  # parameters serialize as little-endian IEEE-754 float64
-# the header fields a reader must find exactly; the activation is always tanh
-_FIXED_HEADER = {"activation": "tanh", "dtype": f"float64-{_BYTE_ORDER}"}
-
 
 @dataclass
 class NetworkParams:
@@ -65,13 +61,6 @@ class NetworkParams:
             biases.append(np.zeros(fan_out))
         return cls(widths, weights, biases, seed=seed)
 
-    @classmethod
-    def zeros(cls, widths) -> "NetworkParams":
-        widths = tuple(int(w) for w in widths)
-        weights = [np.zeros((o, i)) for i, o in zip(widths[:-1], widths[1:])]
-        biases = [np.zeros(o) for o in widths[1:]]
-        return cls(widths, weights, biases)
-
     def flatten(self) -> np.ndarray:
         chunks = []
         for w, b in zip(self.weights, self.biases):
@@ -91,60 +80,6 @@ class NetworkParams:
             biases.append(vec[k:k + o].copy())
             k += o
         return NetworkParams(self.widths, weights, biases, self.seed)
-
-
-# -- serialization ------------------------------------------------------------
-
-
-def save_params(path, params: NetworkParams) -> None:
-    """Text header, blank line, then the flat parameter vector as
-    little-endian float64."""
-    header = [
-        "rescert-params v1",
-        "widths: " + ",".join(str(w) for w in params.widths),
-        f"activation: {_FIXED_HEADER['activation']}",
-        f"seed: {'' if params.seed is None else params.seed}",
-        f"dtype: {_FIXED_HEADER['dtype']}",
-    ]
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n\n").encode("ascii"))
-        fh.write(params.flatten().astype("<f8").tobytes())
-
-
-def load_params(path):
-    """Inverse of save_params; returns (NetworkParams, header).  A malformed
-    file raises ValueError naming the file and the cause."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-
-    def bad(cause):
-        return ValueError(f"parameter file {path}: {cause}")
-
-    header_text, sep, body = raw.partition(b"\n\n")
-    lines = header_text.decode("ascii", errors="replace").splitlines()
-    if not sep or not lines or lines[0] != "rescert-params v1":
-        raise bad("not a rescert-params v1 file")
-    meta = {}
-    for line in lines[1:]:
-        k, _, v = line.partition(":")
-        meta[k.strip()] = v.strip()
-    for key, want in _FIXED_HEADER.items():
-        if meta.get(key) != want:
-            raise bad(f"{key} is {meta.get(key)!r}, expected {want!r}")
-    try:
-        widths = tuple(int(w) for w in meta["widths"].split(","))
-        seed = int(meta["seed"]) if meta.get("seed") else None
-        template = NetworkParams.zeros(widths)
-    except KeyError as err:
-        raise bad(f"no {err.args[0]!r} line in the header") from None
-    except ValueError as err:
-        raise bad(f"malformed header: {err}") from None
-    template.seed = seed
-    want = 8 * template.n_params
-    if len(body) != want:
-        raise bad(f"body holds {len(body)} bytes, the {template.n_params} "
-                  f"parameters of widths {meta['widths']} take {want}")
-    return template.with_flat(np.frombuffer(body, dtype="<f8")), meta
 
 
 # -- jet-space forward / backward ---------------------------------------------

@@ -16,9 +16,9 @@ from rescert.experiments import (ConfigError, ExperimentConfig, canonical_text,
                                  run_failure_demo, run_fd_check,
                                  run_parabolic, run_penalty_vs_exact,
                                  run_sobolev)
-from rescert.losses import make_config
+from rescert.losses import build_objective, make_config
 from rescert.problems import default_spec, get_problem
-from rescert.quadrature import sobolev_errors_upto, x_norm_error
+from rescert.quadrature import grad_laplacian_error, sobolev_errors_upto, x_norm_error
 from rescert.training import AdamSchedule
 
 TINY = ExperimentConfig(problem="P5", hidden=(4,), quad_n=6, steps=10, lr=1e-2,
@@ -421,6 +421,86 @@ def test_parabolic_run_norms_equal_the_spec_route_bitwise(tmp_path, monkeypatch)
     assert report.measured_error == old_route(state.params)
 
 
+def test_sobolev_run_rows_equal_the_spec_route_bitwise(tmp_path, monkeypatch):
+    config = ExperimentConfig(problem="P1", hidden=(4,), quad_n=5, steps=6,
+                              lr=1e-2, record_every=2)
+    runs = _capture_train(monkeypatch)
+    results = run_sobolev(config, tmp_path)
+    p1 = get_problem("P1")
+    spec = default_spec(p1, hidden=config.hidden, seed=0)
+    cfgs = [make_config(p1, v, config.quad_n) for v in ("interior", "sobolev_k1")]
+    rule = cfgs[0].interior
+
+    def old_route(flat):  # separate objectives and the spec's own jets
+        v = spec.with_params(flat)
+        return (*(math.sqrt(build_objective(spec, p1, c).value(flat)) for c in cfgs),
+                sobolev_errors_upto(v, p1.exact, rule, s_max=2)[2],
+                grad_laplacian_error(v, p1.exact, rule))
+
+    for (flats, _), rows in zip(runs, results.values()):
+        assert [r[1:] for r in rows] == [old_route(flat) for flat in flats]
+
+
+def _count_during_checkpoints(monkeypatch, targets):
+    """Wrap experiments.train and each (owner, name) target; returns the
+    per-checkpoint call counts of the targets, keyed by name."""
+    per_checkpoint, live = [], []
+    real = experiments.train
+
+    def train(*args, **kwargs):
+        callback = kwargs["on_checkpoint"]
+
+        def on_checkpoint(step, flat, loss):
+            live.append(dict.fromkeys((name for _, name in targets), 0))
+            callback(step, flat, loss)
+            per_checkpoint.append(live.pop())
+
+        kwargs["on_checkpoint"] = on_checkpoint
+        return real(*args, **kwargs)
+
+    for owner, name in targets:
+        fn = getattr(owner, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            if live:
+                live[-1][_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    monkeypatch.setattr(experiments, "train", train)
+    return per_checkpoint
+
+
+def test_sobolev_run_checkpoint_makes_one_forward_pass(tmp_path, monkeypatch):
+    from rescert import network
+    from rescert.ansatz import AnsatzSpec
+
+    p1 = get_problem("P1")
+    counts = _count_during_checkpoints(monkeypatch, [
+        (network, "forward_jets"), (AnsatzSpec, "composition"), (p1.exact, "jets")])
+    built = []
+    real_build = experiments.build_objective
+    monkeypatch.setattr(experiments, "build_objective",
+                        lambda *a: built.append(a) or real_build(*a))
+    results = run_sobolev(ExperimentConfig(problem="P1", hidden=(4,), quad_n=4, steps=6,
+                                           lr=1e-2, record_every=2), tmp_path)
+    assert len(counts) == sum(len(rows) for rows in results.values()) == 8
+    assert counts == [{"forward_jets": 1, "composition": 0, "jets": 0}] * 8
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_parabolic_run_builds_its_slice_rules_once(tmp_path, monkeypatch, record_every):
+    built = []
+    real = experiments.build_rule
+    monkeypatch.setattr(experiments, "build_rule",
+                        lambda *a: built.append(a[1]) or real(*a))
+    rows = run_parabolic(ExperimentConfig(problem="P4", hidden=(4,), quad_n=4, steps=6,
+                                          lr=1e-2, record_every=record_every), tmp_path)[0]
+    assert len(rows) == 6 // record_every + 1
+    assert sorted(built) == ["boundary", "interior"]
+
+
 # -- command line ------------------------------------------------------------------
 
 
@@ -570,6 +650,21 @@ def test_cli_out_of_range_config_is_config_error(tmp_path, capsys, kv, fragment)
     assert code == 4
     err = capsys.readouterr().err
     assert "config error" in err and fragment in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,kv,fragment", [
+    ("certify-run", dict(problem="P5", constant=-1), "constant"),
+    ("compare-bc", dict(problem="P5", tau=0), "tau"),
+    ("parabolic-run", dict(problem="P4", constant=-1), "constant"),
+], ids=["certify-run", "compare-bc", "parabolic-run"])
+def test_cli_nonpositive_constant_or_tau_is_config_error(tmp_path, capsys, command, kv,
+                                                         fragment):
+    cfg = write_cfg(tmp_path, hidden="4", quad_n=4, steps=2, **kv)
+    code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{fragment} = " in err and "not positive" in err
     assert not (tmp_path / "out").exists()
 
 

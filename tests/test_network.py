@@ -1,13 +1,12 @@
 """Jet-propagating MLP: forward pass vs scalar jet composition, hand-written
-backward pass vs finite differences, parameter serialization."""
+backward pass vs finite differences, the flat parameter vector."""
 
 import numpy as np
 import pytest
 
 from rescert import jets as J
 from rescert.jets import coeff_layout, seed_point
-from rescert.network import (NetworkParams, backward_jets, forward_jets,
-                             load_params, save_params)
+from rescert.network import NetworkParams, backward_jets, forward_jets
 
 
 def scalar_reference(params, x, order):
@@ -104,80 +103,3 @@ def test_flatten_roundtrip():
         assert np.array_equal(b, b2)
     with pytest.raises(ValueError):
         params.with_flat(flat[:-1])
-
-
-def test_save_load_roundtrip(tmp_path):
-    params = NetworkParams.xavier((2, 16, 16, 1), seed=77)
-    path = tmp_path / "params.bin"
-    save_params(path, params)
-    loaded, header = load_params(path)
-    assert loaded.widths == params.widths
-    assert header["activation"] == "tanh"
-    assert loaded.seed == params.seed
-    assert np.array_equal(loaded.flatten(), params.flatten())
-
-
-def _older_file(params, arrays=""):
-    """A parameter file in the older layout: an ``arrays:`` header line
-    declaring extra arrays stored after the parameters."""
-    header = ["rescert-params v1", "widths: " + ",".join(map(str, params.widths)),
-              "activation: tanh", f"seed: {params.seed}", "dtype: float64-little",
-              f"arrays: {arrays}"]
-    return ("\n".join(header) + "\n\n").encode("ascii") + \
-        params.flatten().astype("<f8").tobytes()
-
-
-def test_load_reads_older_files_without_extra_arrays(tmp_path):
-    params = NetworkParams.xavier((2, 4, 1), seed=5)
-    path = tmp_path / "params.bin"
-    path.write_bytes(_older_file(params))
-    loaded, _ = load_params(path)
-    assert np.array_equal(loaded.flatten(), params.flatten())
-
-
-def test_load_rejects_older_files_with_extra_arrays(tmp_path):
-    # the extra values after the parameters fail the byte count, named as such
-    params = NetworkParams.xavier((2, 4, 1), seed=5)
-    path = tmp_path / "params.bin"
-    raw = _older_file(params, arrays="adam_m:17") + np.arange(17.0).astype("<f8").tobytes()
-    path.write_bytes(raw)
-    with pytest.raises(ValueError, match="body holds 272 bytes") as err:
-        load_params(path)
-    assert str(path) in str(err.value) and "take 136" in str(err.value)
-
-
-def test_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"not a parameter file at all")
-    with pytest.raises(ValueError):
-        load_params(path)
-
-
-def _truncate_body(raw):
-    return raw[:-16]  # two of the 17 parameters are missing
-
-
-def _append_bytes(raw):
-    return raw + b"\x00" * 8
-
-
-def _edit_header(old, new):
-    return lambda raw: raw.replace(old, new, 1)
-
-
-@pytest.mark.parametrize("corrupt,cause", [
-    (_truncate_body, "bytes"),
-    (_append_bytes, "bytes"),
-    (_edit_header(b"activation: tanh", b"activation: relu"), "activation"),
-    (_edit_header(b"dtype: float64-little", b"dtype: float64-big"), "dtype"),
-    (_edit_header(b"widths: 2,4,1\n", b""), "widths"),
-], ids=["truncated", "trailing-bytes", "activation", "byte-order",
-        "no-widths"])
-def test_load_rejects_malformed_files(tmp_path, corrupt, cause):
-    # each corruption used to load silently (or raise a bare KeyError)
-    path = tmp_path / "params.bin"
-    save_params(path, NetworkParams.xavier((2, 4, 1), seed=1))
-    path.write_bytes(corrupt(path.read_bytes()))
-    with pytest.raises(ValueError, match=cause) as err:
-        load_params(path)
-    assert str(path) in str(err.value)
