@@ -103,11 +103,9 @@ def main(argv=None) -> int:
                       f"boundary_misfit {misfit!r} {verdict}")
 
         elif args.command == "parabolic-run":
-            rows, slices, rep = experiments.run_parabolic(config, out)
+            rows, rep = experiments.run_parabolic(config, out)
             step, loss, xerr, ratio = rows[-1]
             print(f"final: loss {loss!r} x_norm_error {xerr!r} ratio {ratio!r}")
-            print(f"max initial-slice error {max(r[1] for r in slices)!r}, "
-                  f"max lateral-slice error {max(r[2] for r in slices)!r}")
             print(f"certified: {rep.certified}")
 
         elif args.command == "sobolev-run":

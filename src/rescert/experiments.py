@@ -6,9 +6,11 @@ each of its objectives and run constants once and trains through one loop,
 ``_train_run``; each final certificate is measured on the network at the
 best loss seen, the loss it certifies, and a certified bound that
 measurement breaks raises ``BoundViolation`` once the files are written.
-Every CSV starts with a comment line carrying the config hash and seed,
-contains no timestamps, and formats floats with ``repr``, so reruns with the
-same config and seed are bit-identical.
+Every certificate rests on the constant ``certify`` derives for its
+problem's kind, never on a config key.  Every CSV starts with a comment
+line carrying the config hash and seed, contains no timestamps, and formats
+floats with ``repr``, so reruns with the same config and seed are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import hashlib
 import math
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -53,18 +54,22 @@ class ExperimentConfig:
     record_every: int = 100
     out_dir: str = "out"
     n_list: tuple = (2, 4, 8, 16, 32, 64)
-    constant: Optional[float] = None  # supplied constant of the certified norm
 
     def __post_init__(self):
-        for name, low in (("steps", 0), ("quad_n", 2), ("record_every", 1)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} = {getattr(self, name)} is below {low}")
-        if not self.seeds:
-            raise ConfigError("seeds lists no seed")
-        for name in ("tau", "constant"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ConfigError(f"{name} = {value} is not positive")
+        for name, ok, rule in (
+                ("steps", self.steps >= 0, "is below 0"),
+                ("quad_n", self.quad_n >= 2, "is below 2"),
+                ("record_every", self.record_every >= 1, "is below 1"),
+                ("hidden", min(self.hidden, default=1) >= 1, "has a width below 1"),
+                ("seeds", len(self.seeds) > 0, "is empty"),
+                ("seeds", len(set(self.seeds)) == len(self.seeds), "repeats a seed"),
+                ("n_list", len(self.n_list) > 0, "is empty"),
+                ("tau", self.tau > 0, "is not positive"),
+                ("lr", self.lr > 0, "is not positive"),
+                ("beta1", 0 <= self.beta1 < 1, "is outside [0, 1)"),
+                ("beta2", 0 <= self.beta2 < 1, "is outside [0, 1)")):
+            if not ok:
+                raise ConfigError(f"{name} = {getattr(self, name)} {rule}")
 
 
 _INT_TUPLES = {"hidden", "seeds", "n_list"}
@@ -76,8 +81,6 @@ def _convert(key: str, raw: str):
     try:
         if key in _INT_TUPLES:
             return tuple(int(p) for p in raw.replace(" ", "").split(",") if p)
-        if key == "constant":
-            return None if raw.lower() in ("", "none") else float(raw)
         return type(getattr(ExperimentConfig(), key))(raw)  # int, float or str
     except ValueError as err:
         raise ConfigError(f"bad value for {key!r}: {raw!r} ({err})") from None
@@ -118,8 +121,6 @@ def _resolve_problem(name: str) -> PdeProblem:
 
 def canonical_text(config: ExperimentConfig) -> str:
     def fmt(v):
-        if v is None:
-            return "none"
         if isinstance(v, tuple):
             return ",".join(str(p) for p in v)
         return repr(v) if isinstance(v, float) else str(v)
@@ -209,7 +210,6 @@ def _certified_single_seed(config: ExperimentConfig, seed: int) -> CertifiedRun:
         l2, h1, h2 = sobolev_errors_upto(objective.ansatz_jets(flat), exact,
                                          cfg.interior, s_max=2)
         report = certify.certified_h2_bound(loss, problem.domain, problem,
-                                            constant=config.constant,
                                             measured_error=h2)
         if message := report.violation():
             violations.append(f"step {step}: {message}")
@@ -391,7 +391,6 @@ def run_penalty_vs_exact(config: ExperimentConfig, out_dir=None):
         misfit = boundary_misfit(best, problem.boundary, boundary_rule)
         if method == "exact_bc":
             report = certify.certified_h2_bound(state.loss, problem.domain, problem,
-                                                constant=config.constant,
                                                 measured_error=errors[2])
             value, block = report.bound, report.text_block().splitlines()
         else:
@@ -418,44 +417,31 @@ def run_penalty_vs_exact(config: ExperimentConfig, out_dir=None):
 
 def run_parabolic(config: ExperimentConfig, out_dir=None):
     """Heat-equation run: space-time residual training with the energy-norm
-    error, its ratio to sqrt(loss), and the max misfit on the t=0 slice
-    (against u0) and the lateral boundary (against zero) at every checkpoint.
-    The certificate is measured on the best network and raises
-    BoundViolation (after writing) if it fails."""
+    error and its ratio to sqrt(loss) at every checkpoint; the initial and
+    lateral values hold by construction.  Returns (rows, report): the X-norm
+    certificate is measured on the best network and raises BoundViolation
+    (after writing) if it fails."""
     problem = _training_problem(config, "parabolic-run", ("heat",))
     seed = _single_seed(config, "parabolic-run")
-    spec = default_spec(problem, hidden=config.hidden, seed=seed)
     cfg = make_config(problem, "interior", config.quad_n)
-    objective = build_objective(spec, problem, cfg)
+    objective = build_objective(default_spec(problem, hidden=config.hidden, seed=seed),
+                                problem, cfg)
     exact = problem.exact.jets(cfg.interior.nodes, 2)
-    n, domain = config.quad_n, problem.domain
-    srule, brule = (build_rule(domain.spatial, target, n) for target in ("interior", "boundary"))
-    tq = 0.5 * domain.horizon * (np.polynomial.legendre.leggauss(n)[0] + 1.0)
-    init_nodes = np.column_stack([np.zeros(srule.n_nodes), srule.nodes])
-    lateral = np.column_stack([np.repeat(tq, brule.n_nodes), np.tile(brule.nodes, (n, 1))])
-    u0 = problem.lift.values(init_nodes)
 
-    def metrics(step, flat, loss):  # one CSV row and one slice row
+    def metrics(step, flat, loss):
         xerr = x_norm_error(objective.ansatz_jets(flat), exact, cfg.interior)
         ratio = xerr / math.sqrt(loss) if loss > 0 else float("inf")
-        v = spec.with_params(flat)
-        return ((step, loss, xerr, ratio),
-                (step, float(np.max(np.abs(v.values(init_nodes) - u0))),
-                 float(np.max(np.abs(v.values(lateral))))))
+        return step, loss, xerr, ratio
 
-    pairs, state = _train_run(config, objective, metrics)
-    rows, slice_rows = map(list, zip(*pairs))
+    rows, state = _train_run(config, objective, metrics)
     report = certify.parabolic_bound(
-        state.loss, constant=config.constant,
+        state.loss, problem,
         measured_error=x_norm_error(objective.ansatz_jets(state.params), exact,
                                     cfg.interior))
-    trailer = report.text_block().splitlines()
-    trailer.append(f"max_initial_slice_error = {max(r[1] for r in slice_rows)!r}")
-    trailer.append(f"max_lateral_slice_error = {max(r[2] for r in slice_rows)!r}")
     _write_csv(out_dir, f"parabolic_{problem.name}.csv", config, seed,
-               "step,loss,x_norm_error,ratio", rows, trailer)
+               "step,loss,x_norm_error,ratio", rows, report.text_block().splitlines())
     report.check()
-    return rows, slice_rows, report
+    return rows, report
 
 
 # -- residual vs Sobolev residual training -------------------------------------------

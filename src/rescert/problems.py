@@ -4,13 +4,16 @@ Each problem fixes a domain, a right-hand side f, boundary data g (with a
 closed-form lift where g is nonzero) and, when available, the exact solution
 used for error measurement.  A heat problem lives on a space-time box and
 carries its initial data u0 as the lift, u0 extended in time; its lateral
-data are zero.  Every field is an ``AnalyticField`` jet expression; f is
-written by hand next to u*, not derived at build time, and the tests check
-that each u* solves its PDE.  Residual conventions (assembled as jet rows
-by ``losses.residual_rows``):
+data are zero.  A problem is refused at construction unless its
+certificate's proof (``certify``) holds for it: an elliptic_divA problem
+declares a >= ellipticity > 0 and |grad a| <= coeff_grad_bound, and a heat
+problem's u0 vanishes on the spatial boundary.  Every field is an
+``AnalyticField`` jet expression; f is written by hand next to u*, not
+derived at build time, and the tests check that each u* solves its PDE.
+Residual conventions (assembled as jet rows by ``losses.residual_rows``):
 
     poisson        r = Laplace(v) + f
-    elliptic_divA  r = div(a grad v) + f, isotropic A = a I with a >= c_A > 0
+    elliptic_divA  r = div(a grad v) + f, isotropic A = a I
     heat           r = d_t v - Laplace(v) - f
 """
 
@@ -18,13 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import pi
+from math import pi, sqrt
 from typing import Optional
+
+import numpy as np
 
 from .ansatz import AnsatzSpec, build_spec
 from .fields import AnalyticField
 from .geometry import Disk, Domain, Rectangle, SpaceTimeBox
 from .jets import cos, exp, sin
+from .quadrature import build_rule
 
 KINDS = ("poisson", "elliptic_divA", "heat")
 
@@ -39,6 +45,7 @@ class PdeProblem:
     lift: Optional[AnalyticField] = None      # closed-form extension of g (heat: of u0)
     coeff: Optional[AnalyticField] = None     # a of A = a I, elliptic_divA only
     ellipticity: Optional[float] = None       # uniform lower bound of a
+    coeff_grad_bound: Optional[float] = None  # uniform upper bound of |grad a|
     exact: Optional[AnalyticField] = None     # manufactured solution
 
     def __post_init__(self):
@@ -51,11 +58,20 @@ class PdeProblem:
                 raise ValueError("heat problems need initial data u0 as the lift")
             if self.boundary is not None:
                 raise ValueError("heat problems are restricted to zero boundary data")
+            nodes = build_rule(self.domain.spatial, "boundary", 8).nodes
+            u0 = self.lift.values(np.column_stack([np.zeros(len(nodes)), nodes]))
+            if (worst := np.max(np.abs(u0))) > 1e-12:
+                raise ValueError(f"heat problems need u0 = 0 on the spatial boundary, "
+                                 f"where |u0| reaches {worst:.3e}: the certificate's "
+                                 "proof needs a zero lateral error")
         else:
             if isinstance(self.domain, SpaceTimeBox):
                 raise ValueError(f"{self.kind} problems need a spatial domain")
-        if self.kind == "elliptic_divA" and self.coeff is None:
-            raise ValueError("elliptic_divA problems need a coefficient a")
+        required = (self.coeff, self.ellipticity, self.coeff_grad_bound)
+        if self.kind == "elliptic_divA" and (None in required or not self.ellipticity > 0):
+            raise ValueError("elliptic_divA problems need a coefficient a and the bounds "
+                             "their certificate rests on: a >= ellipticity > 0 and "
+                             "|grad a| <= coeff_grad_bound")
 
 
 def default_spec(problem: PdeProblem, hidden=(16, 16), seed: int = 0,
@@ -88,7 +104,8 @@ def builtin_problems() -> dict[str, PdeProblem]:
         rhs=AnalyticField(lambda s: 1.0, 2),
         exact=AnalyticField(lambda s: -0.25 * (s[0] * s[0]) - 0.25 * (s[1] * s[1]) + 0.25, 2),
     )
-    # A = a I with a = 1 + (x^2 + y^2) / 2 >= 1 and u* = sin(pi x) sin(pi y):
+    # A = a I with a = 1 + (x^2 + y^2) / 2 >= 1, |grad a| = |(x, y)| <= sqrt(2)
+    # and u* = sin(pi x) sin(pi y):
     # f = -div(a grad u*) = -a Laplace(u*) - grad a . grad u*
     def a(s):
         return 0.5 * (s[0] * s[0]) + 0.5 * (s[1] * s[1]) + 1
@@ -101,6 +118,7 @@ def builtin_problems() -> dict[str, PdeProblem]:
     p3 = PdeProblem(
         name="P3", kind="elliptic_divA", domain=unit_square,
         rhs=AnalyticField(f3, 2), coeff=AnalyticField(a, 2), ellipticity=1.0,
+        coeff_grad_bound=sqrt(2.0),
         exact=AnalyticField(_sinsin, 2),
     )
     # u* = exp(-2 pi^2 t) sin(pi x) sin(pi y) on (t, x, y): d_t u* = Laplace(u*), f = 0

@@ -50,8 +50,8 @@ def test_criterion_1_certified_h2_bound_on_unit_square():
 
 
 def test_criterion_2_certificates_on_disk_and_variable_coefficients():
-    """P2 certifies with constant 1.0967; P3 stays uncertified-heuristic
-    unless a user constant is supplied."""
+    """P2 certifies with constant 1.0967; P3 certifies with its derived
+    divergence-form constant 1.3383."""
     p2 = get_problem("P2")
     spec = default_spec(p2, hidden=(16, 16), seed=0)
     cfg = make_config(p2, "interior", n=12)
@@ -72,14 +72,12 @@ def test_criterion_2_certificates_on_disk_and_variable_coefficients():
 
     p3 = get_problem("P3")
     rep3 = certify.certified_h2_bound(1.0, p3.domain, p3)
-    assert not rep3.certified
-    assert rep3.constant_provenance == "unknown_labeled_heuristic"
-    rep3u = certify.certified_h2_bound(1.0, p3.domain, p3, constant=4.0)
-    assert rep3u.certified
-    assert rep3u.constant_provenance == "user_supplied"
+    assert rep3.certified
+    assert rep3.constant_provenance == "convex_formula"
+    assert rep3.constant == pytest.approx(1.3383452631495205, rel=1e-15)
     print(f"criterion 2: PASS (disk constant {c:.6f} holds at "
-          f"{len(checks)} checkpoints; variable-coefficient run certifies "
-          f"only with a supplied constant)")
+          f"{len(checks)} checkpoints; variable-coefficient constant "
+          f"{rep3.constant:.6f} derived)")
 
 
 def test_criterion_3_boundary_penalty_failure_family():
@@ -174,21 +172,20 @@ def test_criterion_6_quadrature_exactness():
 
 
 def test_criterion_7_parabolic_proportionality(tmp_path):
-    """P4: error/sqrt(loss) ratio stabilises after step 500; initial and
-    lateral slices stay exact at every checkpoint."""
+    """P4: error/sqrt(loss) ratio stabilises after step 500, below the
+    derived X-norm constant at every checkpoint."""
     cfg = ExperimentConfig(problem="P4", hidden=(16, 16), quad_n=12,
                            steps=1500, record_every=100, seeds=(0,))
-    rows, slices, _ = run_parabolic(cfg, tmp_path)
+    rows, report = run_parabolic(cfg, tmp_path)
     ratios = np.array([r[3] for r in rows if r[0] >= 500 and np.isfinite(r[3])])
     assert ratios.size >= 8
     cv = float(np.std(ratios) / np.mean(ratios))
     assert cv < 0.5
-    worst_init = max(r[1] for r in slices)
-    worst_lat = max(r[2] for r in slices)
-    assert worst_init <= 1e-12
-    assert worst_lat <= 1e-12
-    print(f"criterion 7: PASS (ratio CV {cv:.4f}, slice errors "
-          f"{worst_init:.2e} / {worst_lat:.2e})")
+    assert report.certified and report.constant_provenance == "convex_formula"
+    worst = max(r[3] for r in rows)
+    assert worst <= report.constant
+    print(f"criterion 7: PASS (ratio CV {cv:.4f}, worst ratio {worst:.4f} "
+          f"against constant {report.constant:.4f})")
 
 
 def test_criterion_8_penalty_reduces_to_interior_with_exact_boundaries():

@@ -1,15 +1,16 @@
-"""Certificates: the convex-domain regularity constant, report semantics,
-the one violation predicate, and the never-certified heuristic paths."""
+"""Certificates: the derived constants (closed forms and stressed cases),
+report semantics, the one violation predicate, and the kinds each
+certificate function refuses."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from rescert import certify
 from rescert.certify import (BoundViolation, CertifiedReport,
-                             PROVENANCE_CONVEX, PROVENANCE_HEURISTIC,
-                             PROVENANCE_USER, c_reg_convex,
+                             PROVENANCE_CONVEX, c_div_form, c_heat, c_reg_convex,
                              certified_h2_bound, parabolic_bound)
 from rescert.ansatz import build_spec
 from rescert.fields import AnalyticField
@@ -17,8 +18,8 @@ from rescert.experiments import ExperimentConfig, run_penalty_vs_exact
 from rescert.geometry import Disk, Interval, Rectangle, SpaceTimeBox
 from rescert.jets import sin
 from rescert.losses import build_objective, make_config
-from rescert.problems import PdeProblem, get_problem
-from rescert.quadrature import sobolev_errors_upto
+from rescert.problems import PdeProblem, default_spec, get_problem
+from rescert.quadrature import sobolev_errors_upto, x_norm_error
 
 
 def test_c_reg_closed_forms():
@@ -39,6 +40,69 @@ def test_c_reg_closed_forms():
         c_reg_convex(SpaceTimeBox(0.2, Rectangle((0.0, 0.0), (1.0, 1.0))))
 
 
+def test_derived_constants_closed_forms():
+    lam = 2 * math.pi**2  # unit square
+    square = Rectangle((0.0, 0.0), (1.0, 1.0))
+    c_div = math.sqrt((1 / lam)**2 + 1 / lam + (1 + math.sqrt(2 / lam))**2)
+    assert c_div_form(square, 1.0, math.sqrt(2.0)) == pytest.approx(c_div, rel=1e-15)
+    assert c_div_form(square, 1.0, math.sqrt(2.0)) == pytest.approx(
+        1.3383452631495205, rel=1e-15)
+    # a constant coefficient a = 1 is the Laplacian
+    assert c_div_form(square, 1.0, 0.0) == pytest.approx(c_reg_convex(square), rel=1e-15)
+    box = SpaceTimeBox(0.2, square)
+    assert c_heat(box) == pytest.approx(
+        math.sqrt(1 + 1 + 1 / lam + 1 / lam**2), rel=1e-15)
+    assert c_heat(box) == pytest.approx(1.4329086109675102, rel=1e-15)
+    p3, p4 = get_problem("P3"), get_problem("P4")
+    assert certified_h2_bound(1.0, p3.domain, p3).constant == c_div_form(
+        square, p3.ellipticity, p3.coeff_grad_bound)
+    assert parabolic_bound(1.0, p4).constant == c_heat(p4.domain)
+
+
+def _zero_network(problem):
+    spec = default_spec(problem, hidden=(4,), seed=0)
+    return spec.with_params(np.zeros(spec.params.n_params))
+
+
+def test_divergence_form_constant_holds_for_the_zero_network():
+    # P3 with v = 0: the loss is ||f||^2 and the H2 error is ||u*||_H2,
+    # both measured on a 64 x 64 rule, far finer than any training rule
+    p3 = get_problem("P3")
+    spec = _zero_network(p3)
+    cfg = make_config(p3, "interior", n=64)
+    loss = build_objective(spec, p3, cfg).value(spec.params.flatten())
+    h2 = sobolev_errors_upto(spec, p3.exact, cfg.interior, s_max=2)[2]
+    assert h2 / math.sqrt(loss) == pytest.approx(0.756, abs=5e-4)
+    rep = certified_h2_bound(loss, p3.domain, p3, measured_error=h2)
+    assert h2 <= rep.bound  # without the headroom
+    rep.check()
+
+
+def test_heat_constant_holds_for_the_lift():
+    # P4 with net = 0: v is the lift u0 extended in time, measured on 32^3
+    p4 = get_problem("P4")
+    spec = _zero_network(p4)
+    cfg = make_config(p4, "interior", n=32)
+    loss = build_objective(spec, p4, cfg).value(spec.params.flatten())
+    xerr = x_norm_error(spec, p4.exact, cfg.interior)
+    assert xerr / math.sqrt(loss) == pytest.approx(1.170, abs=5e-4)
+    rep = parabolic_bound(loss, p4, measured_error=xerr)
+    assert xerr <= rep.bound  # without the headroom
+    rep.check()
+
+
+def test_problems_refuse_what_their_proofs_exclude():
+    p3, p4 = get_problem("P3"), get_problem("P4")
+    for bounds in (dict(ellipticity=None), dict(coeff_grad_bound=None),
+                   dict(ellipticity=0.0)):
+        with pytest.raises(ValueError, match="ellipticity > 0 and .*coeff_grad_bound"):
+            replace(p3, **bounds)
+    # heat: u0 = 1 + sin sin is not zero on the spatial boundary
+    u0 = AnalyticField(lambda s: 1.0 + sin(math.pi * s[0]) * sin(math.pi * s[1]), 2)
+    with pytest.raises(ValueError, match="u0 = 0 on the spatial boundary.*1.000e"):
+        replace(p4, lift=u0.time_extended())
+
+
 def test_h2_bound_on_square():
     rep = certified_h2_bound(4.0, Rectangle((0.0, 0.0), (1.0, 1.0)))
     assert rep.constant_provenance == PROVENANCE_CONVEX
@@ -53,64 +117,52 @@ def test_h2_bound_on_square():
 
 
 def test_h2_bound_provenance_paths():
+    # every spatial kind certifies with a derived constant; heat goes elsewhere
     square = Rectangle((0.0, 0.0), (1.0, 1.0))
-    p3 = get_problem("P3")
-
-    user = certified_h2_bound(1.0, square, problem=p3, constant=2.5)
-    assert user.constant_provenance == PROVENANCE_USER
-    assert user.certified and user.bound == 2.5
-
-    # variable-coefficient operator without a supplied constant: heuristic only
-    heur = certified_h2_bound(1.0, square, problem=p3)
-    assert heur.constant_provenance == PROVENANCE_HEURISTIC
-    assert not heur.certified
-    assert heur.constant == 1.0 and heur.bound == 1.0
-    assert "without certification" in heur.note
-
-    with pytest.raises(ValueError, match="positive"):
-        certified_h2_bound(1.0, square, constant=0.0)
+    for name, constant in (("P1", 1.0262685259642526), ("P3", 1.3383452631495205)):
+        problem = get_problem(name)
+        rep = certified_h2_bound(1.0, square, problem)
+        assert rep.constant_provenance == PROVENANCE_CONVEX and rep.certified
+        assert rep.constant == pytest.approx(constant, rel=1e-15)
+    with pytest.raises(ValueError, match="parabolic_bound"):
+        certified_h2_bound(1.0, square, get_problem("P4"))
+    with pytest.raises(TypeError):
+        certified_h2_bound(1.0, square, constant=2.5)  # no caller picks a constant
 
 
 def test_report_validation_and_check():
-    with pytest.raises(ValueError, match="provenance"):
-        CertifiedReport("H2", 1.0, 1.0, "made_up")
-    # bound and certified are derived, never stored
-    heur = CertifiedReport("H2", 4.0, 1.5, PROVENANCE_HEURISTIC)
-    assert heur.bound == 3.0 and not heur.certified
+    # bound, provenance and certified are derived, never stored
+    rep = CertifiedReport("H2", 4.0, 1.5)
+    assert rep.bound == 3.0 and rep.certified
+    assert rep.constant_provenance == PROVENANCE_CONVEX
+    assert [f.name for f in fields(CertifiedReport)] == [
+        "norm_label", "loss", "constant", "measured_error"]
 
-    ok = CertifiedReport("H2", 1.0, 2.0, PROVENANCE_CONVEX, measured_error=2.03)
+    ok = CertifiedReport("H2", 1.0, 2.0, measured_error=2.03)
     assert ok.certified and ok.bound == 2.0
     assert ok.bound_holds()  # 2.03 <= 2.0 * 1.02
     assert ok.check() is ok
 
-    bad = CertifiedReport("H2", 1.0, 2.0, PROVENANCE_CONVEX, measured_error=2.05)
+    bad = CertifiedReport("H2", 1.0, 2.0, measured_error=2.05)
     assert not bad.bound_holds()
     with pytest.raises(BoundViolation, match="exceeds"):
         bad.check()
 
-    # an uncertified report never raises, however bad the measurement
-    loose = CertifiedReport("H2", 1.0, 1.0, PROVENANCE_HEURISTIC, measured_error=50.0)
-    assert loose.check() is loose
-
-    unmeasured = CertifiedReport("H2", 1.0, 2.0, PROVENANCE_CONVEX)
+    unmeasured = CertifiedReport("H2", 1.0, 2.0)
     assert unmeasured.bound_holds()
 
 
 def test_violation_is_the_one_predicate():
-    bad = CertifiedReport("X_parabolic", 1.0, 2.0, PROVENANCE_USER, measured_error=2.05)
+    bad = CertifiedReport("X_parabolic", 1.0, 2.0, measured_error=2.05)
     assert bad.violation() == ("X_parabolic error 2.050000e+00 exceeds bound "
                                "2.000000e+00 (headroom 2%)")
     with pytest.raises(BoundViolation) as err:
         bad.check()
     assert str(err.value) == bad.violation()
 
-    assert CertifiedReport("H2", 1.0, 2.0, PROVENANCE_CONVEX,
+    assert CertifiedReport("H2", 1.0, 2.0,
                            measured_error=2.03).violation() == ""  # inside the headroom
-    # nothing certified, nothing violated, however absurd the measurement
-    absurd = CertifiedReport("H2", 1.0, 1.0, PROVENANCE_HEURISTIC, measured_error=1e300)
-    assert not absurd.bound_holds() and absurd.violation() == ""
-    for prov in (PROVENANCE_CONVEX, PROVENANCE_HEURISTIC):  # unmeasured
-        assert CertifiedReport("H2", 1.0, 2.0, prov).violation() == ""
+    assert CertifiedReport("H2", 1.0, 2.0).violation() == ""  # unmeasured
 
 
 def test_report_text():
@@ -170,19 +222,15 @@ def test_penalty_estimator_is_never_certified(tmp_path):
 
 
 def test_parabolic_bound_paths():
-    rep = parabolic_bound(0.16, constant=3.0)
-    assert rep.bound == pytest.approx(1.2, rel=1e-15)
-    assert rep.certified
-    assert rep.constant_provenance == PROVENANCE_USER
+    p4 = get_problem("P4")
+    rep = parabolic_bound(0.16, p4)
+    assert rep.constant == pytest.approx(1.4329086109675102, rel=1e-15)
+    assert rep.bound == pytest.approx(0.4 * 1.4329086109675102, rel=1e-15)
+    assert rep.certified and rep.constant_provenance == PROVENANCE_CONVEX
     assert rep.norm_label == "X_parabolic"
-
-    heur = parabolic_bound(0.16)
-    assert heur.bound == pytest.approx(0.4, rel=1e-15)
-    assert not heur.certified
-    assert heur.constant_provenance == PROVENANCE_HEURISTIC
-
-    with pytest.raises(ValueError, match="positive"):
-        parabolic_bound(0.16, constant=-1.0)
+    for name in ("P1", "P3"):  # spatial problems take the H2 certificate
+        with pytest.raises(ValueError, match="heat"):
+            parabolic_bound(0.16, get_problem(name))
 
 
 @pytest.mark.parametrize("loss", [math.inf, math.nan])
@@ -191,4 +239,4 @@ def test_certificates_reject_non_finite_loss(loss):
     with pytest.raises(ValueError, match="finite"):
         certified_h2_bound(loss, Rectangle((0.0, 0.0), (1.0, 1.0)))
     with pytest.raises(ValueError, match="finite"):
-        parabolic_bound(loss, constant=1.0)
+        parabolic_bound(loss, get_problem("P4"))

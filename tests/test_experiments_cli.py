@@ -3,6 +3,7 @@ protocol (hash line, repr floats, no timestamps), determinism across
 reruns and worker counts, and the documented exit codes."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -37,8 +38,6 @@ def test_parse_defaults_and_types():
     hidden = 8, 8
     seeds = 0,1,2
     steps = 120
-
-    constant = 3.5
     """
     cfg = parse_config_text(text)
     assert cfg.problem == "P2"
@@ -46,8 +45,10 @@ def test_parse_defaults_and_types():
     assert cfg.hidden == (8, 8)
     assert cfg.seeds == (0, 1, 2)
     assert cfg.steps == 120
-    assert cfg.constant == 3.5
-    assert parse_config_text("constant = none").constant is None
+    # every certificate's constant is derived, so no key picks one
+    assert len(fields(ExperimentConfig)) == 14
+    with pytest.raises(ConfigError, match="unknown key 'constant'"):
+        parse_config_text("constant = 3.5")
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -116,12 +117,11 @@ def test_run_certified_rejects_heat_problem(tmp_path):
         run_certified(ExperimentConfig(problem="P4"), tmp_path)
 
 
-def test_run_certified_bound_violation_still_writes(tmp_path):
-    # an absurdly small user constant forces a certified bound under the error
-    bad = ExperimentConfig(problem="P5", hidden=(4,), quad_n=6, steps=10, lr=1e-2,
-                           record_every=5, seeds=(0,), constant=1e-9)
+def test_run_certified_bound_violation_still_writes(tmp_path, monkeypatch):
+    # an absurdly small derived constant forces a certified bound under the error
+    monkeypatch.setattr(certify, "c_reg_convex", lambda domain: 1e-9)
     with pytest.raises(BoundViolation):
-        run_certified(bad, tmp_path)
+        run_certified(TINY, tmp_path)
     assert (tmp_path / "certify_P5_seed0.csv").exists()
 
 
@@ -244,20 +244,22 @@ def test_compare_bc_penalty_trailer_is_not_a_certificate(compare_bc):
         assert not any(word in l for l in block), word
 
 
-def test_run_parabolic_slices_stay_exact(tmp_path):
+def test_run_parabolic_certifies_with_the_derived_constant(tmp_path, monkeypatch):
     cfg = ExperimentConfig(problem="P4", hidden=(4,), quad_n=4, steps=20, lr=1e-2,
                            record_every=10, seeds=(0,))
-    rows, slices, report = run_parabolic(cfg, tmp_path)
+    rows, report = run_parabolic(cfg, tmp_path)
     assert len(rows) == 3  # steps 0, 10, 20
-    assert max(r[1] for r in slices) <= 1e-12
-    assert max(r[2] for r in slices) <= 1e-12
-    assert not report.certified  # no solution-map constant supplied
+    assert report.certified and report.constant_provenance == "convex_formula"
+    assert report.constant == certify.c_heat(get_problem("P4").domain)
+    trailer = (tmp_path / "parabolic_P4.csv").read_text().splitlines()[-7:]
+    assert trailer == [f"# {l}" for l in report.text_block().splitlines()]
 
-    certified = run_parabolic(
-        ExperimentConfig(problem="P4", hidden=(4,), quad_n=4, steps=0,
-                         seeds=(0,), constant=10.0), tmp_path)[2]
-    assert certified.certified
-    assert certified.constant == 10.0
+    # an absurdly small derived constant: the bound fails after writing
+    monkeypatch.setattr(certify, "c_heat", lambda box: 1e-3)
+    with pytest.raises(BoundViolation):
+        run_parabolic(ExperimentConfig(problem="P4", hidden=(4,), quad_n=4, steps=0,
+                                       seeds=(0,)), tmp_path / "bad")
+    assert "(holds: False)" in (tmp_path / "bad" / "parabolic_P4.csv").read_text()
 
     with pytest.raises(ConfigError, match="heat"):
         run_parabolic(ExperimentConfig(problem="P1"), tmp_path)
@@ -408,7 +410,7 @@ def test_parabolic_run_norms_equal_the_spec_route_bitwise(tmp_path, monkeypatch)
     config = ExperimentConfig(problem="P4", hidden=(4,), quad_n=4, steps=6,
                               lr=1e-2, record_every=2)
     runs = _capture_train(monkeypatch)
-    rows, _, report = run_parabolic(config, tmp_path)
+    rows, report = run_parabolic(config, tmp_path)
     (flats, state), = runs
     p4 = get_problem("P4")
     spec = default_spec(p4, hidden=config.hidden, seed=0)
@@ -487,18 +489,6 @@ def test_sobolev_run_checkpoint_makes_one_forward_pass(tmp_path, monkeypatch):
     assert len(counts) == sum(len(rows) for rows in results.values()) == 8
     assert counts == [{"forward_jets": 1, "composition": 0, "jets": 0}] * 8
     assert len(built) == 2
-
-
-@pytest.mark.parametrize("record_every", [1, 3])
-def test_parabolic_run_builds_its_slice_rules_once(tmp_path, monkeypatch, record_every):
-    built = []
-    real = experiments.build_rule
-    monkeypatch.setattr(experiments, "build_rule",
-                        lambda *a: built.append(a[1]) or real(*a))
-    rows = run_parabolic(ExperimentConfig(problem="P4", hidden=(4,), quad_n=4, steps=6,
-                                          lr=1e-2, record_every=record_every), tmp_path)[0]
-    assert len(rows) == 6 // record_every + 1
-    assert sorted(built) == ["boundary", "interior"]
 
 
 # -- command line ------------------------------------------------------------------
@@ -612,9 +602,30 @@ def test_cli_usage_errors():
     assert exc.value.code == 4
 
 
-def test_cli_bound_violation_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("command,kv,constant", [
+    ("certify-run", dict(problem="P3", hidden="16,16", quad_n=24, steps=300,
+                         record_every=100), "1.3383452631495205"),
+    ("parabolic-run", dict(problem="P4", hidden="16,16", quad_n=12, steps=300,
+                           record_every=100), "1.4329086109675102"),
+])
+def test_cli_certifies_divergence_form_and_heat(tmp_path, capsys, command, kv, constant):
+    # P3 and P4 certify with their derived constants, as P1, P2 and P5 do
+    cfg = write_cfg(tmp_path, lr=0.01, **kv)
+    code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "certified True" in out or "certified: True" in out
+    (csv,) = (tmp_path / "out").glob("*.csv")
+    text = csv.read_text()
+    assert f"# constant:    {constant}  (convex_formula)" in text
+    assert "# certified:   True" in text and "(holds: True)" in text
+    assert "note:" not in text
+
+
+def test_cli_bound_violation_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(certify, "c_reg_convex", lambda domain: 1e-9)
     cfg = write_cfg(tmp_path, problem="P5", hidden="4", quad_n=6, steps=10,
-                    lr=0.01, record_every=5, constant="1e-9")
+                    lr=0.01, record_every=5)
     code = cli.main(["certify-run", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 2
     assert "bound violation" in capsys.readouterr().err
@@ -622,14 +633,15 @@ def test_cli_bound_violation_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,kv,csv", [
-    ("compare-bc", dict(problem="P5", steps=10, record_every=5, constant="1e-3"),
-     "compare_bc_P5.csv"),
-    ("parabolic-run", dict(problem="P4", steps=10, record_every=5,
-                           constant="1e-3"), "parabolic_P4.csv"),
+    ("compare-bc", dict(problem="P5", steps=10, record_every=5), "compare_bc_P5.csv"),
+    ("parabolic-run", dict(problem="P4", steps=10, record_every=5), "parabolic_P4.csv"),
 ])
-def test_cli_every_certifying_command_checks_its_bound(tmp_path, capsys, command, kv, csv):
+def test_cli_every_certifying_command_checks_its_bound(tmp_path, capsys, monkeypatch,
+                                                       command, kv, csv):
     # both commands used to print "certified: True" beside "holds: False"
-    # and exit 0
+    # and exit 0; an absurdly small derived constant forces the violation
+    name = "c_heat" if command == "parabolic-run" else "c_reg_convex"
+    monkeypatch.setattr(certify, name, lambda domain: 1e-3)
     cfg = write_cfg(tmp_path, hidden="4", quad_n=4, lr=0.01, **kv)
     code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 2
@@ -642,6 +654,13 @@ def test_cli_every_certifying_command_checks_its_bound(tmp_path, capsys, command
     (dict(seeds=""), "seeds"),
     (dict(quad_n=1), "quad_n"),
     (dict(record_every=0), "record_every"),
+    (dict(hidden="4,-3"), "hidden = (4, -3) has a width below 1"),
+    (dict(n_list=""), "n_list = () is empty"),
+    (dict(lr=-1), "lr = -1.0 is not positive"),
+    (dict(lr=0), "lr = 0.0 is not positive"),
+    (dict(beta1=1), "beta1 = 1.0 is outside [0, 1)"),
+    (dict(beta2=-0.5), "beta2 = -0.5 is outside [0, 1)"),
+    (dict(seeds="0,0"), "seeds = (0, 0) repeats a seed"),
 ])
 def test_cli_out_of_range_config_is_config_error(tmp_path, capsys, kv, fragment):
     cfg = write_cfg(tmp_path, **{"problem": "P5", "hidden": "4", "quad_n": 4, "steps": 2,
@@ -654,17 +673,19 @@ def test_cli_out_of_range_config_is_config_error(tmp_path, capsys, kv, fragment)
 
 
 @pytest.mark.parametrize("command,kv,fragment", [
-    ("certify-run", dict(problem="P5", constant=-1), "constant"),
-    ("compare-bc", dict(problem="P5", tau=0), "tau"),
-    ("parabolic-run", dict(problem="P4", constant=-1), "constant"),
+    ("certify-run", dict(problem="P5", constant=-1), "unknown key 'constant'"),
+    ("compare-bc", dict(problem="P5", tau=0), "tau = 0.0 is not positive"),
+    ("parabolic-run", dict(problem="P4", constant=3.0), "unknown key 'constant'"),
 ], ids=["certify-run", "compare-bc", "parabolic-run"])
 def test_cli_nonpositive_constant_or_tau_is_config_error(tmp_path, capsys, command, kv,
                                                          fragment):
+    # the constant key is gone (every constant is derived), so any value of
+    # it is refused as an unknown key
     cfg = write_cfg(tmp_path, hidden="4", quad_n=4, steps=2, **kv)
     code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 4
     err = capsys.readouterr().err
-    assert "config error" in err and f"{fragment} = " in err and "not positive" in err
+    assert "config error" in err and fragment in err
     assert not (tmp_path / "out").exists()
 
 

@@ -121,11 +121,16 @@ def test_runtime_does_not_import_sympy():
 
 
 def test_p3_coefficient_is_uniformly_elliptic():
-    # A = a I, so uniform ellipticity is a >= c_A
+    # A = a I, so uniform ellipticity is a >= c_A; the certificate also
+    # needs |grad a| <= G, attained at the corner (1, 1)
     p3 = get_problem("P3")
-    assert p3.ellipticity == 1.0
+    assert p3.ellipticity == 1.0 and p3.coeff_grad_bound == np.sqrt(2.0)
     X = np.random.default_rng(7).uniform(0.0, 1.0, size=(50, 2))
     assert np.all(p3.coeff.values(X) >= p3.ellipticity)
+    grad = p3.coeff.jets(np.vstack([X, [[1.0, 1.0]]]), 1)[:, 1:]
+    norms = np.linalg.norm(grad, axis=1)
+    assert np.all(norms <= p3.coeff_grad_bound * (1 + 1e-15))
+    assert norms[-1] == pytest.approx(p3.coeff_grad_bound, rel=1e-15)
 
 
 def test_p3_residual_rows_match_symbolic_operator():
