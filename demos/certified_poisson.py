@@ -48,9 +48,5 @@ final = certified_h2_bound(state.loss, problem.domain, problem,
                            measured_error=h2_best).check()
 print("\nfinal certificate")
 print(final.text_block())
-
-# optimisation gap, loss minus the ensemble's best loss: zero for a single run
-print(f"\noptimisation gap estimate: {0.0:.3e}  "
-      "(delta is ensemble-relative; the true infimum is not computable)")
-print(f"certified: H2 error <= {final.constant:.6f} * sqrt(loss) = {final.bound:.4e}, "
+print(f"\ncertified: H2 error <= {final.constant:.6f} * sqrt(loss) = {final.bound:.4e}, "
       f"measured {final.measured_error:.4e}")

@@ -11,21 +11,25 @@ constant sqrt(1 + c_reg^2) = 1.4329 on the unit square (the proof chain is
 in the docstring of ``rescert.c_heat``).
 """
 
+import math
+
 import numpy as np
 
-from rescert import ExperimentConfig, run_parabolic
+from rescert import ExperimentConfig, run_certified
 
 config = ExperimentConfig(problem="P4", hidden=(16, 16), quad_n=10,
                           steps=1000, lr=1e-3, record_every=100, seeds=(0,))
-rows, report = run_parabolic(config, out_dir="out")
+(run,) = run_certified(config, out_dir="out")  # certify-run on a heat problem
 
 print(f"{'step':>6} {'loss':>12} {'X-norm error':>13} {'ratio':>8}")
-for step, loss, xerr, ratio in rows:
-    print(f"{step:>6} {loss:>12.4e} {xerr:>13.4e} {ratio:>8.4f}")
+ratios = []
+for step, loss, bound, xerr in run.rows:
+    ratios.append(xerr / math.sqrt(loss))
+    print(f"{step:>6} {loss:>12.4e} {xerr:>13.4e} {ratios[-1]:>8.4f}")
 
-ratios = np.array([r[3] for r in rows[1:]])
+ratios = np.array(ratios[1:])
 print(f"\nerror/sqrt(loss) ratio: mean {ratios.mean():.4f}, "
       f"coefficient of variation {ratios.std() / ratios.mean():.4f}")
 
 print("\nX-norm certificate of the best network (derived constant):")
-print(report.text_block())
+print(run.final_report.text_block())

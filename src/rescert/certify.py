@@ -3,8 +3,10 @@
 For every built-in problem kind the residual of an ansatz with exact
 boundary (and initial) values bounds the error with a proven constant,
 ||v - u*|| <= c * sqrt(loss): the H2 norm with ``c_reg_convex`` (poisson)
-or ``c_div_form`` (elliptic_divA), the X norm with ``c_heat`` (heat).  Each
-proof chain is in its function's docstring.  Every constant has provenance
+or ``c_div_form`` (elliptic_divA), the X norm with ``c_heat`` (heat);
+``certified_h2_bound`` and ``parabolic_bound`` build the two reports, and
+``rescert certify-run`` picks one by the problem's kind.  Each proof chain
+is in its function's docstring.  Every constant has provenance
 "convex_formula", a kind without one is refused with a ``ValueError``, and
 a penalty loss certifies nothing above H^(1/2).  A report derives its bound
 constant * sqrt(loss); ``CertifiedReport.violation`` is the one predicate

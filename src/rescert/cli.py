@@ -20,10 +20,10 @@ EXIT_DIVERGED = 3
 EXIT_CONFIG = 4
 
 _COMMANDS = (
-    ("certify-run", "train with exact boundary conditions and certify each checkpoint"),
+    ("certify-run", "train with exact boundary conditions and certify each checkpoint "
+                    "(H2 norm, or the X norm for a heat problem)"),
     ("failure-demo", "harmonic-family demo: penalty loss flat while the H1 error grows"),
     ("compare-bc", "exact-constraint ansatz vs boundary penalty on one problem"),
-    ("parabolic-run", "heat-equation run with the space-time energy norm"),
     ("sobolev-run", "plain vs gradient-augmented residual training"),
     ("fd-check", "finite-difference audit of the loss gradient"),
 )
@@ -58,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
 # defaults when no --config is given; chosen so every bare subcommand
 # finishes in about a minute on one core
 _BARE_DEFAULTS = {
-    "parabolic-run": dict(problem="P4", quad_n=12, steps=1500),
     "sobolev-run": dict(steps=2000),
     "fd-check": dict(quad_n=8, hidden=(8, 8)),
 }
@@ -101,12 +100,6 @@ def main(argv=None) -> int:
                            else f"indicator {value!r}, no certificate")
                 print(f"{method}: loss {state.loss!r} h2_error {h2!r} "
                       f"boundary_misfit {misfit!r} {verdict}")
-
-        elif args.command == "parabolic-run":
-            rows, rep = experiments.run_parabolic(config, out)
-            step, loss, xerr, ratio = rows[-1]
-            print(f"final: loss {loss!r} x_norm_error {xerr!r} ratio {ratio!r}")
-            print(f"certified: {rep.certified}")
 
         elif args.command == "sobolev-run":
             for variant, rows in experiments.run_sobolev(config, out).items():

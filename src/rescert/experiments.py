@@ -1,7 +1,10 @@
 """Reproducible experiment drivers behind the command-line subcommands.
 
 Configs are flat ``key = value`` text files; every key has a default, and
-unknown keys and out-of-range values are hard errors.  Every driver builds
+unknown keys and out-of-range values are hard errors.  One driver,
+``run_certified``, certifies every kind of problem with an exact solution:
+the kind picks the norm (H2 for spatial kinds, X for heat) and the
+certificate that bounds it.  Every driver builds
 each of its objectives and run constants once and trains through one loop,
 ``_train_run``; each final certificate is measured on the network at the
 best loss seen, the loss it certifies, and a certified bound that
@@ -66,6 +69,7 @@ class ExperimentConfig:
                 ("n_list", len(self.n_list) > 0, "is empty"),
                 ("tau", self.tau > 0, "is not positive"),
                 ("lr", self.lr > 0, "is not positive"),
+                ("eps", self.eps > 0, "is not positive"),
                 ("beta1", 0 <= self.beta1 < 1, "is outside [0, 1)"),
                 ("beta2", 0 <= self.beta2 < 1, "is outside [0, 1)")):
             if not ok:
@@ -163,9 +167,8 @@ def _training_problem(config: ExperimentConfig, command: str, kinds) -> PdeProbl
     """The config's problem, if its kind is one of kinds and it has an exact solution."""
     problem = _resolve_problem(config.problem)
     if problem.kind not in kinds:
-        hint = "; heat problems go to parabolic-run" if problem.kind == "heat" else ""
         raise ConfigError(f"{command} needs a {' or '.join(kinds)} problem, "
-                          f"{problem.name} is {problem.kind}{hint}")
+                          f"{problem.name} is {problem.kind}")
     if problem.exact is None:
         raise ConfigError(f"problem {problem.name} has no exact solution to measure against")
     return problem
@@ -193,37 +196,47 @@ def _train_run(config: ExperimentConfig, objective, metrics=None):
 @dataclass
 class CertifiedRun:
     seed: int
-    rows: list                      # (step, loss, bound, h2, h1, l2)
+    header: str                     # the CSV header; it names the norm
+    rows: list                      # (step, loss, bound, h2, h1, l2) or, heat,
+                                    # (step, loss, bound, x_norm_error)
     final_report: CertifiedReport
     violations: list                # "step S: " + violation() per failed bound
 
 
 def _certified_single_seed(config: ExperimentConfig, seed: int) -> CertifiedRun:
-    problem = _training_problem(config, "certify-run", _SPATIAL_KINDS)
+    problem = _training_problem(config, "certify-run", (*_SPATIAL_KINDS, "heat"))
     cfg = make_config(problem, "interior", config.quad_n)
     objective = build_objective(default_spec(problem, hidden=config.hidden, seed=seed),
                                 problem, cfg)
     exact = problem.exact.jets(cfg.interior.nodes, 2)
+    heat = problem.kind == "heat"
     violations = []
 
     def certificate(step, flat, loss):
-        l2, h1, h2 = sobolev_errors_upto(objective.ansatz_jets(flat), exact,
-                                         cfg.interior, s_max=2)
-        report = certify.certified_h2_bound(loss, problem.domain, problem,
-                                            measured_error=h2)
+        if heat:
+            errors = (x_norm_error(objective.ansatz_jets(flat), exact, cfg.interior),)
+            report = certify.parabolic_bound(loss, problem, measured_error=errors[0])
+        else:
+            l2, h1, h2 = sobolev_errors_upto(objective.ansatz_jets(flat), exact,
+                                             cfg.interior, s_max=2)
+            errors = (h2, h1, l2)
+            report = certify.certified_h2_bound(loss, problem.domain, problem,
+                                                measured_error=h2)
         if message := report.violation():
             violations.append(f"step {step}: {message}")
-        return report, (step, loss, report.bound, h2, h1, l2)
+        return report, (step, loss, report.bound, *errors)
 
     rows, state = _train_run(config, objective,
                              lambda *checkpoint: certificate(*checkpoint)[1])
     final_report = certificate("best", state.params, state.loss)[0]
-    return CertifiedRun(seed, rows, final_report, violations)
+    header = "step,loss,bound," + ("x_norm_error" if heat else "h2_error,h1_error,l2_error")
+    return CertifiedRun(seed, header, rows, final_report, violations)
 
 
 def run_certified(config: ExperimentConfig, out_dir=None, parallel: int = 1):
     """Train with the exact-boundary interior loss and certify every
-    checkpoint and the best network.  Writes one CSV per seed plus an
+    checkpoint and the best network, in the H2 norm for a spatial problem
+    and in the X norm for a heat problem.  Writes one CSV per seed plus an
     ensemble summary; raises BoundViolation (after writing) if any certified
     row or final report fails its bound."""
     if parallel < 1:
@@ -236,22 +249,14 @@ def run_certified(config: ExperimentConfig, out_dir=None, parallel: int = 1):
     else:
         runs = [_certified_single_seed(config, s) for s in seeds]
 
-    problem = _resolve_problem(config.problem)
     for run in runs:
         _write_csv(out_dir, f"certify_{config.problem}_seed{run.seed}.csv", config, run.seed,
-                   "step,loss,bound,h2_error,h1_error,l2_error", run.rows,
-                   run.final_report.text_block().splitlines())
+                   run.header, run.rows, run.final_report.text_block().splitlines())
 
-    # the optimisation gap, measured against the ensemble's best loss
-    best_loss = min(run.final_report.loss for run in runs)
     summary = [f"# config_hash={config_hash(config)} seeds={','.join(map(str, seeds))}"]
     for run in runs:
         summary.append(f"== seed {run.seed} ==")
         summary.append(run.final_report.text_block())
-        if problem.kind == "poisson":
-            delta = run.final_report.loss - best_loss
-            summary.append(f"delta_estimate: {delta!r}  (delta is ensemble-relative; "
-                           "the true infimum is not computable)")
         summary.append("")
     _write_lines(out_dir, f"certify_{config.problem}_summary.txt", config, summary)
 
@@ -410,38 +415,6 @@ def run_penalty_vs_exact(config: ExperimentConfig, out_dir=None):
                trailer)
     results[0][-1].check()  # the exact-boundary certificate
     return results
-
-
-# -- parabolic run -----------------------------------------------------------------
-
-
-def run_parabolic(config: ExperimentConfig, out_dir=None):
-    """Heat-equation run: space-time residual training with the energy-norm
-    error and its ratio to sqrt(loss) at every checkpoint; the initial and
-    lateral values hold by construction.  Returns (rows, report): the X-norm
-    certificate is measured on the best network and raises BoundViolation
-    (after writing) if it fails."""
-    problem = _training_problem(config, "parabolic-run", ("heat",))
-    seed = _single_seed(config, "parabolic-run")
-    cfg = make_config(problem, "interior", config.quad_n)
-    objective = build_objective(default_spec(problem, hidden=config.hidden, seed=seed),
-                                problem, cfg)
-    exact = problem.exact.jets(cfg.interior.nodes, 2)
-
-    def metrics(step, flat, loss):
-        xerr = x_norm_error(objective.ansatz_jets(flat), exact, cfg.interior)
-        ratio = xerr / math.sqrt(loss) if loss > 0 else float("inf")
-        return step, loss, xerr, ratio
-
-    rows, state = _train_run(config, objective, metrics)
-    report = certify.parabolic_bound(
-        state.loss, problem,
-        measured_error=x_norm_error(objective.ansatz_jets(state.params), exact,
-                                    cfg.interior))
-    _write_csv(out_dir, f"parabolic_{problem.name}.csv", config, seed,
-               "step,loss,x_norm_error,ratio", rows, report.text_block().splitlines())
-    report.check()
-    return rows, report
 
 
 # -- residual vs Sobolev residual training -------------------------------------------

@@ -45,9 +45,6 @@ class Interval:
     def bounding_box(self):
         return np.array([self.a]), np.array([self.b])
 
-    def contains(self, x, tol=1e-12) -> bool:
-        return self.a - tol <= float(np.asarray(x).reshape(())) <= self.b + tol
-
 
 @dataclass(frozen=True)
 class Rectangle:
@@ -74,12 +71,6 @@ class Rectangle:
 
     def bounding_box(self):
         return np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
-
-    def contains(self, x, tol=1e-12) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(
-            np.all(x >= np.asarray(self.lo) - tol) and np.all(x <= np.asarray(self.hi) + tol)
-        )
 
 
 @dataclass(frozen=True)
@@ -108,10 +99,6 @@ class Disk:
         r = self.radius
         return c - r, c + r
 
-    def contains(self, x, tol=1e-12) -> bool:
-        x = np.asarray(x, dtype=float)
-        return float(np.sum((x - np.asarray(self.center)) ** 2)) <= (self.radius + tol) ** 2
-
 
 @dataclass(frozen=True)
 class SpaceTimeBox:
@@ -139,10 +126,6 @@ class SpaceTimeBox:
     def bounding_box(self):
         lo, hi = self.spatial.bounding_box()
         return np.concatenate(([0.0], lo)), np.concatenate(([self.horizon], hi))
-
-    def contains(self, x, tol=1e-12) -> bool:
-        x = np.asarray(x, dtype=float)
-        return -tol <= x[0] <= self.horizon + tol and self.spatial.contains(x[1:], tol)
 
 
 Domain = Union[Interval, Rectangle, Disk, SpaceTimeBox]

@@ -10,8 +10,7 @@ import pytest
 
 from rescert import certify
 from rescert.experiments import (ExperimentConfig, fit_ratio_slope,
-                                 harmonic_failure_records, run_certified,
-                                 run_parabolic)
+                                 harmonic_failure_records, run_certified)
 from rescert.losses import build_objective, field_residual_sq, make_config
 from rescert.problems import default_spec, get_problem
 from rescert.quadrature import build_rule, sobolev_errors_upto
@@ -176,13 +175,15 @@ def test_criterion_7_parabolic_proportionality(tmp_path):
     derived X-norm constant at every checkpoint."""
     cfg = ExperimentConfig(problem="P4", hidden=(16, 16), quad_n=12,
                            steps=1500, record_every=100, seeds=(0,))
-    rows, report = run_parabolic(cfg, tmp_path)
-    ratios = np.array([r[3] for r in rows if r[0] >= 500 and np.isfinite(r[3])])
+    (run,) = run_certified(cfg, tmp_path)
+    report = run.final_report
+    ratio = {step: xerr / math.sqrt(loss) for step, loss, _, xerr in run.rows}
+    ratios = np.array([r for step, r in ratio.items() if step >= 500])
     assert ratios.size >= 8
     cv = float(np.std(ratios) / np.mean(ratios))
     assert cv < 0.5
     assert report.certified and report.constant_provenance == "convex_formula"
-    worst = max(r[3] for r in rows)
+    worst = max(ratio.values())
     assert worst <= report.constant
     print(f"criterion 7: PASS (ratio CV {cv:.4f}, worst ratio {worst:.4f} "
           f"against constant {report.constant:.4f})")

@@ -15,8 +15,7 @@ from rescert.experiments import (ConfigError, ExperimentConfig, canonical_text,
                                  harmonic_failure_records, load_config,
                                  parse_config_text, run_certified,
                                  run_failure_demo, run_fd_check,
-                                 run_parabolic, run_penalty_vs_exact,
-                                 run_sobolev)
+                                 run_penalty_vs_exact, run_sobolev)
 from rescert.losses import build_objective, make_config
 from rescert.problems import default_spec, get_problem
 from rescert.quadrature import grad_laplacian_error, sobolev_errors_upto, x_norm_error
@@ -101,20 +100,27 @@ def test_run_certified_writes_protocol_csv(tmp_path):
 
 
 def test_run_certified_is_deterministic_and_parallel_safe(tmp_path):
-    cfg = ExperimentConfig(problem="P5", hidden=(4,), quad_n=6, steps=20, lr=1e-2,
-                           record_every=10, seeds=(0, 1))
-    run_certified(cfg, tmp_path / "a")
-    run_certified(cfg, tmp_path / "b")
-    run_certified(cfg, tmp_path / "c", parallel=2)
-    for name in ("certify_P5_seed0.csv", "certify_P5_seed1.csv", "certify_P5_summary.txt"):
-        a = (tmp_path / "a" / name).read_bytes()
-        assert a == (tmp_path / "b" / name).read_bytes()
-        assert a == (tmp_path / "c" / name).read_bytes()
+    for problem in ("P5", "P4"):  # the heat problem P4 runs through the same driver
+        cfg = ExperimentConfig(problem=problem, hidden=(4,), quad_n=6, steps=20, lr=1e-2,
+                               record_every=10, seeds=(0, 1))
+        run_certified(cfg, tmp_path / "a")
+        run_certified(cfg, tmp_path / "b")
+        run_certified(cfg, tmp_path / "c", parallel=2)
+        for name in (f"certify_{problem}_seed0.csv", f"certify_{problem}_seed1.csv",
+                     f"certify_{problem}_summary.txt"):
+            a = (tmp_path / "a" / name).read_bytes()
+            assert a == (tmp_path / "b" / name).read_bytes()
+            assert a == (tmp_path / "c" / name).read_bytes()
 
 
-def test_run_certified_rejects_heat_problem(tmp_path):
-    with pytest.raises(ConfigError, match="parabolic-run"):
-        run_certified(ExperimentConfig(problem="P4"), tmp_path)
+def test_spatial_drivers_refuse_heat_problem(tmp_path):
+    # certify-run certifies every kind; compare-bc and sobolev-run stay spatial
+    p4 = ExperimentConfig(problem="P4", hidden=(4,), quad_n=4, steps=2)
+    with pytest.raises(ConfigError, match="compare-bc needs .* P4 is heat"):
+        run_penalty_vs_exact(p4, tmp_path)
+    with pytest.raises(ConfigError, match="sobolev-run needs .* P4 is heat"):
+        run_sobolev(p4, tmp_path)
+    assert not tmp_path.joinpath("compare_bc_P4.csv").exists()
 
 
 def test_run_certified_bound_violation_still_writes(tmp_path, monkeypatch):
@@ -144,18 +150,6 @@ def test_run_certified_flags_error_just_past_headroom(tmp_path, monkeypatch):
         reports[0].check()
     assert str(raised.value) == f"seed 0 step 0: {checked.value}"
     assert "(headroom 2%)" in str(raised.value)
-
-
-def test_certify_summary_delta_is_the_gap_to_the_ensemble_best(tmp_path):
-    runs = run_certified(ExperimentConfig(problem="P5", hidden=(4,), quad_n=6, steps=10,
-                                          lr=1e-2, record_every=5, seeds=(0, 1)),
-                         tmp_path)
-    best = min(run.final_report.loss for run in runs)
-    lines = (tmp_path / "certify_P5_summary.txt").read_text().splitlines()
-    deltas = [line for line in lines if line.startswith("delta_estimate:")]
-    assert deltas == [f"delta_estimate: {run.final_report.loss - best!r}  (delta is "
-                      "ensemble-relative; the true infimum is not computable)"
-                      for run in runs]
 
 
 # -- harmonic failure family -------------------------------------------------------
@@ -198,7 +192,7 @@ def test_run_failure_demo_csv(tmp_path):
     assert (tmp_path / "failure_demo.csv").read_bytes() == before
 
 
-# -- comparison / parabolic / sobolev drivers ----------------------------------------
+# -- heat certificates, comparison and sobolev drivers -------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -244,25 +238,27 @@ def test_compare_bc_penalty_trailer_is_not_a_certificate(compare_bc):
         assert not any(word in l for l in block), word
 
 
-def test_run_parabolic_certifies_with_the_derived_constant(tmp_path, monkeypatch):
+def test_certify_run_certifies_heat_with_the_derived_constant(tmp_path, monkeypatch):
     cfg = ExperimentConfig(problem="P4", hidden=(4,), quad_n=4, steps=20, lr=1e-2,
                            record_every=10, seeds=(0,))
-    rows, report = run_parabolic(cfg, tmp_path)
-    assert len(rows) == 3  # steps 0, 10, 20
+    (run,) = run_certified(cfg, tmp_path)
+    report = run.final_report
+    assert [r[0] for r in run.rows] == [0, 10, 20]
+    assert report.norm_label == certify.NORM_X_PARABOLIC
     assert report.certified and report.constant_provenance == "convex_formula"
     assert report.constant == certify.c_heat(get_problem("P4").domain)
-    trailer = (tmp_path / "parabolic_P4.csv").read_text().splitlines()[-7:]
-    assert trailer == [f"# {l}" for l in report.text_block().splitlines()]
+    for step, loss, bound, xerr in run.rows:
+        assert bound == report.constant * math.sqrt(loss) and xerr > 0
+    lines = (tmp_path / "certify_P4_seed0.csv").read_text().splitlines()
+    assert lines[1] == "step,loss,bound,x_norm_error"
+    assert lines[-7:] == [f"# {l}" for l in report.text_block().splitlines()]
 
     # an absurdly small derived constant: the bound fails after writing
     monkeypatch.setattr(certify, "c_heat", lambda box: 1e-3)
-    with pytest.raises(BoundViolation):
-        run_parabolic(ExperimentConfig(problem="P4", hidden=(4,), quad_n=4, steps=0,
+    with pytest.raises(BoundViolation, match="seed 0 step 0: X_parabolic error"):
+        run_certified(ExperimentConfig(problem="P4", hidden=(4,), quad_n=4, steps=0,
                                        seeds=(0,)), tmp_path / "bad")
-    assert "(holds: False)" in (tmp_path / "bad" / "parabolic_P4.csv").read_text()
-
-    with pytest.raises(ConfigError, match="heat"):
-        run_parabolic(ExperimentConfig(problem="P1"), tmp_path)
+    assert "(holds: False)" in (tmp_path / "bad" / "certify_P4_seed0.csv").read_text()
 
 
 def test_run_sobolev_tracks_both_residuals(tmp_path):
@@ -326,8 +322,8 @@ def test_every_driver_trains_through_the_module_name(tmp_path, monkeypatch):
     run_penalty_vs_exact(ExperimentConfig(problem="P5", **tiny), tmp_path)
     assert calls == [[], []]  # two networks, no rows recorded
     calls.clear()
-    rows = run_parabolic(ExperimentConfig(problem="P4", **tiny), tmp_path)[0]
-    assert calls == [steps_of(rows)] == [[0, 2, 4]]
+    (run,) = run_certified(ExperimentConfig(problem="P4", **tiny), tmp_path)
+    assert calls == [steps_of(run.rows)] == [[0, 2, 4]]
     calls.clear()
     results = run_sobolev(ExperimentConfig(problem="P1", **tiny), tmp_path)
     assert calls == [steps_of(rows) for rows in results.values()] == [[0, 2, 4]] * 2
@@ -406,11 +402,12 @@ def test_certify_run_norms_equal_the_spec_route_bitwise(tmp_path, monkeypatch, p
     assert run.final_report.measured_error == old_route(state.params)[2]
 
 
-def test_parabolic_run_norms_equal_the_spec_route_bitwise(tmp_path, monkeypatch):
+def test_certify_run_heat_norms_equal_the_spec_route_bitwise(tmp_path, monkeypatch):
     config = ExperimentConfig(problem="P4", hidden=(4,), quad_n=4, steps=6,
                               lr=1e-2, record_every=2)
     runs = _capture_train(monkeypatch)
-    rows, report = run_parabolic(config, tmp_path)
+    (run,) = run_certified(config, tmp_path)
+    rows, report = run.rows, run.final_report
     (flats, state), = runs
     p4 = get_problem("P4")
     spec = default_spec(p4, hidden=config.hidden, seed=0)
@@ -419,7 +416,7 @@ def test_parabolic_run_norms_equal_the_spec_route_bitwise(tmp_path, monkeypatch)
     def old_route(flat):
         return x_norm_error(spec.with_params(flat), p4.exact, rule)
 
-    assert [r[2] for r in rows] == [old_route(flat) for flat in flats]
+    assert [r[3] for r in rows] == [old_route(flat) for flat in flats]
     assert report.measured_error == old_route(state.params)
 
 
@@ -605,18 +602,16 @@ def test_cli_usage_errors():
 @pytest.mark.parametrize("command,kv,constant", [
     ("certify-run", dict(problem="P3", hidden="16,16", quad_n=24, steps=300,
                          record_every=100), "1.3383452631495205"),
-    ("parabolic-run", dict(problem="P4", hidden="16,16", quad_n=12, steps=300,
-                           record_every=100), "1.4329086109675102"),
+    ("certify-run", dict(problem="P4", hidden="16,16", quad_n=12, steps=300,
+                         record_every=100), "1.4329086109675102"),
 ])
 def test_cli_certifies_divergence_form_and_heat(tmp_path, capsys, command, kv, constant):
     # P3 and P4 certify with their derived constants, as P1, P2 and P5 do
     cfg = write_cfg(tmp_path, lr=0.01, **kv)
     code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "certified True" in out or "certified: True" in out
-    (csv,) = (tmp_path / "out").glob("*.csv")
-    text = csv.read_text()
+    assert "certified True" in capsys.readouterr().out
+    text = (tmp_path / "out" / f"certify_{kv['problem']}_seed0.csv").read_text()
     assert f"# constant:    {constant}  (convex_formula)" in text
     assert "# certified:   True" in text and "(holds: True)" in text
     assert "note:" not in text
@@ -634,19 +629,33 @@ def test_cli_bound_violation_exit_code(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command,kv,csv", [
     ("compare-bc", dict(problem="P5", steps=10, record_every=5), "compare_bc_P5.csv"),
-    ("parabolic-run", dict(problem="P4", steps=10, record_every=5), "parabolic_P4.csv"),
+    ("certify-run", dict(problem="P4", steps=10, record_every=5), "certify_P4_seed0.csv"),
 ])
 def test_cli_every_certifying_command_checks_its_bound(tmp_path, capsys, monkeypatch,
                                                        command, kv, csv):
-    # both commands used to print "certified: True" beside "holds: False"
-    # and exit 0; an absurdly small derived constant forces the violation
-    name = "c_heat" if command == "parabolic-run" else "c_reg_convex"
+    # compare-bc and the former heat command used to print "certified: True"
+    # beside "holds: False" and exit 0; an absurdly small derived constant
+    # forces the violation
+    name = "c_heat" if kv["problem"] == "P4" else "c_reg_convex"
     monkeypatch.setattr(certify, name, lambda domain: 1e-3)
     cfg = write_cfg(tmp_path, hidden="4", quad_n=4, lr=0.01, **kv)
     code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 2
     assert "bound violation" in capsys.readouterr().err
     assert "(holds: False)" in (tmp_path / "out" / csv).read_text()
+
+
+def test_cli_heat_constant_ten_percent_low_is_a_violation(tmp_path, capsys, monkeypatch):
+    # c_heat is nearly attained: at step 300 of this run the X error is
+    # 1.3257 sqrt(loss), above 0.9 c_heat (1 + headroom) = 1.3154, so a
+    # constant 10 % below the derived one must fail its bound
+    real = certify.c_heat
+    monkeypatch.setattr(certify, "c_heat", lambda box: 0.9 * real(box))
+    cfg = write_cfg(tmp_path, problem="P4", hidden="16,16", quad_n=12, lr=0.01,
+                    steps=300, record_every=100)
+    code = cli.main(["certify-run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "bound violation: seed 0 step 300: X_parabolic error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kv,fragment", [
@@ -661,6 +670,8 @@ def test_cli_every_certifying_command_checks_its_bound(tmp_path, capsys, monkeyp
     (dict(beta1=1), "beta1 = 1.0 is outside [0, 1)"),
     (dict(beta2=-0.5), "beta2 = -0.5 is outside [0, 1)"),
     (dict(seeds="0,0"), "seeds = (0, 0) repeats a seed"),
+    (dict(eps=-0.001), "eps = -0.001 is not positive"),
+    (dict(eps=0), "eps = 0.0 is not positive"),
 ])
 def test_cli_out_of_range_config_is_config_error(tmp_path, capsys, kv, fragment):
     cfg = write_cfg(tmp_path, **{"problem": "P5", "hidden": "4", "quad_n": 4, "steps": 2,
@@ -675,8 +686,8 @@ def test_cli_out_of_range_config_is_config_error(tmp_path, capsys, kv, fragment)
 @pytest.mark.parametrize("command,kv,fragment", [
     ("certify-run", dict(problem="P5", constant=-1), "unknown key 'constant'"),
     ("compare-bc", dict(problem="P5", tau=0), "tau = 0.0 is not positive"),
-    ("parabolic-run", dict(problem="P4", constant=3.0), "unknown key 'constant'"),
-], ids=["certify-run", "compare-bc", "parabolic-run"])
+    ("certify-run", dict(problem="P4", constant=3.0), "unknown key 'constant'"),
+], ids=["certify-run", "compare-bc", "certify-run-heat"])
 def test_cli_nonpositive_constant_or_tau_is_config_error(tmp_path, capsys, command, kv,
                                                          fragment):
     # the constant key is gone (every constant is derived), so any value of
