@@ -45,8 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
         s = sub.add_parser(name, help=help_text)
         s.add_argument("--config", default=None,
                        help="path to a 'key = value' config file")
-        s.add_argument("--out", default=None,
-                       help="output directory (default: the config's out_dir)")
+        s.add_argument("--out", default="out", help="output directory (default: out)")
         s.add_argument("--seed", type=int, default=None,
                        help="replace the config's seed list with this one seed")
         if name == "certify-run":
@@ -77,17 +76,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load(args)
-        out = args.out if args.out is not None else config.out_dir
 
         if args.command == "certify-run":
-            runs = experiments.run_certified(config, out, parallel=args.parallel)
+            runs = experiments.run_certified(config, args.out, parallel=args.parallel)
             for run in runs:
                 rep = run.final_report
                 print(f"seed {run.seed}: loss {rep.loss!r} bound {rep.bound!r} "
                       f"measured {rep.measured_error!r} certified {rep.certified}")
 
         elif args.command == "failure-demo":
-            records, slope = experiments.run_failure_demo(config, out)
+            records, slope = experiments.run_failure_demo(config, args.out)
             last = records[-1]
             print(f"fitted slope of log(h1_ratio) vs log(n): {slope!r}")
             print(f"n={last.n}: loss_tau {last.loss_tau!r} h1_ratio {last.h1_ratio!r} "
@@ -95,20 +93,20 @@ def main(argv=None) -> int:
 
         elif args.command == "compare-bc":
             for method, state, _, (l2, h1, h2), misfit, value, rep in \
-                    experiments.run_penalty_vs_exact(config, out):
+                    experiments.run_penalty_vs_exact(config, args.out):
                 verdict = (f"bound {value!r} certified {rep.certified}" if rep
                            else f"indicator {value!r}, no certificate")
                 print(f"{method}: loss {state.loss!r} h2_error {h2!r} "
                       f"boundary_misfit {misfit!r} {verdict}")
 
         elif args.command == "sobolev-run":
-            for variant, rows in experiments.run_sobolev(config, out).items():
+            for variant, rows in experiments.run_sobolev(config, args.out).items():
                 step, l2r, h1r, h2, h3 = rows[-1]
                 print(f"{variant}: l2_residual {l2r!r} h1_residual {h1r!r} "
                       f"h2_error {h2!r} h3_error_proxy {h3!r}")
 
         elif args.command == "fd-check":
-            report = experiments.run_fd_check(config, out)
+            report = experiments.run_fd_check(config, args.out)
             ok = report.passed()
             print(f"max relative discrepancy {report.max_discrepancy!r}, "
                   f"max absolute near zero {report.max_absolute_near_zero!r}: "

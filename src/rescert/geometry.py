@@ -37,11 +37,6 @@ class Interval:
     def measure(self) -> float:
         return self.b - self.a
 
-    @property
-    def boundary_measure(self) -> float:
-        # counting measure on the two endpoints
-        return 2.0
-
     def bounding_box(self):
         return np.array([self.a]), np.array([self.b])
 
@@ -65,10 +60,6 @@ class Rectangle:
     def measure(self) -> float:
         return (self.hi[0] - self.lo[0]) * (self.hi[1] - self.lo[1])
 
-    @property
-    def boundary_measure(self) -> float:
-        return 2.0 * ((self.hi[0] - self.lo[0]) + (self.hi[1] - self.lo[1]))
-
     def bounding_box(self):
         return np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
 
@@ -89,10 +80,6 @@ class Disk:
     @property
     def measure(self) -> float:
         return pi * self.radius**2
-
-    @property
-    def boundary_measure(self) -> float:
-        return 2.0 * pi * self.radius
 
     def bounding_box(self):
         c = np.asarray(self.center, dtype=float)

@@ -76,8 +76,7 @@ def make_config(problem: PdeProblem, variant: str = "interior", n: int = 24,
     """Default rules for a problem: one tensor rule per needed target."""
     interior = build_rule(problem.domain, "interior", n)
     if variant == "penalty":
-        return LossConfig(variant=variant, tau=tau if tau is not None else 1.0,
-                          interior=interior,
+        return LossConfig(variant=variant, tau=tau, interior=interior,
                           boundary=build_rule(problem.domain, "boundary", n))
     return LossConfig(variant=variant, interior=interior)
 
@@ -236,17 +235,3 @@ def build_objective(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig) -> O
     if problem.kind != "poisson":
         raise ValueError("sobolev_k1 loss is assembled for poisson problems")
     return Objective(spec, [residual_block(cfg.interior, 3, with_gradient=True)])
-
-
-# -- residuals of arbitrary jet-evaluable fields ----------------------------------
-
-
-def field_residual_sq(field, problem: PdeProblem, rule: QuadratureRule,
-                      with_gradient: bool = False) -> float:
-    """Squared residual norm of any jet-evaluable field (e.g. the manufactured
-    solution, or an analytic family member) under a problem's operator."""
-    order = 3 if with_gradient else 2
-    rows, const = residual_rows(problem, rule.nodes, order, with_gradient)
-    jets = np.asarray(field.jets(rule.nodes, order), dtype=float)
-    r = np.einsum("nmc,nc->nm", rows, jets) + const
-    return kahan_sum(rule.weights * np.sum(r * r, axis=1))

@@ -27,7 +27,6 @@ class NetworkParams:
     widths: tuple[int, ...]  # (input_dim, hidden..., 1)
     weights: list[np.ndarray] = field(repr=False)
     biases: list[np.ndarray] = field(repr=False)
-    seed: int | None = None  # initialization seed, recorded for provenance
 
     def __post_init__(self):
         if len(self.widths) < 2:
@@ -59,7 +58,7 @@ class NetworkParams:
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
             biases.append(np.zeros(fan_out))
-        return cls(widths, weights, biases, seed=seed)
+        return cls(widths, weights, biases)
 
     def flatten(self) -> np.ndarray:
         chunks = []
@@ -79,7 +78,7 @@ class NetworkParams:
             k += o * i
             biases.append(vec[k:k + o].copy())
             k += o
-        return NetworkParams(self.widths, weights, biases, self.seed)
+        return NetworkParams(self.widths, weights, biases)
 
 
 # -- jet-space forward / backward ---------------------------------------------

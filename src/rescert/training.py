@@ -13,11 +13,17 @@ to theirs, and whose memo never holds an array a later pass writes.
 
 The divergence guard stops a run with ``DivergenceError`` once its loss is
 not finite or above ``DIVERGENCE_FACTOR`` (1e6) times the initial loss.
+
+Adam's moment decays and denominator guard are the published defaults
+(Kingma & Ba, arXiv:1412.6980), ``ADAM_BETA1``, ``ADAM_BETA2`` and
+``ADAM_EPS``; the step size, step count and checkpoint spacing are the
+schedule.  The losses a run records are the ``on_checkpoint`` rows of its
+caller; the returned ``TrainState`` holds only the best network and loss.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,6 +33,7 @@ from .losses import LossConfig, Objective, build_objective
 from .problems import PdeProblem
 
 DIVERGENCE_FACTOR = 1e6
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 FD_REL_STEP = 1e-4
 FD_DIR_STEP = 1e-5
 FD_DIRECTIONS = 8
@@ -51,9 +58,6 @@ class DivergenceError(RuntimeError):
 class AdamSchedule:
     steps: int = 5000
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     record_every: int = 100
 
     def __post_init__(self):
@@ -65,17 +69,10 @@ class AdamSchedule:
 
 @dataclass
 class TrainState:
-    """Best-seen parameters and loss, and the loss trajectory at recording
-    resolution."""
+    """Best-seen parameters and loss."""
 
     params: np.ndarray            # best-loss parameters seen
-    loss: float                   # best loss seen (min over history)
-    history: list = field(default_factory=list)  # (step, loss) pairs
-
-    def __post_init__(self):
-        steps = [s for s, _ in self.history]
-        if steps != sorted(set(steps)):
-            raise ValueError("history steps must be strictly increasing")
+    loss: float                   # best loss seen over every evaluated step
 
 
 @dataclass(frozen=True)
@@ -183,7 +180,7 @@ def train(objective: Objective, schedule: AdamSchedule = AdamSchedule(),
     """Full-batch Adam on a built objective.  Returns the TrainState at the
     best-seen parameters.
 
-    ``on_checkpoint(step, flat_params, loss)`` fires at every recorded step
+    ``on_checkpoint(step, flat_params, loss)`` fires at every checkpoint
     (step 0, every record_every, and the final step), after the loss at
     flat_params was evaluated, so ``objective.ansatz_jets(flat_params)``
     reuses that pass's network jets.  The run aborts with DivergenceError if
@@ -193,16 +190,9 @@ def train(objective: Objective, schedule: AdamSchedule = AdamSchedule(),
     theta = objective.spec.params.flatten()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    history: list[tuple[int, float]] = []
     best_loss = np.inf
     best_theta = theta.copy()
-    best_step = 0
     initial_loss = None
-
-    def record(step, loss, theta_now):
-        history.append((step, loss))
-        if on_checkpoint is not None:
-            on_checkpoint(step, theta_now.copy(), loss)
 
     for step in range(schedule.steps + 1):
         if step < schedule.steps:
@@ -214,22 +204,17 @@ def train(objective: Objective, schedule: AdamSchedule = AdamSchedule(),
         if not np.isfinite(loss) or loss > DIVERGENCE_FACTOR * max(initial_loss, 1e-300):
             raise DivergenceError(step, loss, initial_loss)
         if loss < best_loss:
-            best_loss, best_theta, best_step = loss, theta.copy(), step
-        if step % schedule.record_every == 0 or step == schedule.steps:
-            record(step, loss, theta)
+            best_loss, best_theta = loss, theta.copy()
+        if on_checkpoint is not None and (step % schedule.record_every == 0
+                                          or step == schedule.steps):
+            on_checkpoint(step, theta.copy(), loss)
         if step == schedule.steps:
             break
-        m = schedule.beta1 * m + (1.0 - schedule.beta1) * grad
-        v = schedule.beta2 * v + (1.0 - schedule.beta2) * grad * grad
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
         t = step + 1
-        m_hat = m / (1.0 - schedule.beta1**t)
-        v_hat = v / (1.0 - schedule.beta2**t)
-        theta = theta - schedule.lr * m_hat / (np.sqrt(v_hat) + schedule.eps)
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        theta = theta - schedule.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
-    # keep the best-seen loss visible in the history without reordering it
-    if all(s != best_step for s, _ in history):
-        history.append((best_step, best_loss))
-        history.sort(key=lambda p: p[0])
-
-    return TrainState(params=best_theta, loss=best_loss, history=history)
-
+    return TrainState(params=best_theta, loss=best_loss)

@@ -11,10 +11,11 @@ import pytest
 from rescert import certify
 from rescert.experiments import (ExperimentConfig, fit_ratio_slope,
                                  harmonic_failure_records, run_certified)
-from rescert.losses import build_objective, field_residual_sq, make_config
+from rescert.losses import build_objective, make_config
 from rescert.problems import default_spec, get_problem
 from rescert.quadrature import build_rule, sobolev_errors_upto
 from rescert.training import AdamSchedule, fd_check, train
+from test_problems_losses import field_residual_sq
 
 
 def test_criterion_1_certified_h2_bound_on_unit_square():

@@ -31,7 +31,7 @@ def test_jets_and_quadrature_demo_runs(tmp_path):
     assert list(tmp_path.iterdir()) == []  # writes nothing
 
 
-# parabolic_heat.py takes about 16 s and stays out of the suite
-@pytest.mark.parametrize("name", ["penalty_failure.py", "certified_poisson.py"])
+@pytest.mark.parametrize("name", ["penalty_failure.py", "certified_poisson.py",
+                                  "parabolic_heat.py"])
 def test_demo_runs(tmp_path, name):
     run_demo(name, tmp_path)

@@ -44,8 +44,9 @@ def test_parse_defaults_and_types():
     assert cfg.hidden == (8, 8)
     assert cfg.seeds == (0, 1, 2)
     assert cfg.steps == 120
-    # every certificate's constant is derived, so no key picks one
-    assert len(fields(ExperimentConfig)) == 14
+    # no key picks a certificate's constant (each is derived), Adam's decays
+    # and guard (constants of training) or the output directory (--out)
+    assert len(fields(ExperimentConfig)) == 10
     with pytest.raises(ConfigError, match="unknown key 'constant'"):
         parse_config_text("constant = 3.5")
 
@@ -667,11 +668,13 @@ def test_cli_heat_constant_ten_percent_low_is_a_violation(tmp_path, capsys, monk
     (dict(n_list=""), "n_list = () is empty"),
     (dict(lr=-1), "lr = -1.0 is not positive"),
     (dict(lr=0), "lr = 0.0 is not positive"),
-    (dict(beta1=1), "beta1 = 1.0 is outside [0, 1)"),
-    (dict(beta2=-0.5), "beta2 = -0.5 is outside [0, 1)"),
+    (dict(beta1=1), "unknown key 'beta1'"),
+    (dict(beta2=-0.5), "unknown key 'beta2'"),
     (dict(seeds="0,0"), "seeds = (0, 0) repeats a seed"),
-    (dict(eps=-0.001), "eps = -0.001 is not positive"),
-    (dict(eps=0), "eps = 0.0 is not positive"),
+    (dict(eps=-0.001), "unknown key 'eps'"),
+    (dict(out_dir="elsewhere"), "unknown key 'out_dir'"),
+    (dict(tau="inf"), "tau = inf is not positive and finite"),
+    (dict(lr="inf"), "lr = inf is not positive and finite"),
 ])
 def test_cli_out_of_range_config_is_config_error(tmp_path, capsys, kv, fragment):
     cfg = write_cfg(tmp_path, **{"problem": "P5", "hidden": "4", "quad_n": 4, "steps": 2,

@@ -20,11 +20,8 @@ UNIT_DISK = Disk((0.0, 0.0), 1.0)
 
 def test_domain_measures():
     assert Interval(0.0, 2.0).measure == 2.0
-    assert Interval(0.0, 2.0).boundary_measure == 2.0  # counting measure
     assert UNIT_SQUARE.measure == 1.0
-    assert UNIT_SQUARE.boundary_measure == 4.0
     assert UNIT_DISK.measure == pytest.approx(np.pi)
-    assert UNIT_DISK.boundary_measure == pytest.approx(2 * np.pi)
     box = SpaceTimeBox(0.2, UNIT_SQUARE)
     assert box.measure == pytest.approx(0.2)
     assert box.dim == 3

@@ -13,11 +13,11 @@ import sympy as sp
 
 from rescert.ansatz import build_spec
 from rescert.fields import AnalyticField
-from rescert.losses import (LossConfig, build_objective, field_residual_sq,
+from rescert.losses import (LossConfig, build_objective,
                             make_config, residual_rows)
 from rescert.network import forward_jets
 from rescert.problems import builtin_problems, default_spec, get_problem
-from rescert.quadrature import build_rule
+from rescert.quadrature import build_rule, kahan_sum
 from sympy_oracle import sympy_jet
 
 PI = np.pi
@@ -36,6 +36,15 @@ def strong_residual(problem, field, X):
     # one residual per point: the assembled rows applied to the field's jets
     rows, const = residual_rows(problem, X, 2)
     return (np.einsum("nmc,nc->nm", rows, field.jets(X, 2)) + const)[:, 0]
+
+
+def field_residual_sq(field, problem, rule, with_gradient=False):
+    """Squared residual norm of a jet-evaluable field on a rule: the
+    assembled rows (plus the gradient rows) applied to the field's jets."""
+    order = 3 if with_gradient else 2
+    rows, const = residual_rows(problem, rule.nodes, order, with_gradient)
+    r = np.einsum("nmc,nc->nm", rows, field.jets(rule.nodes, order)) + const
+    return kahan_sum(rule.weights * np.sum(r * r, axis=1))
 
 
 # -- manufactured solutions ----------------------------------------------------
@@ -313,6 +322,9 @@ def test_loss_config_validation():
         LossConfig(variant="interior")
     with pytest.raises(ValueError, match="variant"):
         LossConfig(variant="parabolic", interior=rule)
+    # make_config has no default weight: a penalty without tau is refused
+    with pytest.raises(ValueError, match="tau"):
+        make_config(get_problem("P5"), "penalty", 4)
 
 
 def test_build_objective_rejects_mismatched_modes():

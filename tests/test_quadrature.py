@@ -39,17 +39,19 @@ def test_tensor_rule_exactness():
 
 
 def test_weights_sum_to_measure():
+    # a boundary rule sums to the closed-form boundary measure: two endpoints
+    # (counting measure), the unit square's perimeter, the unit circle's length
     cases = [
-        (Interval(0.0, 1.0), "interior"), (Interval(0.0, 1.0), "boundary"),
-        (UNIT_SQUARE, "interior"), (UNIT_SQUARE, "boundary"),
-        (UNIT_DISK, "interior"), (UNIT_DISK, "boundary"),
-        (SpaceTimeBox(0.2, UNIT_SQUARE), "interior"),
+        (Interval(0.0, 1.0), "interior", None), (Interval(0.0, 1.0), "boundary", 2.0),
+        (UNIT_SQUARE, "interior", None), (UNIT_SQUARE, "boundary", 4.0),
+        (UNIT_DISK, "interior", None), (UNIT_DISK, "boundary", 2.0 * math.pi),
+        (SpaceTimeBox(0.2, UNIT_SQUARE), "interior", None),
     ]
-    for domain, target in cases:
+    for domain, target, boundary_measure in cases:
         rule = build_rule(domain, target, 9)
         assert np.all(rule.weights > 0)
         total = kahan_sum(rule.weights)
-        measure = domain.boundary_measure if target == "boundary" else domain.measure
+        measure = domain.measure if boundary_measure is None else boundary_measure
         assert total == pytest.approx(measure, rel=1e-12)
 
 

@@ -10,7 +10,7 @@ from rescert.losses import build_objective, make_config
 from rescert.problems import PdeProblem, default_spec, get_problem
 from rescert import network
 from rescert.training import (FD_REL_STEP, FD_REL_TOL, AdamSchedule, DivergenceError,
-                              TrainState, _layer_blocks, fd_check, train)
+                              _layer_blocks, fd_check, train)
 
 
 def toy_problem():
@@ -70,23 +70,27 @@ def test_toy_gradient_fd_audit():
 
 def test_toy_adam_converges():
     problem, spec, cfg = toy_setup()
-    state = train(build_objective(spec, problem, cfg),
-                  schedule=AdamSchedule(steps=200, lr=0.1, record_every=50))
+    objective = build_objective(spec, problem, cfg)
+    seen = []
+    state = train(objective, schedule=AdamSchedule(steps=200, lr=0.1, record_every=50),
+                  on_checkpoint=lambda step, flat, loss: seen.append((step, loss)))
     assert abs(state.params[1] - 1.0) < 1e-3
     assert state.loss < 1e-5
-    assert state.history[0] == (0, pytest.approx(4.0, rel=1e-12))
-    # history covers start, records, best step and final step, in order
-    steps = [s for s, _ in state.history]
-    assert steps == sorted(set(steps))
-    assert steps[0] == 0 and steps[-1] == 200  # the run took schedule.steps steps
-    assert min(l for _, l in state.history) == state.loss
+    assert seen[0] == (0, pytest.approx(4.0, rel=1e-12))
+    assert [s for s, _ in seen] == [0, 50, 100, 150, 200]  # schedule.steps steps taken
+    # the best loss is the loss of the returned parameters, and no record is lower
+    assert objective.value(state.params) == state.loss
+    assert state.loss <= min(l for _, l in seen)
 
 
 def test_zero_steps_is_a_noop():
     problem, spec, cfg = toy_setup()
     start = spec.params.flatten()
-    state = train(build_objective(spec, problem, cfg), AdamSchedule(steps=0))
-    assert state.history == [(0, pytest.approx(4.0, rel=1e-12))]
+    seen = []
+    state = train(build_objective(spec, problem, cfg), AdamSchedule(steps=0),
+                  on_checkpoint=lambda step, flat, loss: seen.append((step, loss)))
+    assert seen == [(0, pytest.approx(4.0, rel=1e-12))]
+    assert state.loss == seen[0][1]
     assert np.array_equal(state.params, start)
 
 
@@ -108,13 +112,14 @@ def test_training_is_deterministic():
     def run():
         seen = []
         state = train(build_objective(spec, p1, cfg), sched,
-                      on_checkpoint=lambda step, flat, loss: seen.append(flat))
-        return state, seen[-1]  # the parameters after the last step
+                      on_checkpoint=lambda step, flat, loss: seen.append((step, flat, loss)))
+        return state, seen
 
-    (s1, last1), (s2, last2) = run(), run()
-    assert s1.history == s2.history  # bit-identical losses
-    assert np.array_equal(last1, last2)
+    (s1, seen1), (s2, seen2) = run(), run()
+    assert [(s, l) for s, _, l in seen1] == [(s, l) for s, _, l in seen2]  # bit-identical
+    assert np.array_equal(seen1[-1][1], seen2[-1][1])  # the parameters after the last step
     assert np.array_equal(s1.params, s2.params)
+    assert s1.loss == s2.loss
 
 
 def test_checkpoint_callback_fires_on_schedule():
@@ -122,15 +127,17 @@ def test_checkpoint_callback_fires_on_schedule():
     seen = []
 
     def cb(step, flat, loss):
-        seen.append((step, flat, loss))
+        seen.append((step, flat.copy(), loss))
         flat[:] = np.nan  # must be a defensive copy
 
-    state = train(build_objective(spec, problem, cfg),
-                  AdamSchedule(steps=25, lr=0.05, record_every=10), on_checkpoint=cb)
+    objective = build_objective(spec, problem, cfg)
+    state = train(objective, AdamSchedule(steps=25, lr=0.05, record_every=10),
+                  on_checkpoint=cb)
     assert [s for s, _, _ in seen] == [0, 10, 20, 25]
     assert np.isfinite(state.params).all()
-    for (cs, _, cl), (hs, hl) in zip(seen, [h for h in state.history if h[0] % 10 == 0 or h[0] == 25]):
-        assert cs == hs and cl == hl
+    # each record carries the loss of the parameters it was handed
+    for _, flat, loss in seen:
+        assert objective.value(flat) == loss
 
 
 def test_divergence_guard_trips():
@@ -144,12 +151,6 @@ def test_divergence_guard_trips():
     except DivergenceError as err:
         assert err.step == 1
         assert err.loss > 1e6 * 4.0
-
-
-def test_history_validation():
-    with pytest.raises(ValueError, match="increasing"):
-        TrainState(params=np.zeros(1), loss=1.0,
-                   history=[(0, 1.0), (0, 0.5)])
 
 
 def test_fd_check_on_real_problem():
