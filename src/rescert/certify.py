@@ -169,19 +169,20 @@ def c_heat(box: SpaceTimeBox) -> float:
     return sqrt(1.0 + c_reg_convex(box.spatial)**2)
 
 
-def certified_h2_bound(loss: float, domain: Domain,
-                       problem: Optional[PdeProblem] = None,
+def certified_h2_bound(loss: float, domain: Domain, problem: PdeProblem,
                        measured_error: Optional[float] = None) -> CertifiedReport:
     """H2 certificate for the exact-boundary residual loss of a spatial
-    problem (the Laplacian when problem is None); ValueError for a heat
+    problem on its own domain; ValueError for another domain, and for a heat
     problem, which ``parabolic_bound`` certifies."""
-    if problem is None or problem.kind == "poisson":
-        c = c_reg_convex(domain)
-    elif problem.kind == "elliptic_divA":
-        c = c_div_form(domain, problem.ellipticity, problem.coeff_grad_bound)
-    else:
+    if problem.kind == "heat":
         raise ValueError(f"certified_h2_bound covers spatial problems, {problem.name} "
                          f"is {problem.kind}; parabolic_bound certifies it")
+    if domain != problem.domain:
+        raise ValueError(f"{problem.name} lives on {problem.domain}, not on {domain}")
+    if problem.kind == "poisson":
+        c = c_reg_convex(domain)
+    else:
+        c = c_div_form(domain, problem.ellipticity, problem.coeff_grad_bound)
     return CertifiedReport(norm_label=NORM_H2, loss=_check_loss(loss), constant=c,
                            measured_error=measured_error)
 

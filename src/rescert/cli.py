@@ -64,7 +64,7 @@ _BARE_DEFAULTS = {
 
 def _load(args) -> experiments.ExperimentConfig:
     if args.config:
-        config = experiments.load_config(args.config)
+        config = experiments.load_config(args.config, args.command)
     else:
         config = experiments.ExperimentConfig(**_BARE_DEFAULTS.get(args.command, {}))
     if args.seed is not None:

@@ -1,8 +1,9 @@
 """Reproducible experiment drivers behind the command-line subcommands.
 
 Configs are flat ``key = value`` text files; every key has a default, and
-unknown keys and out-of-range values are hard errors.  Adam's decays and
-guard are constants of ``training``, and the output directory is each
+unknown keys, keys a command does not read (``COMMAND_KEYS``) and out-of-range
+values are hard errors.  Adam's decays and guard are constants of
+``training``, and the output directory is each
 driver's ``out_dir`` argument, so the config hash names only what shapes
 the numbers.  One driver,
 ``run_certified``, certifies every kind of problem with an exact solution:
@@ -25,6 +26,7 @@ import hashlib
 import math
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -66,12 +68,22 @@ class ExperimentConfig:
                 ("seeds", len(self.seeds) > 0, "is empty"),
                 ("seeds", len(set(self.seeds)) == len(self.seeds), "repeats a seed"),
                 ("n_list", len(self.n_list) > 0, "is empty"),
+                ("n_list", len(set(self.n_list)) > 1, "has fewer than two distinct modes"),
                 ("tau", 0 < self.tau < math.inf, "is not positive and finite"),
                 ("lr", 0 < self.lr < math.inf, "is not positive and finite")):
             if not ok:
                 raise ConfigError(f"{name} = {getattr(self, name)} {rule}")
 
 
+_TRAINING_KEYS = ("problem", "hidden", "steps", "lr", "quad_n", "seeds")
+# the keys each command reads; a config file for a command may set no other
+COMMAND_KEYS = {
+    "certify-run": _TRAINING_KEYS + ("record_every",),
+    "sobolev-run": _TRAINING_KEYS + ("record_every",),
+    "compare-bc": _TRAINING_KEYS + ("tau",),
+    "fd-check": ("problem", "variant", "tau", "hidden", "quad_n", "seeds"),
+    "failure-demo": ("tau", "quad_n", "n_list"),
+}
 _INT_TUPLES = {"hidden", "seeds", "n_list"}
 _SPATIAL_KINDS = ("poisson", "elliptic_divA")
 _FIELD_NAMES = tuple(f.name for f in fields(ExperimentConfig))
@@ -86,7 +98,8 @@ def _convert(key: str, raw: str):
         raise ConfigError(f"bad value for {key!r}: {raw!r} ({err})") from None
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
+def parse_config_text(text: str, command: Optional[str] = None) -> ExperimentConfig:
+    """The config a file's text sets; with a command, only the keys it reads."""
     values = {}
     for ln, line in enumerate(text.splitlines(), start=1):
         s = line.strip()
@@ -98,18 +111,20 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key = key.strip()
         if key not in _FIELD_NAMES:
             raise ConfigError(f"line {ln}: unknown key {key!r}")
+        if command is not None and key not in COMMAND_KEYS[command]:
+            raise ConfigError(f"line {ln}: {command} does not read key {key!r}")
         if key in values:
             raise ConfigError(f"line {ln}: duplicate key {key!r}")
         values[key] = _convert(key, raw.strip())
     return ExperimentConfig(**values)
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, command: Optional[str] = None) -> ExperimentConfig:
     try:
         text = Path(path).read_text()
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
-    return parse_config_text(text)
+    return parse_config_text(text, command)
 
 
 def _resolve_problem(name: str) -> PdeProblem:

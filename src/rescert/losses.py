@@ -15,7 +15,7 @@ f's values (and its order-1 jets for the residual gradient), and for
 div(a grad v) the coefficient's value and gradient from one order-1 jet.
 
 An ``Objective`` remembers the network jets of its last forward pass on its
-first block, with a copy of the parameter vector they belong to, so that
+first block, with the read-only parameter vector of their pass, so that
 ``ansatz_jets`` can hand a checkpoint the ansatz jets of the parameters the
 optimiser step just evaluated without a second forward pass.  The memo is
 used only when the vector asked for is bit for bit the remembered one; any
@@ -145,18 +145,14 @@ class Objective:
         self.spec = spec
         self.blocks = blocks
         self._scale, self._shift = spec.input_scaling()
-        self._last = None  # (copy of flat, network jets on blocks[0])
+        self._last = None  # (params.flat, network jets on blocks[0])
 
-    @property
-    def n_params(self) -> int:
-        return self.spec.params.n_params
-
-    def _residuals(self, flat, params, block, need_cache=False):
+    def _residuals(self, params, block, need_cache=False):
         out = network.forward_jets(params, block.nodes, block.order,
                                    self._scale, self._shift, need_cache)
         jets, cache = out if need_cache else (out, None)
         if block is self.blocks[0]:
-            self._last = (np.array(flat, dtype=float), jets)
+            self._last = (params.flat, jets)
         r = np.einsum("nmc,nc->nm", block.cmat, jets) + block.dvec
         return r, cache
 
@@ -164,16 +160,16 @@ class Objective:
         params = self.spec.params.with_flat(flat)
         parts = []
         for block in self.blocks:
-            r, _ = self._residuals(flat, params, block)
+            r, _ = self._residuals(params, block)
             parts.append(block.weights * np.sum(r * r, axis=1))
         return kahan_sum(np.concatenate(parts))
 
     def value_and_grad(self, flat):
         params = self.spec.params.with_flat(flat)
-        grad = np.zeros(self.n_params)
+        grad = np.zeros(self.spec.params.n_params)
         parts = []
         for block in self.blocks:
-            r, cache = self._residuals(flat, params, block, need_cache=True)
+            r, cache = self._residuals(params, block, need_cache=True)
             parts.append(block.weights * np.sum(r * r, axis=1))
             out_bar = np.einsum("nm,nmc->nc", 2.0 * block.weights[:, None] * r, block.cmat)
             grad += network.backward_jets(params, cache, out_bar, block.order)

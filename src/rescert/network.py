@@ -7,8 +7,9 @@ reverse-accumulates a cotangent on the output jets into a gradient with
 respect to every weight and bias; there is no general-purpose tape, just the
 fixed layer -> jet-activation -> layer structure.
 
-Parameter vector convention: layer-major, each layer contributing its weight
-matrix in row-major order followed by its bias vector.
+The flat parameter vector is the network's one storage.  ``_layer_slices``
+is the one statement of its layout: layer-major, each layer contributing its
+weight matrix in row-major order followed by its bias vector.
 """
 
 from __future__ import annotations
@@ -20,65 +21,60 @@ import numpy as np
 from .jets import _faa_di_bruno, _tanh_table, coeff_layout
 
 
+def _layer_slices(widths) -> list[tuple[slice, slice]]:
+    """(weights, bias) slices of each layer in the flat parameter vector."""
+    slices, k = [], 0
+    for i, o in zip(widths[:-1], widths[1:]):
+        slices.append((slice(k, k + o * i), slice(k + o * i, k + o * i + o)))
+        k += o * i + o
+    return slices
+
+
 @dataclass
 class NetworkParams:
-    """Weights/biases of a tanh multilayer perceptron."""
+    """Weights/biases of a tanh multilayer perceptron, stored as one private
+    read-only flat vector; ``weights`` and ``biases`` are views into it."""
 
     widths: tuple[int, ...]  # (input_dim, hidden..., 1)
-    weights: list[np.ndarray] = field(repr=False)
-    biases: list[np.ndarray] = field(repr=False)
+    flat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if len(self.widths) < 2:
             raise ValueError("network needs at least an input and an output layer")
-        if len(self.weights) != len(self.widths) - 1 or len(self.biases) != len(self.widths) - 1:
-            raise ValueError("one weight matrix and bias vector per layer expected")
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            want = (self.widths[l + 1], self.widths[l])
-            if w.shape != want:
-                raise ValueError(f"layer {l} weight shape {w.shape}, expected {want}")
-            if b.shape != (self.widths[l + 1],):
-                raise ValueError(f"layer {l} bias shape {b.shape}, expected ({self.widths[l + 1]},)")
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
+        slices = _layer_slices(self.widths)
+        flat = np.array(self.flat, dtype=float)  # the one copy
+        n = slices[-1][1].stop
+        if flat.shape != (n,):
+            raise ValueError(f"expected {n} parameters, got shape {flat.shape}")
+        flat.setflags(write=False)
+        self.flat = flat
+        self.weights = [flat[w].reshape(o, i) for (w, _), i, o
+                        in zip(slices, self.widths[:-1], self.widths[1:])]
+        self.biases = [flat[b] for _, b in slices]
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.flat.size
 
     @classmethod
     def xavier(cls, widths, seed: int = 0) -> "NetworkParams":
-        """Xavier-uniform initialisation from a fixed seed."""
+        """Xavier-uniform weights from a fixed seed, layer by layer; zero biases."""
         widths = tuple(int(w) for w in widths)
         rng = np.random.default_rng(seed)
-        weights, biases = [], []
-        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        slices = _layer_slices(widths)
+        flat = np.zeros(slices[-1][1].stop)
+        for (w, _), fan_in, fan_out in zip(slices, widths[:-1], widths[1:]):
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-            biases.append(np.zeros(fan_out))
-        return cls(widths, weights, biases)
+            flat[w] = rng.uniform(-bound, bound, size=fan_out * fan_in)
+        return cls(widths, flat)
 
     def flatten(self) -> np.ndarray:
-        chunks = []
-        for w, b in zip(self.weights, self.biases):
-            chunks.append(w.ravel(order="C"))
-            chunks.append(b)
-        return np.concatenate(chunks)
+        """A writable copy of the parameter vector."""
+        return self.flat.copy()
 
     def with_flat(self, vec) -> "NetworkParams":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.n_params,):
-            raise ValueError(f"expected {self.n_params} parameters, got shape {vec.shape}")
-        weights, biases = [], []
-        k = 0
-        for i, o in zip(self.widths[:-1], self.widths[1:]):
-            weights.append(vec[k:k + o * i].reshape(o, i).copy())
-            k += o * i
-            biases.append(vec[k:k + o].copy())
-            k += o
-        return NetworkParams(self.widths, weights, biases)
+        """The same network at parameters vec, which it copies once."""
+        return NetworkParams(self.widths, vec)
 
 
 # -- jet-space forward / backward ---------------------------------------------
@@ -176,7 +172,7 @@ def forward_jets(params: NetworkParams, X, order: int, scale, shift, need_cache=
     lay = coeff_layout(d, order)
     A = input_jets(X, order, scale, shift)
     cache = []
-    last = params.n_layers - 1
+    last = len(params.weights) - 1
     for l, (W, b) in enumerate(zip(params.weights, params.biases)):
         Z = _linear(A, W, b)
         if l == last:
@@ -195,21 +191,18 @@ def forward_jets(params: NetworkParams, X, order: int, scale, shift, need_cache=
 def backward_jets(params: NetworkParams, cache, out_bar, order: int) -> np.ndarray:
     """Flat parameter gradient from a cotangent on the output jets (N, C)."""
     lay = coeff_layout(params.widths[0], order)
-    grads_w = [None] * params.n_layers
-    grads_b = [None] * params.n_layers
+    slices = _layer_slices(params.widths)
+    grad = np.empty(params.n_params)
     Abar = np.ascontiguousarray(np.asarray(out_bar).T)[:, :, None]
-    for l in range(params.n_layers - 1, -1, -1):
+    for l in range(len(slices) - 1, -1, -1):
         A_in, Z, derivs = cache[l]
         Zbar = Abar if Z is None else _tanh_jet_backward(Z, derivs, Abar, lay, order)
         c, n, o = Zbar.shape
         i = A_in.shape[2]
-        flat = Zbar.reshape(c * n, o)
-        grads_w[l] = flat.T @ A_in.reshape(c * n, i)
-        grads_b[l] = Zbar[0].sum(axis=0)
+        rows = Zbar.reshape(c * n, o)
+        w, b = slices[l]
+        grad[w] = (rows.T @ A_in.reshape(c * n, i)).ravel()
+        grad[b] = Zbar[0].sum(axis=0)
         if l > 0:  # the input cotangent of layer 0 is never read
-            Abar = (flat @ params.weights[l]).reshape(c, n, i)
-    chunks = []
-    for gw, gb in zip(grads_w, grads_b):
-        chunks.append(gw.ravel(order="C"))
-        chunks.append(gb)
-    return np.concatenate(chunks)
+            Abar = (rows @ params.weights[l]).reshape(c, n, i)
+    return grad

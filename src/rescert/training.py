@@ -30,6 +30,7 @@ import numpy as np
 
 from .ansatz import AnsatzSpec
 from .losses import LossConfig, Objective, build_objective
+from .network import _layer_slices
 from .problems import PdeProblem
 
 DIVERGENCE_FACTOR = 1e6
@@ -109,16 +110,6 @@ class FdCheckReport:
         return not self.failures()
 
 
-def _layer_blocks(widths):
-    """(kind, layer, slice) of every weight and bias block of the flat vector."""
-    blocks, k = [], 0
-    for layer, (i, o) in enumerate(zip(widths[:-1], widths[1:])):
-        blocks.append(("weights", layer, slice(k, k + o * i)))
-        blocks.append(("bias", layer, slice(k + o * i, k + o * i + o)))
-        k += o * i + o
-    return blocks
-
-
 def fd_check(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig,
              n_coords: int = 20, seed: int = 0) -> FdCheckReport:
     """Central-difference audit of the analytic gradient.
@@ -159,7 +150,9 @@ def fd_check(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig,
         tm = theta.copy(); tm[i] -= h
         rows.append(row("coordinate", i, float(g[i]), h, tp, tm))
     directions = [("random", k, slice(None)) for k in range(FD_DIRECTIONS)]
-    for kind, index, block in directions + _layer_blocks(spec.params.widths):
+    for layer, (w, b) in enumerate(_layer_slices(spec.params.widths)):
+        directions += [("weights", layer, w), ("bias", layer, b)]
+    for kind, index, block in directions:
         d = np.zeros_like(theta)
         if kind != "random":
             d[block] = g[block]

@@ -1,11 +1,14 @@
 """The traced benchmark run as a tier-1 guard: a rename that zeroes one of
 the benchmark's expected per-layer metrics (a span or counter it looks up by
 name, or the ``schedule=`` keyword it reads off ``train``) turns a traced
-run's ``"correct"`` to false, and this finds it before a timing run does."""
+run's ``"correct"`` to false, and this finds it before a timing run does, on
+each workload of the benchmark."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 # the one check a one-second run may fail for noise: the share of the traced
@@ -13,9 +16,10 @@ ROOT = Path(__file__).resolve().parent.parent
 COVERAGE_NOTE = "layer self times cover only"
 
 
-def test_traced_benchmark_run_fails_no_call_and_no_named_check():
+@pytest.mark.parametrize("workload", ["p1_certify", "p2_certify_dense"])
+def test_traced_benchmark_run_fails_no_call_and_no_named_check(workload):
     out = subprocess.run(
-        [sys.executable, "benchmarks/run.py", "--workload", "p2_certify_dense",
+        [sys.executable, "benchmarks/run.py", "--workload", workload,
          "--seed", "3", "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr

@@ -104,16 +104,17 @@ def test_problems_refuse_what_their_proofs_exclude():
 
 
 def test_h2_bound_on_square():
-    rep = certified_h2_bound(4.0, Rectangle((0.0, 0.0), (1.0, 1.0)))
+    p1 = get_problem("P1")
+    rep = certified_h2_bound(4.0, Rectangle((0.0, 0.0), (1.0, 1.0)), p1)
     assert rep.constant_provenance == PROVENANCE_CONVEX
     assert rep.certified
     assert rep.bound == pytest.approx(2.052537051928505, rel=1e-15)
     assert rep.norm_label == "H2"
 
-    zero = certified_h2_bound(0.0, Rectangle((0.0, 0.0), (1.0, 1.0)))
+    zero = certified_h2_bound(0.0, Rectangle((0.0, 0.0), (1.0, 1.0)), p1)
     assert zero.bound == 0.0
     with pytest.raises(ValueError, match="nonnegative"):
-        certified_h2_bound(-1.0, Rectangle((0.0, 0.0), (1.0, 1.0)))
+        certified_h2_bound(-1.0, Rectangle((0.0, 0.0), (1.0, 1.0)), p1)
 
 
 def test_h2_bound_provenance_paths():
@@ -128,6 +129,17 @@ def test_h2_bound_provenance_paths():
         certified_h2_bound(1.0, square, get_problem("P4"))
     with pytest.raises(TypeError):
         certified_h2_bound(1.0, square, constant=2.5)  # no caller picks a constant
+
+
+def test_h2_bound_refuses_a_domain_its_problem_does_not_live_on():
+    # the constant is the problem's: P1 on a 0.5 x 0.5 square used to certify
+    # with 1.0064 (that square's constant) in place of P1's 1.0263
+    p1 = get_problem("P1")
+    for domain in (Rectangle((0.0, 0.0), (0.5, 0.5)), Interval(0.0, 1.0)):
+        with pytest.raises(ValueError, match=f"P1 lives on .*, not on {type(domain).__name__}"):
+            certified_h2_bound(1.0, domain, p1)
+    with pytest.raises(TypeError):  # the problem is required
+        certified_h2_bound(1.0, p1.domain)
 
 
 def test_report_validation_and_check():
@@ -166,7 +178,8 @@ def test_violation_is_the_one_predicate():
 
 
 def test_report_text():
-    rep = certified_h2_bound(0.25, Disk((0.0, 0.0), 1.0), measured_error=0.5)
+    p2 = get_problem("P2")
+    rep = certified_h2_bound(0.25, Disk((0.0, 0.0), 1.0), p2, measured_error=0.5)
     text = rep.text_block()
     assert "norm:        H2" in text
     assert f"bound:       {rep.bound!r}" in text
@@ -174,7 +187,7 @@ def test_report_text():
     assert "certified:   True" in text
     assert "holds: True" in text
     # unmeasured reports print no measurement line
-    assert "measured" not in certified_h2_bound(0.25, Disk((0.0, 0.0), 1.0)).text_block()
+    assert "measured" not in certified_h2_bound(0.25, Disk((0.0, 0.0), 1.0), p2).text_block()
 
 
 def test_h2_bound_holds_on_large_square():
@@ -237,6 +250,6 @@ def test_parabolic_bound_paths():
 def test_certificates_reject_non_finite_loss(loss):
     # a run that never evaluated its loss must not stamp an infinite bound
     with pytest.raises(ValueError, match="finite"):
-        certified_h2_bound(loss, Rectangle((0.0, 0.0), (1.0, 1.0)))
+        certified_h2_bound(loss, Rectangle((0.0, 0.0), (1.0, 1.0)), get_problem("P1"))
     with pytest.raises(ValueError, match="finite"):
         parabolic_bound(loss, get_problem("P4"))

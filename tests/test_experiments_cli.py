@@ -552,8 +552,7 @@ def test_cli_fd_check_mismatch_is_config_error(tmp_path, capsys, problem, varian
 
 def test_cli_single_seed_commands_reject_seed_lists(tmp_path, capsys):
     # compare-bc used to run the first seed and drop the rest without a word
-    cfg = write_cfg(tmp_path, problem="P5", hidden="4", quad_n=4, steps=2,
-                    record_every=1, seeds="0,1")
+    cfg = write_cfg(tmp_path, problem="P5", hidden="4", quad_n=4, steps=2, seeds="0,1")
     code = cli.main(["compare-bc", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 4
     assert "compare-bc runs a single seed" in capsys.readouterr().err
@@ -629,7 +628,7 @@ def test_cli_bound_violation_exit_code(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command,kv,csv", [
-    ("compare-bc", dict(problem="P5", steps=10, record_every=5), "compare_bc_P5.csv"),
+    ("compare-bc", dict(problem="P5", steps=10), "compare_bc_P5.csv"),
     ("certify-run", dict(problem="P4", steps=10, record_every=5), "certify_P4_seed0.csv"),
 ])
 def test_cli_every_certifying_command_checks_its_bound(tmp_path, capsys, monkeypatch,
@@ -677,9 +676,14 @@ def test_cli_heat_constant_ten_percent_low_is_a_violation(tmp_path, capsys, monk
     (dict(lr="inf"), "lr = inf is not positive and finite"),
 ])
 def test_cli_out_of_range_config_is_config_error(tmp_path, capsys, kv, fragment):
-    cfg = write_cfg(tmp_path, **{"problem": "P5", "hidden": "4", "quad_n": 4, "steps": 2,
-                                 **kv})
-    code = cli.main(["certify-run", "--config", cfg, "--out", str(tmp_path / "out")])
+    # each value goes to the first command that reads its key (certify-run
+    # for a key no command reads), with that command's share of the rest
+    command = next((c for c, keys in experiments.COMMAND_KEYS.items() if set(kv) <= set(keys)),
+                   "certify-run")
+    base = {k: v for k, v in dict(problem="P5", hidden="4", quad_n=4, steps=2).items()
+            if k in experiments.COMMAND_KEYS[command]}
+    cfg = write_cfg(tmp_path, **{**base, **kv})
+    code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 4
     err = capsys.readouterr().err
     assert "config error" in err and fragment in err
@@ -700,6 +704,41 @@ def test_cli_nonpositive_constant_or_tau_is_config_error(tmp_path, capsys, comma
     assert code == 4
     err = capsys.readouterr().err
     assert "config error" in err and fragment in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,kv,key", [
+    ("certify-run", dict(problem="P1", variant="sobolev_k1", tau=3.0), "variant"),
+    ("sobolev-run", dict(problem="P1", variant="sobolev_k1"), "variant"),
+    ("compare-bc", dict(problem="P5", record_every=5), "record_every"),
+    ("fd-check", dict(problem="P1", steps=5), "steps"),
+    ("failure-demo", dict(problem="P1", hidden="4", steps=5), "problem"),
+])
+def test_cli_rejects_keys_its_command_never_reads(tmp_path, capsys, command, kv, key):
+    # certify-run with variant = sobolev_k1 used to train the interior loss
+    # and print "certified True"; failure-demo ignored problem, hidden, steps
+    cfg = write_cfg(tmp_path, quad_n=4, **kv)
+    code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 4
+    assert f"{command} does not read key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_key_table_names_every_command_and_only_config_keys():
+    assert set(experiments.COMMAND_KEYS) == {name for name, _ in cli._COMMANDS}
+    assert sum(len(keys) for keys in experiments.COMMAND_KEYS.values()) == 30
+    for keys in experiments.COMMAND_KEYS.values():
+        assert set(keys) <= {f.name for f in fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize("n_list", ["4,4", "8"])
+def test_cli_failure_demo_needs_two_distinct_modes(tmp_path, capsys, n_list):
+    # a slope needs two distinct modes: "4,4" used to print a fitted slope
+    # of -0.576 with a RankWarning and exit 0
+    cfg = write_cfg(tmp_path, n_list=n_list, tau=1.0, quad_n=8)
+    code = cli.main(["failure-demo", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 4
+    assert "has fewer than two distinct modes" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

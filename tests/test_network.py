@@ -6,7 +6,7 @@ import pytest
 
 from rescert import jets as J
 from rescert.jets import coeff_layout, seed_point
-from rescert.network import NetworkParams, backward_jets, forward_jets
+from rescert.network import NetworkParams, _layer_slices, backward_jets, forward_jets
 
 
 def scalar_reference(params, x, order):
@@ -19,7 +19,7 @@ def scalar_reference(params, x, order):
             for c in range(W.shape[1]):
                 acc = acc + float(W[r, c]) * a[c]
             z.append(acc)
-        a = [J.tanh(v) for v in z] if li < params.n_layers - 1 else z
+        a = [J.tanh(v) for v in z] if li < len(params.weights) - 1 else z
     return a[0]
 
 
@@ -103,3 +103,37 @@ def test_flatten_roundtrip():
         assert np.array_equal(b, b2)
     with pytest.raises(ValueError):
         params.with_flat(flat[:-1])
+
+
+def test_with_flat_copies_once_into_read_only_storage():
+    params = NetworkParams.xavier((3, 5, 2, 1), seed=2)
+    vec = params.flatten()
+    again = params.with_flat(vec)
+    vec[:] = 7.0  # the caller's vector is not the params' storage
+    assert np.array_equal(again.flat, params.flat)
+    with pytest.raises(ValueError):
+        again.flat[0] = 1.0
+    with pytest.raises(ValueError):
+        again.weights[0][0, 0] = 1.0
+
+
+def test_weights_and_biases_are_views_of_flat():
+    params = NetworkParams.xavier((3, 5, 2, 1), seed=2)
+    for (w, b), W, bias in zip(_layer_slices(params.widths), params.weights, params.biases):
+        assert np.shares_memory(W, params.flat) and np.shares_memory(bias, params.flat)
+        assert np.array_equal(W.ravel(), params.flat[w])
+        assert np.array_equal(bias, params.flat[b])
+    assert [W.shape for W in params.weights] == [(5, 3), (2, 5), (1, 2)]
+
+
+def test_xavier_draws_each_layer_in_order():
+    # the per-layer draws of the former list-of-arrays storage, concatenated
+    widths = (2, 16, 16, 1)
+    rng = np.random.default_rng(7)
+    chunks = []
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        chunks += [rng.uniform(-bound, bound, size=(fan_out, fan_in)).ravel(),
+                   np.zeros(fan_out)]
+    assert np.array_equal(NetworkParams.xavier(widths, seed=7).flatten(),
+                          np.concatenate(chunks))

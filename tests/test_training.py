@@ -10,7 +10,7 @@ from rescert.losses import build_objective, make_config
 from rescert.problems import PdeProblem, default_spec, get_problem
 from rescert import network
 from rescert.training import (FD_REL_STEP, FD_REL_TOL, AdamSchedule, DivergenceError,
-                              _layer_blocks, fd_check, train)
+                              fd_check, train)
 
 
 def toy_problem():
@@ -183,8 +183,7 @@ def test_fd_check_passes_at_the_benchmark_settings(name, n, seed):
 
 def _scale_bias_gradient_of_layer_1(monkeypatch, widths):
     real = network.backward_jets
-    bias1 = next(sl for kind, layer, sl in _layer_blocks(widths)
-                 if (kind, layer) == ("bias", 1))
+    bias1 = network._layer_slices(widths)[1][1]
 
     def backward(*args):
         grad = real(*args)
