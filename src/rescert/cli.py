@@ -46,8 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--config", default=None,
                        help="path to a 'key = value' config file")
         s.add_argument("--out", default="out", help="output directory (default: out)")
-        s.add_argument("--seed", type=int, default=None,
-                       help="replace the config's seed list with this one seed")
+        if "seeds" in experiments.COMMAND_KEYS[name]:  # only commands that read seeds
+            s.add_argument("--seed", type=int, default=None,
+                           help="replace the config's seed list with this one seed")
         if name == "certify-run":
             s.add_argument("--parallel", type=int, default=1,
                            help="worker processes for multi-seed runs (at least 1)")
@@ -67,7 +68,7 @@ def _load(args) -> experiments.ExperimentConfig:
         config = experiments.load_config(args.config, args.command)
     else:
         config = experiments.ExperimentConfig(**_BARE_DEFAULTS.get(args.command, {}))
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         config = replace(config, seeds=(args.seed,))
     return config
 

@@ -9,7 +9,11 @@ once, per-node row vectors C and offsets d with
     loss = sum_nodes w * |r|^2,
 
 after which evaluation is a jet forward pass and the parameter gradient is
-one reverse sweep with cotangent 2 w r C on the output jets.  The rows and
+one reverse sweep with cotangent 2 w r C on the output jets.
+``Objective.value_and_grad`` runs only the forward pass and returns the
+loss with a pullback that runs the reverse sweep, so ``training.train``
+checks the loss for divergence, keeps the best one and certifies it at a
+checkpoint before it pays for the gradient its Adam step needs.  The rows and
 offsets come from the problem's fields, all read through ``jets``/``values``:
 f's values (and its order-1 jets for the residual gradient), and for
 div(a grad v) the coefficient's value and gradient from one order-1 jet.
@@ -165,15 +169,28 @@ class Objective:
         return kahan_sum(np.concatenate(parts))
 
     def value_and_grad(self, flat):
+        """(loss, pullback) at flat: the forward pass runs now, and
+        ``pullback()`` runs every block's reverse sweep, returns the flat
+        gradient and drops the forward caches.  A second call raises."""
         params = self.spec.params.with_flat(flat)
-        grad = np.zeros(self.spec.params.n_params)
-        parts = []
+        sweeps, parts = [], []
         for block in self.blocks:
             r, cache = self._residuals(params, block, need_cache=True)
             parts.append(block.weights * np.sum(r * r, axis=1))
-            out_bar = np.einsum("nm,nmc->nc", 2.0 * block.weights[:, None] * r, block.cmat)
-            grad += network.backward_jets(params, cache, out_bar, block.order)
-        return kahan_sum(np.concatenate(parts)), grad
+            sweeps.append((block, r, cache))
+
+        def pullback():
+            if not sweeps:
+                raise RuntimeError("pullback already ran; its forward caches are gone")
+            grad = np.zeros(params.n_params)
+            while sweeps:
+                block, r, cache = sweeps.pop(0)
+                out_bar = np.einsum("nm,nmc->nc", 2.0 * block.weights[:, None] * r,
+                                    block.cmat)
+                grad += network.backward_jets(params, cache, out_bar, block.order)
+            return grad
+
+        return kahan_sum(np.concatenate(parts)), pullback
 
     def ansatz_jets(self, flat) -> np.ndarray:
         """Jets (N, C) of the ansatz v at parameters flat, on the first

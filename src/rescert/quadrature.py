@@ -16,6 +16,7 @@ squared tensors weighted by ``multiplicity``, and ``grad_laplacian_rows``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import fsum, pi
 
 import numpy as np
@@ -50,10 +51,20 @@ def kahan_sum(values) -> float:
     return fsum(np.asarray(values, dtype=float).ravel().tolist())
 
 
-def _gauss(a: float, b: float, n: int):
-    """Gauss-Legendre nodes/weights on (a, b)."""
+@lru_cache(maxsize=None)
+def _gauss_unit(n: int):
+    """n-point Gauss-Legendre nodes/weights on (0, 1), computed once per n
+    and read-only, since every caller shares them."""
     x, w = np.polynomial.legendre.leggauss(n)
     x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _gauss(a: float, b: float, n: int):
+    """Gauss-Legendre nodes/weights on (a, b)."""
+    x, w = _gauss_unit(n)
     return a + (b - a) * x, (b - a) * w
 
 

@@ -6,10 +6,15 @@ central finite differences of the loss value; ``fd_check`` does exactly that
 and is the standing correctness oracle for the whole differentiation path.
 
 ``train`` runs on an objective its caller built, so a run assembles its
-rows, distance factor and lift once.  A checkpoint reads the ansatz jets of
-the step just evaluated through ``Objective.ansatz_jets``, which reuses the
-objective's last network jets only for a parameter vector bit for bit equal
-to theirs, and whose memo never holds an array a later pass writes.
+rows, distance factor and lift once.  Each step runs, in this order: the
+forward pass (``Objective.value_and_grad``), the divergence check and the
+best-loss update, ``on_checkpoint``, the reverse sweep (the pullback) and
+the Adam update.  A certificate needs only the loss, so it never waits for
+a gradient, and the final step runs no reverse sweep.  A checkpoint reads
+the ansatz jets of the step just evaluated through
+``Objective.ansatz_jets``, which reuses the objective's last network jets
+only for a parameter vector bit for bit equal to theirs, and whose memo
+never holds an array a later pass writes.
 
 The divergence guard stops a run with ``DivergenceError`` once its loss is
 not finite or above ``DIVERGENCE_FACTOR`` (1e6) times the initial loss.
@@ -129,7 +134,8 @@ def fd_check(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig,
     """
     objective = build_objective(spec, problem, cfg)
     theta = spec.params.flatten()
-    loss, g = objective.value_and_grad(theta)
+    loss, pullback = objective.value_and_grad(theta)
+    g = pullback()
     eps_loss = float(np.finfo(float).eps) * abs(loss)
     rng = np.random.default_rng(seed)
     n_coords = min(n_coords, theta.size)
@@ -173,12 +179,15 @@ def train(objective: Objective, schedule: AdamSchedule = AdamSchedule(),
     """Full-batch Adam on a built objective.  Returns the TrainState at the
     best-seen parameters.
 
-    ``on_checkpoint(step, flat_params, loss)`` fires at every checkpoint
-    (step 0, every record_every, and the final step), after the loss at
-    flat_params was evaluated, so ``objective.ansatz_jets(flat_params)``
-    reuses that pass's network jets.  The run aborts with DivergenceError if
-    the loss exceeds DIVERGENCE_FACTOR times its initial value; parameters
-    are left untouched by that failure.
+    Each step runs the forward pass, the divergence check and best-loss
+    update, ``on_checkpoint``, the reverse sweep and the Adam update, in
+    that order.  ``on_checkpoint(step, flat_params, loss)`` fires at every
+    checkpoint (step 0, every record_every, and the final step), after the
+    loss at flat_params was evaluated and before its gradient is, so
+    ``objective.ansatz_jets(flat_params)`` reuses that pass's network jets.
+    The run aborts with DivergenceError if the loss exceeds
+    DIVERGENCE_FACTOR times its initial value; parameters are left
+    untouched by that failure.
     """
     theta = objective.spec.params.flatten()
     m = np.zeros_like(theta)
@@ -188,10 +197,7 @@ def train(objective: Objective, schedule: AdamSchedule = AdamSchedule(),
     initial_loss = None
 
     for step in range(schedule.steps + 1):
-        if step < schedule.steps:
-            loss, grad = objective.value_and_grad(theta)
-        else:
-            loss, grad = objective.value(theta), None
+        loss, pullback = objective.value_and_grad(theta)
         if initial_loss is None:
             initial_loss = loss
         if not np.isfinite(loss) or loss > DIVERGENCE_FACTOR * max(initial_loss, 1e-300):
@@ -203,6 +209,7 @@ def train(objective: Objective, schedule: AdamSchedule = AdamSchedule(),
             on_checkpoint(step, theta.copy(), loss)
         if step == schedule.steps:
             break
+        grad = pullback()
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
         t = step + 1

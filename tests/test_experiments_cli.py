@@ -527,6 +527,17 @@ def test_cli_failure_demo_ok(tmp_path, capsys):
     assert (tmp_path / "out" / "failure_demo.csv").exists()
 
 
+def test_cli_failure_demo_refuses_seed(tmp_path, capsys):
+    # failure-demo reads no seed: --seed 3 used to exit 0 and write seed=- in its CSV
+    cfg = write_cfg(tmp_path, n_list="2,4", tau=1.0, quad_n=8)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["failure-demo", "--config", cfg, "--seed", "3",
+                  "--out", str(tmp_path / "out")])
+    assert exc.value.code == 4
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_fd_check_ok(tmp_path, capsys):
     cfg = write_cfg(tmp_path, problem="P1", hidden="4", quad_n=5)
     code = cli.main(["fd-check", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -254,8 +254,12 @@ def test_objective_gradient_matches_value():
     obj = build_objective(spec, p1, make_config(p1, "interior", n=8))
     flat = spec.params.flatten()
     v0 = obj.value(flat)
-    v1, g = obj.value_and_grad(flat)
+    v1, pullback = obj.value_and_grad(flat)
+    g = pullback()
     assert v1 == v0
+    # the pullback dropped its forward caches, so it runs once
+    with pytest.raises(RuntimeError, match="pullback already ran"):
+        pullback()
     # directional derivative vs central differences
     rng = np.random.default_rng(17)
     d = rng.standard_normal(flat.size)
@@ -290,7 +294,7 @@ def test_ansatz_jets_reuse_only_the_vector_of_the_last_pass(name, variant, monke
     real = network.forward_jets
     monkeypatch.setattr(network, "forward_jets",
                         lambda *a, **k: passes.append(1) or real(*a, **k))
-    objective.value_and_grad(flat)
+    objective.value_and_grad(flat)[1]()
     passes.clear()
     # the vector of the last pass: its jets, no second forward pass
     assert np.array_equal(objective.ansatz_jets(flat.copy()), old_route(flat))

@@ -29,6 +29,23 @@ def test_gauss_monomial_exactness():
     assert integrate_values(rule, rule.nodes[:, 0] ** 9) == pytest.approx(0.1, rel=1e-14)
 
 
+def test_gauss_tables_are_shared_read_only_and_unchanged():
+    # the reference tables are computed once per n; the rules built on them
+    # hold the bits of a fresh leggauss evaluation
+    from rescert.quadrature import _gauss, _gauss_unit
+
+    assert _gauss_unit(7) is _gauss_unit(7)
+    x, w = _gauss_unit(7)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    ref_x, ref_w = np.polynomial.legendre.leggauss(7)
+    got_x, got_w = _gauss(-1.0, 3.0, 7)
+    assert np.array_equal(got_x, -1.0 + 4.0 * (0.5 * (ref_x + 1.0)))
+    assert np.array_equal(got_w, 4.0 * (0.5 * ref_w))
+
+
 def test_tensor_rule_exactness():
     rule = build_rule(UNIT_SQUARE, "interior", 4)
     for kx in (0, 3, 7):

@@ -43,7 +43,7 @@ def test_toy_loss_surface():
     problem, spec, cfg = toy_setup()
     assert spec.params.n_params == 2  # one weight, one bias
     assert loss_of(spec, problem, cfg) == pytest.approx(4.0, rel=1e-12)
-    g = build_objective(spec, problem, cfg).value_and_grad(spec.params.flatten())[1]
+    g = build_objective(spec, problem, cfg).value_and_grad(spec.params.flatten())[1]()
     assert g[0] == pytest.approx(0.0, abs=1e-12)
     assert g[1] == pytest.approx(-8.0, rel=1e-12)
     # the surface is 4(1-b)^2 + 12 w^2; probe a few parameter points
@@ -138,6 +138,29 @@ def test_checkpoint_callback_fires_on_schedule():
     # each record carries the loss of the parameters it was handed
     for _, flat, loss in seen:
         assert objective.value(flat) == loss
+
+
+@pytest.mark.parametrize("name,variant", [("P1", "interior"), ("P5", "penalty")])
+def test_checkpoints_run_before_the_reverse_sweep_of_their_step(name, variant,
+                                                                monkeypatch):
+    # a certificate needs only the loss: by the checkpoint at step s, exactly
+    # the reverse sweeps of steps 0 .. s-1 have run (one per block each), and
+    # the final step runs none
+    problem = get_problem(name)
+    mode = "unconstrained" if variant == "penalty" else "exact_bc"
+    spec = default_spec(problem, hidden=(4,), seed=1, mode=mode)
+    cfg = make_config(problem, variant, 5, tau=2.0 if variant == "penalty" else None)
+    objective = build_objective(spec, problem, cfg)
+    blocks = len(objective.blocks)
+    sweeps = []
+    real = network.backward_jets
+    monkeypatch.setattr(network, "backward_jets",
+                        lambda *a: sweeps.append(1) or real(*a))
+    seen = []
+    train(objective, AdamSchedule(steps=7, lr=1e-2, record_every=3),
+          on_checkpoint=lambda step, flat, loss: seen.append((step, len(sweeps))))
+    assert seen == [(s, blocks * s) for s in (0, 3, 6, 7)]
+    assert len(sweeps) == blocks * 7
 
 
 def test_divergence_guard_trips():
