@@ -13,7 +13,7 @@ from .certify import (BoundViolation, CertifiedReport, c_div_form, c_heat,
 from .experiments import (ConfigError, ExperimentConfig, fit_ratio_slope,
                           harmonic_failure_records, load_config,
                           parse_config_text, run_certified, run_failure_demo,
-                          run_fd_check, run_penalty_vs_exact, run_sobolev)
+                          run_fd_check, run_penalty_vs_exact)
 from .fields import AnalyticField, harmonic_mode
 from .geometry import Disk, Interval, Rectangle, SpaceTimeBox
 from .jets import TaylorJet, coeff_layout, seed_point, seed_variable
@@ -41,6 +41,6 @@ __all__ = [
     "load_config", "make_config", "parabolic_bound",
     "parse_config_text", "run_certified",
     "run_failure_demo", "run_fd_check", "run_penalty_vs_exact",
-    "run_sobolev", "seed_point", "seed_variable",
+    "seed_point", "seed_variable",
     "sobolev_errors_upto", "train", "x_norm_error",
 ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from . import experiments
 from .certify import BoundViolation
@@ -20,11 +21,10 @@ EXIT_DIVERGED = 3
 EXIT_CONFIG = 4
 
 _COMMANDS = (
-    ("certify-run", "train with exact boundary conditions and certify each checkpoint "
-                    "(H2 norm, or the X norm for a heat problem)"),
+    ("certify-run", "train with exact boundary conditions on the config's variant and "
+                    "certify each checkpoint (H2 norm, or the X norm for a heat problem)"),
     ("failure-demo", "harmonic-family demo: penalty loss flat while the H1 error grows"),
     ("compare-bc", "exact-constraint ansatz vs boundary penalty on one problem"),
-    ("sobolev-run", "plain vs gradient-augmented residual training"),
     ("fd-check", "finite-difference audit of the loss gradient"),
 )
 
@@ -58,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
 # defaults when no --config is given; chosen so every bare subcommand
 # finishes in about a minute on one core
 _BARE_DEFAULTS = {
-    "sobolev-run": dict(steps=2000),
     "fd-check": dict(quad_n=8, hidden=(8, 8)),
 }
 
@@ -77,6 +76,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load(args)
+        if Path(args.out).exists() and not Path(args.out).is_dir():
+            raise experiments.ConfigError(f"--out {args.out} exists and is not a directory")
 
         if args.command == "certify-run":
             runs = experiments.run_certified(config, args.out, parallel=args.parallel)
@@ -99,12 +100,6 @@ def main(argv=None) -> int:
                            else f"indicator {value!r}, no certificate")
                 print(f"{method}: loss {state.loss!r} h2_error {h2!r} "
                       f"boundary_misfit {misfit!r} {verdict}")
-
-        elif args.command == "sobolev-run":
-            for variant, rows in experiments.run_sobolev(config, args.out).items():
-                step, l2r, h1r, h2, h3 = rows[-1]
-                print(f"{variant}: l2_residual {l2r!r} h1_residual {h1r!r} "
-                      f"h2_error {h2!r} h3_error_proxy {h3!r}")
 
         elif args.command == "fd-check":
             report = experiments.run_fd_check(config, args.out)

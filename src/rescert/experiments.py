@@ -8,7 +8,10 @@ driver's ``out_dir`` argument, so the config hash names only what shapes
 the numbers.  One driver,
 ``run_certified``, certifies every kind of problem with an exact solution:
 the kind picks the norm (H2 for spatial kinds, X for heat) and the
-certificate that bounds it.  Every driver builds
+certificate that bounds it.  The trained loss is a choice, the config's
+``variant``: ``interior`` on every kind, or ``sobolev_k1`` (the residual
+plus its gradient) on a poisson problem, whose certificate still rests on
+the interior residual of the same network.  Every driver builds
 each of its objectives and run constants once and trains through one loop,
 ``_train_run``; each final certificate is measured on the network at the
 best loss seen, the loss it certifies, and a certified bound that
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -35,10 +38,10 @@ from .certify import BoundViolation, CertifiedReport
 from .fields import harmonic_mode
 from .geometry import Disk
 from .jets import coeff_layout
-from .losses import LossConfig, build_objective, make_config
+from .losses import build_objective, make_config
 from .problems import PdeProblem, default_spec, get_problem
-from .quadrature import (build_rule, boundary_misfit, grad_laplacian_error,
-                         h_half_surrogate, sobolev_errors_upto, x_norm_error)
+from .quadrature import (build_rule, boundary_misfit, h_half_surrogate,
+                         sobolev_errors_upto, x_norm_error)
 from .training import AdamSchedule, fd_check, train
 
 
@@ -67,6 +70,7 @@ class ExperimentConfig:
                 ("hidden", min(self.hidden, default=1) >= 1, "has a width below 1"),
                 ("seeds", len(self.seeds) > 0, "is empty"),
                 ("seeds", len(set(self.seeds)) == len(self.seeds), "repeats a seed"),
+                ("seeds", min(self.seeds, default=0) >= 0, "has a negative seed"),
                 ("n_list", len(self.n_list) > 0, "is empty"),
                 ("n_list", len(set(self.n_list)) > 1, "has fewer than two distinct modes"),
                 ("tau", 0 < self.tau < math.inf, "is not positive and finite"),
@@ -78,14 +82,16 @@ class ExperimentConfig:
 _TRAINING_KEYS = ("problem", "hidden", "steps", "lr", "quad_n", "seeds")
 # the keys each command reads; a config file for a command may set no other
 COMMAND_KEYS = {
-    "certify-run": _TRAINING_KEYS + ("record_every",),
-    "sobolev-run": _TRAINING_KEYS + ("record_every",),
+    "certify-run": _TRAINING_KEYS + ("record_every", "variant"),
     "compare-bc": _TRAINING_KEYS + ("tau",),
     "fd-check": ("problem", "variant", "tau", "hidden", "quad_n", "seeds"),
     "failure-demo": ("tau", "quad_n", "n_list"),
 }
 _INT_TUPLES = {"hidden", "seeds", "n_list"}
 _SPATIAL_KINDS = ("poisson", "elliptic_divA")
+# the loss variants certify-run trains, each with the problem kinds it is
+# assembled for; every one is certified from the interior residual
+_CERTIFIED_VARIANTS = {"interior": (*_SPATIAL_KINDS, "heat"), "sobolev_k1": ("poisson",)}
 _FIELD_NAMES = tuple(f.name for f in fields(ExperimentConfig))
 
 
@@ -208,47 +214,58 @@ class CertifiedRun:
     seed: int
     header: str                     # the CSV header; it names the norm
     rows: list                      # (step, loss, bound, h2, h1, l2) or, heat,
-                                    # (step, loss, bound, x_norm_error)
+                                    # (step, loss, bound, x_norm_error); a
+                                    # sobolev_k1 row appends its training loss
     final_report: CertifiedReport
     violations: list                # "step S: " + violation() per failed bound
 
 
 def _certified_single_seed(config: ExperimentConfig, seed: int) -> CertifiedRun:
-    problem = _training_problem(config, "certify-run", (*_SPATIAL_KINDS, "heat"))
-    cfg = make_config(problem, "interior", config.quad_n)
-    objective = build_objective(default_spec(problem, hidden=config.hidden, seed=seed),
-                                problem, cfg)
+    problem = _training_problem(config, "certify-run", _CERTIFIED_VARIANTS["interior"])
+    if problem.kind not in _CERTIFIED_VARIANTS.get(config.variant, ()):
+        raise ConfigError(f"certify-run cannot train variant {config.variant!r} on "
+                          f"{problem.name}, which is {problem.kind}: it trains 'interior' "
+                          f"on every kind and 'sobolev_k1' on poisson")
+    cfg = make_config(problem, config.variant, config.quad_n)
+    spec = default_spec(problem, hidden=config.hidden, seed=seed)
+    objective = build_objective(spec, problem, cfg)
+    # every variant is certified from the interior residual of its network
+    k1 = config.variant == "sobolev_k1"
+    interior = (build_objective(spec, problem, replace(cfg, variant="interior"))
+                if k1 else objective)
     exact = problem.exact.jets(cfg.interior.nodes, 2)
     heat = problem.kind == "heat"
     violations = []
 
-    def certificate(step, flat, loss):
+    def certificate(step, flat, trained_loss):
+        loss = interior.value(flat) if k1 else trained_loss
         if heat:
-            errors = (x_norm_error(objective.ansatz_jets(flat), exact, cfg.interior),)
+            errors = (x_norm_error(interior.ansatz_jets(flat), exact, cfg.interior),)
             report = certify.parabolic_bound(loss, problem, measured_error=errors[0])
         else:
-            l2, h1, h2 = sobolev_errors_upto(objective.ansatz_jets(flat), exact,
+            l2, h1, h2 = sobolev_errors_upto(interior.ansatz_jets(flat), exact,
                                              cfg.interior, s_max=2)
             errors = (h2, h1, l2)
             report = certify.certified_h2_bound(loss, problem.domain, problem,
                                                 measured_error=h2)
         if message := report.violation():
             violations.append(f"step {step}: {message}")
-        return report, (step, loss, report.bound, *errors)
+        return report, (step, loss, report.bound, *errors, *([trained_loss] if k1 else ()))
 
     rows, state = _train_run(config, objective,
                              lambda *checkpoint: certificate(*checkpoint)[1])
     final_report = certificate("best", state.params, state.loss)[0]
-    header = "step,loss,bound," + ("x_norm_error" if heat else "h2_error,h1_error,l2_error")
+    header = ("step,loss,bound," + ("x_norm_error" if heat else "h2_error,h1_error,l2_error")
+              + (",training_loss" if k1 else ""))
     return CertifiedRun(seed, header, rows, final_report, violations)
 
 
 def run_certified(config: ExperimentConfig, out_dir, parallel: int = 1):
-    """Train with the exact-boundary interior loss and certify every
-    checkpoint and the best network, in the H2 norm for a spatial problem
-    and in the X norm for a heat problem.  Writes one CSV per seed plus an
-    ensemble summary; raises BoundViolation (after writing) if any certified
-    row or final report fails its bound."""
+    """Train an exact-boundary network on the config's variant and certify
+    every checkpoint and the best network from its interior residual, in
+    the H2 norm for a spatial problem and in the X norm for a heat problem.
+    Writes one CSV per seed plus an ensemble summary; raises BoundViolation
+    (after writing) if any certified row or final report fails its bound."""
     if parallel < 1:
         raise ConfigError(f"parallel needs at least one worker process, got {parallel}")
     seeds = list(config.seeds)
@@ -424,40 +441,6 @@ def run_penalty_vs_exact(config: ExperimentConfig, out_dir):
     _write_csv(out_dir, f"compare_bc_{config.problem}.csv", config, seed, header, rows,
                trailer)
     results[0][-1].check()  # the exact-boundary certificate
-    return results
-
-
-# -- residual vs Sobolev residual training -------------------------------------------
-
-
-def run_sobolev(config: ExperimentConfig, out_dir):
-    """Train the plain residual and the gradient-augmented residual on the
-    same problem and seed; track both residual norms and the H2/H3-proxy
-    errors along each trajectory.  One CSV per variant.  A checkpoint reads
-    the trained objective's loss and jets and makes one pass of the other."""
-    problem = _training_problem(config, "sobolev-run", ("poisson",))
-    seed = _single_seed(config, "sobolev-run")
-    spec = default_spec(problem, hidden=config.hidden, seed=seed)
-    norm_rule = build_rule(problem.domain, "interior", config.quad_n)
-    objectives = {v: build_objective(spec, problem, LossConfig(v, interior=norm_rule))
-                  for v in ("interior", "sobolev_k1")}
-    interior, sobolev = objectives.values()
-    exact3 = problem.exact.jets(norm_rule.nodes, 3)
-    exact2 = exact3[:, :coeff_layout(problem.domain.dim, 2).size]  # its order-2 jets
-
-    def metrics(trained, step, flat, loss):
-        residuals = [loss if obj is trained else obj.value(flat) for obj in objectives.values()]
-        _, _, h2 = sobolev_errors_upto(interior.ansatz_jets(flat), exact2, norm_rule, s_max=2)
-        return (step, *map(math.sqrt, residuals), h2,
-                grad_laplacian_error(sobolev.ansatz_jets(flat), exact3, norm_rule))
-
-    results = {}
-    for variant, objective in objectives.items():
-        results[variant] = _train_run(config, objective,
-                                      lambda *c, o=objective: metrics(o, *c))[0]
-        _write_csv(out_dir, f"sobolev_{config.problem}_{variant}.csv", config, seed,
-                   "step,l2_residual,h1_residual,h2_error,h3_error_proxy",
-                   results[variant])
     return results
 
 

@@ -10,7 +10,8 @@ not depend on the node order and repeated runs are bit-identical.  There is one 
 ``integrate_values(rule, f(rule.nodes))``, and one family of Sobolev
 distances, ``sobolev_errors_upto(v, ref, rule, s)[s]`` for H^0 ... H^s.
 Norms read derivatives off the packed jets through ``jets.CoeffLayout``:
-squared tensors weighted by ``multiplicity``, and ``grad_laplacian_rows``.
+squared tensors weighted by ``multiplicity``; the heat distance
+``x_norm_error`` adds the time derivative.
 """
 
 from __future__ import annotations
@@ -209,14 +210,6 @@ def h_half_surrogate(v, ref, rule: QuadratureRule) -> float:
     """
     l2, h1 = sobolev_errors_upto(v, ref, rule, s_max=1)
     return float(np.sqrt(l2 * h1))
-
-
-def grad_laplacian_error(v, ref, rule: QuadratureRule) -> float:
-    """L2 norm of grad(Laplacian) of the difference; a proxy for the H^3
-    seminorm gap.  Needs order-3 jets."""
-    lay = coeff_layout(rule.nodes.shape[1], 3)
-    g = _jet_difference(v, ref, rule.nodes, 3) @ lay.grad_laplacian_rows().T
-    return float(np.sqrt(integrate_values(rule, np.sum(g**2, axis=1))))
 
 
 def x_norm_error(v, ref, rule: QuadratureRule) -> float:

@@ -3,7 +3,9 @@ protocol (hash line, repr floats, no timestamps), determinism across
 reruns and worker counts, and the documented exit codes."""
 
 import math
-from dataclasses import fields
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +17,10 @@ from rescert.experiments import (ConfigError, ExperimentConfig, canonical_text,
                                  harmonic_failure_records, load_config,
                                  parse_config_text, run_certified,
                                  run_failure_demo, run_fd_check,
-                                 run_penalty_vs_exact, run_sobolev)
+                                 run_penalty_vs_exact)
 from rescert.losses import build_objective, make_config
 from rescert.problems import default_spec, get_problem
-from rescert.quadrature import grad_laplacian_error, sobolev_errors_upto, x_norm_error
+from rescert.quadrature import sobolev_errors_upto, x_norm_error
 from rescert.training import AdamSchedule
 
 TINY = ExperimentConfig(problem="P5", hidden=(4,), quad_n=6, steps=10, lr=1e-2,
@@ -101,27 +103,32 @@ def test_run_certified_writes_protocol_csv(tmp_path):
 
 
 def test_run_certified_is_deterministic_and_parallel_safe(tmp_path):
-    for problem in ("P5", "P4"):  # the heat problem P4 runs through the same driver
-        cfg = ExperimentConfig(problem=problem, hidden=(4,), quad_n=6, steps=20, lr=1e-2,
-                               record_every=10, seeds=(0, 1))
-        run_certified(cfg, tmp_path / "a")
-        run_certified(cfg, tmp_path / "b")
-        run_certified(cfg, tmp_path / "c", parallel=2)
+    # the heat problem P4 and the sobolev_k1 loss run through the same driver
+    for problem, variant in (("P5", "interior"), ("P4", "interior"), ("P1", "sobolev_k1")):
+        cfg = ExperimentConfig(problem=problem, variant=variant, hidden=(4,), quad_n=6,
+                               steps=20, lr=1e-2, record_every=10, seeds=(0, 1))
+        out = tmp_path / variant
+        run_certified(cfg, out / "a")
+        run_certified(cfg, out / "b")
+        run_certified(cfg, out / "c", parallel=2)
         for name in (f"certify_{problem}_seed0.csv", f"certify_{problem}_seed1.csv",
                      f"certify_{problem}_summary.txt"):
-            a = (tmp_path / "a" / name).read_bytes()
-            assert a == (tmp_path / "b" / name).read_bytes()
-            assert a == (tmp_path / "c" / name).read_bytes()
+            a = (out / "a" / name).read_bytes()
+            assert a == (out / "b" / name).read_bytes()
+            assert a == (out / "c" / name).read_bytes()
 
 
 def test_spatial_drivers_refuse_heat_problem(tmp_path):
-    # certify-run certifies every kind; compare-bc and sobolev-run stay spatial
+    # certify-run certifies every kind on the interior loss; compare-bc and
+    # the sobolev_k1 loss stay spatial (sobolev_k1: poisson only)
     p4 = ExperimentConfig(problem="P4", hidden=(4,), quad_n=4, steps=2)
     with pytest.raises(ConfigError, match="compare-bc needs .* P4 is heat"):
         run_penalty_vs_exact(p4, tmp_path)
-    with pytest.raises(ConfigError, match="sobolev-run needs .* P4 is heat"):
-        run_sobolev(p4, tmp_path)
-    assert not tmp_path.joinpath("compare_bc_P4.csv").exists()
+    for problem, kind in (("P4", "heat"), ("P3", "elliptic_divA")):
+        with pytest.raises(ConfigError, match=f"'sobolev_k1' on {problem}, which is {kind}"):
+            run_certified(ExperimentConfig(problem=problem, variant="sobolev_k1",
+                                           hidden=(4,), quad_n=4, steps=2), tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_certified_bound_violation_still_writes(tmp_path, monkeypatch):
@@ -262,20 +269,21 @@ def test_certify_run_certifies_heat_with_the_derived_constant(tmp_path, monkeypa
     assert "(holds: False)" in (tmp_path / "bad" / "certify_P4_seed0.csv").read_text()
 
 
-def test_run_sobolev_tracks_both_residuals(tmp_path):
+def test_certify_run_k1_tracks_both_residuals(tmp_path):
     cfg = ExperimentConfig(problem="P1", hidden=(4,), quad_n=5, steps=30, lr=1e-2,
                            record_every=10, seeds=(0,))
-    results = run_sobolev(cfg, tmp_path)
-    assert set(results) == {"interior", "sobolev_k1"}
-    for variant, rows in results.items():
-        assert (tmp_path / f"sobolev_P1_{variant}.csv").exists()
-        for step, l2r, h1r, h2, h3 in rows:
-            assert h1r >= l2r  # the augmented residual dominates the plain one
-    # both runs start from the same parameters, so step-0 rows agree
-    assert results["interior"][0] == results["sobolev_k1"][0]
-
-    with pytest.raises(ConfigError, match="poisson"):
-        run_sobolev(ExperimentConfig(problem="P4"), tmp_path)
+    csvs = {}
+    for variant in ("interior", "sobolev_k1"):
+        (run,) = run_certified(replace(cfg, variant=variant), tmp_path / variant)
+        lines = (tmp_path / variant / "certify_P1_seed0.csv").read_text().splitlines()
+        assert lines[-7:] == [f"# {l}" for l in run.final_report.text_block().splitlines()]
+        csvs[variant] = [l for l in lines[1:] if not l.startswith("#")]
+    interior, k1 = csvs["interior"], csvs["sobolev_k1"]
+    assert interior[0] == "step,loss,bound,h2_error,h1_error,l2_error"
+    assert k1[0] == interior[0] + ",training_loss"
+    assert [r.split(",")[0] for r in k1[1:]] == ["0", "10", "20", "30"]
+    # both runs start from the same parameters, so their step-0 certificates agree
+    assert k1[1].startswith(interior[1] + ",")
 
 
 def test_run_fd_check_penalty_uses_unconstrained_ansatz(tmp_path):
@@ -326,8 +334,9 @@ def test_every_driver_trains_through_the_module_name(tmp_path, monkeypatch):
     (run,) = run_certified(ExperimentConfig(problem="P4", **tiny), tmp_path)
     assert calls == [steps_of(run.rows)] == [[0, 2, 4]]
     calls.clear()
-    results = run_sobolev(ExperimentConfig(problem="P1", **tiny), tmp_path)
-    assert calls == [steps_of(rows) for rows in results.values()] == [[0, 2, 4]] * 2
+    (run,) = run_certified(ExperimentConfig(problem="P1", variant="sobolev_k1", **tiny),
+                           tmp_path)
+    assert calls == [steps_of(run.rows)] == [[0, 2, 4]]
 
 
 def _capture_train(monkeypatch):
@@ -421,24 +430,38 @@ def test_certify_run_heat_norms_equal_the_spec_route_bitwise(tmp_path, monkeypat
     assert report.measured_error == old_route(state.params)
 
 
-def test_sobolev_run_rows_equal_the_spec_route_bitwise(tmp_path, monkeypatch):
-    config = ExperimentConfig(problem="P1", hidden=(4,), quad_n=5, steps=6,
-                              lr=1e-2, record_every=2)
+def test_certify_run_k1_rows_equal_the_spec_route_bitwise(tmp_path, monkeypatch):
+    """A sobolev_k1 run certifies c_reg sqrt(interior loss) of the network it
+    trains on the k1 loss; every number matches separate objectives and the
+    spec's own jets bit for bit."""
+    config = ExperimentConfig(problem="P1", variant="sobolev_k1", hidden=(4,), quad_n=5,
+                              steps=6, lr=1e-2, record_every=2)
     runs = _capture_train(monkeypatch)
-    results = run_sobolev(config, tmp_path)
+    (run,) = run_certified(config, tmp_path)
+    (flats, state), = runs
     p1 = get_problem("P1")
     spec = default_spec(p1, hidden=config.hidden, seed=0)
-    cfgs = [make_config(p1, v, config.quad_n) for v in ("interior", "sobolev_k1")]
-    rule = cfgs[0].interior
+    interior, k1 = (build_objective(spec, p1, make_config(p1, v, config.quad_n))
+                    for v in ("interior", "sobolev_k1"))
+    rule = make_config(p1, "interior", config.quad_n).interior
+    c_reg = certify.c_reg_convex(p1.domain)
 
-    def old_route(flat):  # separate objectives and the spec's own jets
-        v = spec.with_params(flat)
-        return (*(math.sqrt(build_objective(spec, p1, c).value(flat)) for c in cfgs),
-                sobolev_errors_upto(v, p1.exact, rule, s_max=2)[2],
-                grad_laplacian_error(v, p1.exact, rule))
+    def old_route(flat):
+        l2, h1, h2 = sobolev_errors_upto(spec.with_params(flat), p1.exact, rule, s_max=2)
+        return interior.value(flat), h2, h1, l2, k1.value(flat)
 
-    for (flats, _), rows in zip(runs, results.values()):
-        assert [r[1:] for r in rows] == [old_route(flat) for flat in flats]
+    assert [r[0] for r in run.rows] == [0, 2, 4, 6] and len(flats) == 4
+    for flat, (_, loss, bound, *rest) in zip(flats, run.rows):
+        assert (loss, *rest) == old_route(flat)
+        assert bound == c_reg * math.sqrt(loss)
+        assert rest[-1] >= loss
+    report = run.final_report
+    assert state.loss == k1.value(state.params)  # the best network by its training loss
+    assert (report.loss, report.measured_error) == old_route(state.params)[:2]
+    assert report.bound == c_reg * math.sqrt(report.loss) and report.certified
+    # the first six columns at step 0 are the interior run's
+    (interior_run,) = run_certified(replace(config, variant="interior"), tmp_path / "i")
+    assert run.rows[0][:6] == interior_run.rows[0]
 
 
 def _count_during_checkpoints(monkeypatch, targets):
@@ -471,7 +494,9 @@ def _count_during_checkpoints(monkeypatch, targets):
     return per_checkpoint
 
 
-def test_sobolev_run_checkpoint_makes_one_forward_pass(tmp_path, monkeypatch):
+def test_certify_run_k1_checkpoint_makes_one_forward_pass(tmp_path, monkeypatch):
+    # the interior loss needs one pass on the training rule, whose jets the
+    # norms then reuse; the rule's composition and u*'s jets are built once
     from rescert import network
     from rescert.ansatz import AnsatzSpec
 
@@ -482,11 +507,12 @@ def test_sobolev_run_checkpoint_makes_one_forward_pass(tmp_path, monkeypatch):
     real_build = experiments.build_objective
     monkeypatch.setattr(experiments, "build_objective",
                         lambda *a: built.append(a) or real_build(*a))
-    results = run_sobolev(ExperimentConfig(problem="P1", hidden=(4,), quad_n=4, steps=6,
-                                           lr=1e-2, record_every=2), tmp_path)
-    assert len(counts) == sum(len(rows) for rows in results.values()) == 8
-    assert counts == [{"forward_jets": 1, "composition": 0, "jets": 0}] * 8
-    assert len(built) == 2
+    (run,) = run_certified(ExperimentConfig(problem="P1", variant="sobolev_k1", hidden=(4,),
+                                            quad_n=4, steps=6, lr=1e-2, record_every=2),
+                           tmp_path)
+    assert len(counts) == len(run.rows) == 4
+    assert counts == [{"forward_jets": 1, "composition": 0, "jets": 0}] * 4
+    assert [cfg.variant for _, _, cfg in built] == ["sobolev_k1", "interior"]
 
 
 # -- command line ------------------------------------------------------------------
@@ -685,6 +711,7 @@ def test_cli_heat_constant_ten_percent_low_is_a_violation(tmp_path, capsys, monk
     (dict(out_dir="elsewhere"), "unknown key 'out_dir'"),
     (dict(tau="inf"), "tau = inf is not positive and finite"),
     (dict(lr="inf"), "lr = inf is not positive and finite"),
+    (dict(seeds="-1"), "seeds = (-1,) has a negative seed"),
 ])
 def test_cli_out_of_range_config_is_config_error(tmp_path, capsys, kv, fragment):
     # each value goes to the first command that reads its key (certify-run
@@ -698,6 +725,42 @@ def test_cli_out_of_range_config_is_config_error(tmp_path, capsys, kv, fragment)
     assert code == 4
     err = capsys.readouterr().err
     assert "config error" in err and fragment in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_negative_seed_option_is_config_error(tmp_path, capsys):
+    # --seed -5 used to die in network.xavier with numpy's traceback and exit 1
+    cfg = write_cfg(tmp_path, problem="P5", hidden="4", quad_n=4, steps=2)
+    code = cli.main(["certify-run", "--config", cfg, "--seed", "-5",
+                     "--out", str(tmp_path / "out")])
+    assert code == 4
+    assert "seeds = (-5,) has a negative seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_out_that_is_a_file_fails_before_training(tmp_path, capsys, monkeypatch):
+    # it used to train the whole run, then die with a FileExistsError traceback
+    monkeypatch.setattr(experiments, "train", lambda *a, **k: pytest.fail("trained"))
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    cfg = write_cfg(tmp_path, problem="P5", hidden="4", quad_n=4, steps=2)
+    code = cli.main(["certify-run", "--config", cfg, "--out", str(afile)])
+    assert code == 4
+    assert f"--out {afile} exists and is not a directory" in capsys.readouterr().err
+    assert afile.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("problem,variant,kind", [
+    ("P1", "penalty", "poisson"), ("P1", "bogus", "poisson"),
+    ("P3", "sobolev_k1", "elliptic_divA"), ("P4", "sobolev_k1", "heat")])
+def test_cli_certify_run_refuses_a_variant_it_cannot_train(tmp_path, capsys, problem,
+                                                            variant, kind):
+    cfg = write_cfg(tmp_path, problem=problem, variant=variant, hidden="4", quad_n=4,
+                    steps=2)
+    code = cli.main(["certify-run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert f"cannot train variant {variant!r} on {problem}, which is {kind}" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -719,15 +782,15 @@ def test_cli_nonpositive_constant_or_tau_is_config_error(tmp_path, capsys, comma
 
 
 @pytest.mark.parametrize("command,kv,key", [
-    ("certify-run", dict(problem="P1", variant="sobolev_k1", tau=3.0), "variant"),
-    ("sobolev-run", dict(problem="P1", variant="sobolev_k1"), "variant"),
+    ("certify-run", dict(problem="P1", variant="sobolev_k1", tau=3.0), "tau"),
+    ("certify-run", dict(problem="P1", n_list="2,4"), "n_list"),
     ("compare-bc", dict(problem="P5", record_every=5), "record_every"),
     ("fd-check", dict(problem="P1", steps=5), "steps"),
     ("failure-demo", dict(problem="P1", hidden="4", steps=5), "problem"),
 ])
 def test_cli_rejects_keys_its_command_never_reads(tmp_path, capsys, command, kv, key):
-    # certify-run with variant = sobolev_k1 used to train the interior loss
-    # and print "certified True"; failure-demo ignored problem, hidden, steps
+    # certify-run reads variant but no penalty weight; failure-demo used to
+    # ignore problem, hidden and steps
     cfg = write_cfg(tmp_path, quad_n=4, **kv)
     code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 4
@@ -737,9 +800,25 @@ def test_cli_rejects_keys_its_command_never_reads(tmp_path, capsys, command, kv,
 
 def test_key_table_names_every_command_and_only_config_keys():
     assert set(experiments.COMMAND_KEYS) == {name for name, _ in cli._COMMANDS}
-    assert sum(len(keys) for keys in experiments.COMMAND_KEYS.values()) == 30
+    assert sum(len(keys) for keys in experiments.COMMAND_KEYS.values()) == 24
     for keys in experiments.COMMAND_KEYS.values():
         assert set(keys) <= {f.name for f in fields(ExperimentConfig)}
+
+
+def test_readme_names_every_command_and_its_keys():
+    # the README's command block and key table are the CLI's own tables
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```", 2)[1]
+    assert [line.split()[1] for line in block.strip().splitlines()] == \
+        [name for name, _ in cli._COMMANDS]
+    table = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            commands, keys = line.strip("|").split("|")
+            for command in re.findall(r"`([^`]+)`", commands):
+                table[command] = tuple(re.findall(r"`([^`]+)`", keys))
+    assert table == experiments.COMMAND_KEYS
 
 
 @pytest.mark.parametrize("n_list", ["4,4", "8"])

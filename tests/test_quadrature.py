@@ -9,9 +9,9 @@ from rescert.fields import AnalyticField, harmonic_mode
 from rescert.geometry import Disk, Interval, Rectangle, SpaceTimeBox
 from rescert.jets import cos, exp, sin
 from rescert.problems import get_problem
-from rescert.quadrature import (build_rule, boundary_misfit, grad_laplacian_error,
-                                h_half_surrogate, integrate_values, kahan_sum,
-                                sobolev_errors_upto, x_norm_error)
+from rescert.quadrature import (build_rule, boundary_misfit, h_half_surrogate,
+                                integrate_values, kahan_sum, sobolev_errors_upto,
+                                x_norm_error)
 
 UNIT_SQUARE = Rectangle((0.0, 0.0), (1.0, 1.0))
 UNIT_DISK = Disk((0.0, 0.0), 1.0)
@@ -181,16 +181,6 @@ def test_x_norm_closed_form_on_heat_solution():
     want = math.sqrt(math.pi**4 * k) + math.sqrt((0.25 + math.pi**2 / 2 + math.pi**4) * k)
     rule = build_rule(p4.domain, "interior", 12)
     assert x_norm_error(p4.exact, None, rule) == pytest.approx(want, rel=1e-13)
-
-
-def test_grad_laplacian_error_closed_form():
-    # grad(Laplacian) of sin(pi x) sin(pi y) is -2 pi^2 grad u, whose squared
-    # L2 norm on the unit square is 4 pi^4 * pi^2 / 2
-    p1 = get_problem("P1")
-    rule = build_rule(p1.domain, "interior", 24)
-    got = grad_laplacian_error(p1.exact, None, rule)
-    assert got == pytest.approx(math.sqrt(2.0) * math.pi**3, rel=1e-13)
-    assert grad_laplacian_error(p1.exact, p1.exact, rule) == 0.0
 
 
 def test_boundary_misfit():
