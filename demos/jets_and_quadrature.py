@@ -16,7 +16,7 @@ import sympy as sp
 from rescert import (AnalyticField, NetworkParams, build_rule, coeff_layout,
                      forward_jets, h_half_surrogate, integrate_values,
                      sobolev_errors_upto)
-from rescert.geometry import Disk, Interval, Rectangle
+from rescert.geometry import Disk, Rectangle
 from rescert.jets import seed_point, sin, tanh
 
 # -- jets by hand: tanh(x * y) to second order -------------------------------------
@@ -53,9 +53,10 @@ for k, p in enumerate(X):
 
 # -- quadrature: exactness and measures ----------------------------------------------
 
-rule = build_rule(Interval(0.0, 1.0), "interior", n=5)
-print("\nGauss-Legendre n=5 on [0,1], monomial x^9:",
-      f"{integrate_values(rule, rule.nodes[:, 0] ** 9):.12f} (exact 0.1)")
+rule = build_rule(Rectangle((0.0, 0.0), (1.0, 1.0)), "interior", n=5)
+x, y = rule.nodes.T
+print("\nGauss-Legendre n=5 on the unit square, monomial x^9 y^9:",
+      f"{integrate_values(rule, x**9 * y**9):.12f} (exact 0.01)")
 
 for domain, target, name in [
     (Rectangle((0.0, 0.0), (1.0, 1.0)), "interior", "unit square"),

@@ -15,7 +15,7 @@ from .experiments import (ConfigError, ExperimentConfig, fit_ratio_slope,
                           parse_config_text, run_certified, run_failure_demo,
                           run_fd_check, run_penalty_vs_exact)
 from .fields import AnalyticField, harmonic_mode
-from .geometry import Disk, Interval, Rectangle, SpaceTimeBox
+from .geometry import Disk, Rectangle, SpaceTimeBox
 from .jets import TaylorJet, coeff_layout, seed_point, seed_variable
 from .losses import LossConfig, build_objective, make_config
 from .network import NetworkParams, forward_jets
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamSchedule", "AnalyticField", "AnsatzSpec", "BoundViolation",
     "CertifiedReport", "ConfigError", "Disk", "DivergenceError",
-    "ExperimentConfig", "FdCheckReport", "Interval",
+    "ExperimentConfig", "FdCheckReport",
     "LossConfig", "NetworkParams", "PdeProblem",
     "QuadratureRule", "Rectangle", "SpaceTimeBox", "TaylorJet",
     "TrainState", "build_objective", "build_rule",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import inf, pi, sqrt
 from typing import Optional
 
-from .geometry import Disk, Domain, Interval, Rectangle, SpaceTimeBox
+from .geometry import Disk, Domain, Rectangle, SpaceTimeBox
 from .problems import PdeProblem
 
 PROVENANCE_CONVEX = "convex_formula"
@@ -95,11 +95,9 @@ def _check_loss(loss: float) -> float:
 
 
 def _lambda1(domain: Domain) -> float:
-    """First Dirichlet eigenvalue, exact for every accepted domain: pi^2 / L^2
-    on an interval of length L, pi^2 (1/a^2 + 1/b^2) on an a x b rectangle,
-    and j01^2 / R^2 on a disk of radius R (j01 the first zero of J_0)."""
-    if isinstance(domain, Interval):
-        return pi**2 / domain.measure**2
+    """First Dirichlet eigenvalue, exact for every accepted domain:
+    pi^2 (1/a^2 + 1/b^2) on an a x b rectangle and j01^2 / R^2 on a disk of
+    radius R (j01 the first zero of J_0)."""
     if isinstance(domain, Rectangle):
         a, b = (h - l for l, h in zip(domain.lo, domain.hi))
         return pi**2 * (1.0 / a**2 + 1.0 / b**2)
@@ -123,7 +121,7 @@ def c_reg_convex(domain: Domain) -> float:
       of the three parts gives c.
     lambda_1 is exact for every accepted domain (``_lambda1``).  All three
     parts are attained by the first eigenfunction, so the constant is sharp
-    on intervals and rectangles.
+    on rectangles.
     """
     lam = _lambda1(domain)
     return sqrt(1.0 + 1.0 / lam + 1.0 / lam**2)

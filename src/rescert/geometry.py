@@ -1,6 +1,6 @@
-"""Domains (interval, rectangle, disk, space-time box) and their distance
-factors: polynomial fields that vanish exactly on the Dirichlet boundary and
-are strictly positive inside.
+"""Domains (rectangle, disk, space-time box) and their distance factors:
+polynomial fields that vanish exactly on the Dirichlet boundary and are
+strictly positive inside.
 
 A factor is written once, as jet arithmetic on coordinate seeds, and
 evaluated on a whole batch of points at once (``TaylorJet`` slots of shape
@@ -12,33 +12,12 @@ initial slice and on the lateral boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import inf, isfinite, pi
 from typing import Union
 
 import numpy as np
 
 from .jets import TaylorJet, seed_point
-
-
-@dataclass(frozen=True)
-class Interval:
-    a: float = 0.0
-    b: float = 1.0
-
-    def __post_init__(self):
-        if not self.b > self.a:
-            raise ValueError(f"empty interval [{self.a}, {self.b}]")
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    @property
-    def measure(self) -> float:
-        return self.b - self.a
-
-    def bounding_box(self):
-        return np.array([self.a]), np.array([self.b])
 
 
 @dataclass(frozen=True)
@@ -49,6 +28,9 @@ class Rectangle:
     def __post_init__(self):
         if len(self.lo) != 2 or len(self.hi) != 2:
             raise ValueError("rectangle needs two coordinates per corner")
+        for name, corner in (("lo", self.lo), ("hi", self.hi)):
+            if not all(isfinite(c) for c in corner):
+                raise ValueError(f"rectangle corner {name} must be finite, got {corner}")
         if not all(h > l for l, h in zip(self.lo, self.hi)):
             raise ValueError(f"empty rectangle lo={self.lo} hi={self.hi}")
 
@@ -70,8 +52,10 @@ class Disk:
     radius: float = 1.0
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"disk radius must be positive, got {self.radius}")
+        if len(self.center) != 2 or not all(isfinite(c) for c in self.center):
+            raise ValueError(f"disk center needs two finite coordinates, got {self.center}")
+        if not 0 < self.radius < inf:
+            raise ValueError(f"disk radius must be finite and positive, got {self.radius}")
 
     @property
     def dim(self) -> int:
@@ -92,11 +76,11 @@ class SpaceTimeBox:
     """Cylinder (0, horizon) x spatial domain; nodes are laid out (t, x...)."""
 
     horizon: float
-    spatial: Union[Interval, Rectangle, Disk]
+    spatial: Union[Rectangle, Disk]
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError(f"time horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < inf:
+            raise ValueError(f"time horizon must be finite and positive, got {self.horizon}")
         if isinstance(self.spatial, SpaceTimeBox):
             raise ValueError("spatial part of a space-time box must be a spatial domain")
         if self.spatial.dim + 1 > 3:
@@ -115,13 +99,11 @@ class SpaceTimeBox:
         return np.concatenate(([0.0], lo)), np.concatenate(([self.horizon], hi))
 
 
-Domain = Union[Interval, Rectangle, Disk, SpaceTimeBox]
+Domain = Union[Rectangle, Disk, SpaceTimeBox]
 
 
 def _factor(domain: Domain, s) -> TaylorJet:
     """Distance factor as jet arithmetic on the coordinate jets s."""
-    if isinstance(domain, Interval):
-        return (s[0] - domain.a) * (domain.b - s[0])
     if isinstance(domain, Rectangle):
         out = (s[0] - domain.lo[0]) * (domain.hi[0] - s[0])
         return out * ((s[1] - domain.lo[1]) * (domain.hi[1] - s[1]))

@@ -22,7 +22,7 @@ from math import fsum, pi
 
 import numpy as np
 
-from .geometry import Disk, Domain, Interval, Rectangle, SpaceTimeBox
+from .geometry import Disk, Domain, Rectangle, SpaceTimeBox
 from .jets import coeff_layout
 
 TARGETS = ("interior", "boundary")
@@ -84,8 +84,7 @@ def build_rule(domain: Domain, target: str, n: int) -> QuadratureRule:
     interior: tensor Gauss-Legendre; disks use radial Gauss x 4n uniform
     angles; a space-time box tensors Gauss-Legendre in time with the spatial
     interior rule.  boundary: Gauss-Legendre per rectangle edge, 4n uniform
-    angular nodes on a circle, the two endpoints (unit weights) of an
-    interval.
+    angular nodes on a circle.
     """
     if target not in TARGETS:
         raise ValueError(f"unknown quadrature target {target!r}")
@@ -99,13 +98,6 @@ def build_rule(domain: Domain, target: str, n: int) -> QuadratureRule:
         srule = build_rule(domain.spatial, "interior", n)
         nodes, weights = _tensor(tq, tw, srule.nodes, srule.weights)
         return QuadratureRule(nodes, weights, domain, target)
-
-    if isinstance(domain, Interval):
-        if target == "interior":
-            x, w = _gauss(domain.a, domain.b, n)
-            return QuadratureRule(x[:, None], w, domain, target)
-        nodes = np.array([[domain.a], [domain.b]])
-        return QuadratureRule(nodes, np.ones(2), domain, target)
 
     if isinstance(domain, Rectangle):
         if target == "interior":

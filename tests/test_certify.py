@@ -15,7 +15,7 @@ from rescert.certify import (BoundViolation, CertifiedReport,
 from rescert.ansatz import build_spec
 from rescert.fields import AnalyticField
 from rescert.experiments import ExperimentConfig, run_penalty_vs_exact
-from rescert.geometry import Disk, Interval, Rectangle, SpaceTimeBox
+from rescert.geometry import Disk, Rectangle, SpaceTimeBox
 from rescert.jets import sin
 from rescert.losses import build_objective, make_config
 from rescert.problems import PdeProblem, default_spec, get_problem
@@ -23,14 +23,17 @@ from rescert.quadrature import sobolev_errors_upto, x_norm_error
 
 
 def test_c_reg_closed_forms():
-    # sqrt(1 + 1/lambda_1 + 1/lambda_1^2), lambda_1 the first Dirichlet eigenvalue
-    lam = math.pi**2
-    assert c_reg_convex(Interval(0.0, 1.0)) == pytest.approx(
-        math.sqrt(1 + 1 / lam + 1 / lam**2), rel=1e-15)
-    assert c_reg_convex(Interval(0.0, 1.0)) == pytest.approx(
-        1.054318341819501, rel=1e-15)
+    # sqrt(1 + 1/lambda_1 + 1/lambda_1^2), lambda_1 the first Dirichlet
+    # eigenvalue, pi^2 (1/a^2 + 1/b^2) on an a x b rectangle
+    for lo, hi in (((0.0, 0.0), (1.0, 1.0)), ((-1.0, 0.0), (1.0, 0.5))):
+        a, b = hi[0] - lo[0], hi[1] - lo[1]
+        lam = math.pi**2 * (1 / a**2 + 1 / b**2)
+        assert c_reg_convex(Rectangle(lo, hi)) == pytest.approx(
+            math.sqrt(1 + 1 / lam + 1 / lam**2), rel=1e-15)
     assert c_reg_convex(Rectangle((0.0, 0.0), (1.0, 1.0))) == pytest.approx(
         1.0262685259642526, rel=1e-15)
+    assert c_reg_convex(Rectangle((-1.0, 0.0), (1.0, 0.5))) == pytest.approx(
+        1.0121307412499787, rel=1e-15)
     assert c_reg_convex(Disk((0.0, 0.0), 1.0)) == pytest.approx(
         1.0967290869346529, rel=1e-15)
     # scaling sanity: bigger domain, bigger constant
@@ -135,7 +138,7 @@ def test_h2_bound_refuses_a_domain_its_problem_does_not_live_on():
     # the constant is the problem's: P1 on a 0.5 x 0.5 square used to certify
     # with 1.0064 (that square's constant) in place of P1's 1.0263
     p1 = get_problem("P1")
-    for domain in (Rectangle((0.0, 0.0), (0.5, 0.5)), Interval(0.0, 1.0)):
+    for domain in (Rectangle((0.0, 0.0), (0.5, 0.5)), Disk((0.0, 0.0), 1.0)):
         with pytest.raises(ValueError, match=f"P1 lives on .*, not on {type(domain).__name__}"):
             certified_h2_bound(1.0, domain, p1)
     with pytest.raises(TypeError):  # the problem is required

@@ -1,13 +1,16 @@
 """Domains, distance factors, lifts, and the hard-constrained ansatz."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 import sympy as sp
 
 from rescert.ansatz import AnsatzSpec, build_spec
 from rescert.fields import AnalyticField
-from rescert.geometry import (Disk, Interval, Rectangle, SpaceTimeBox,
-                              distance_jet, distance_jets)
+from rescert.certify import c_reg_convex
+from rescert.geometry import (Disk, Rectangle, SpaceTimeBox, distance_jet,
+                              distance_jets)
 from rescert.jets import TaylorJet, coeff_layout, sin
 from rescert.network import NetworkParams
 from rescert.problems import get_problem, default_spec
@@ -19,7 +22,6 @@ UNIT_DISK = Disk((0.0, 0.0), 1.0)
 
 
 def test_domain_measures():
-    assert Interval(0.0, 2.0).measure == 2.0
     assert UNIT_SQUARE.measure == 1.0
     assert UNIT_DISK.measure == pytest.approx(np.pi)
     box = SpaceTimeBox(0.2, UNIT_SQUARE)
@@ -29,8 +31,6 @@ def test_domain_measures():
 
 def test_domain_validation():
     with pytest.raises(ValueError):
-        Interval(1.0, 1.0)
-    with pytest.raises(ValueError):
         Rectangle((0.0, 0.0), (1.0, -1.0))
     with pytest.raises(ValueError):
         Disk((0.0, 0.0), 0.0)
@@ -38,6 +38,40 @@ def test_domain_validation():
         SpaceTimeBox(-0.1, UNIT_SQUARE)
     with pytest.raises(ValueError):
         SpaceTimeBox(1.0, SpaceTimeBox(1.0, UNIT_SQUARE))
+    # non-finite or misshapen geometry is refused at construction, naming
+    # the field, before a rule gets non-finite nodes or a constant divides
+    # by an infinite radius
+    inf, nan = float("inf"), float("nan")
+    for make, field in [
+        (lambda: Disk((0.0, 0.0, 0.0), 1.0), "center"),
+        (lambda: Disk((0.0,), 1.0), "center"),
+        (lambda: Disk((nan, 0.0), 1.0), "center"),
+        (lambda: Disk((0.0, 0.0), inf), "radius"),
+        (lambda: Rectangle((0.0, 0.0), (1.0, inf)), "corner hi"),
+        (lambda: Rectangle((-inf, 0.0), (1.0, 1.0)), "corner lo"),
+        (lambda: SpaceTimeBox(inf, UNIT_SQUARE), "horizon"),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            make()
+
+
+@dataclass(frozen=True)
+class Triangle:
+    """Not a built-in domain, though it has the attributes a domain carries."""
+
+    dim = 2
+
+    def bounding_box(self):
+        return np.zeros(2), np.ones(2)
+
+
+def test_domain_dispatchers_refuse_an_unknown_domain_type():
+    with pytest.raises(TypeError, match="Triangle"):
+        build_rule(Triangle(), "interior", 4)
+    with pytest.raises(TypeError, match="Triangle"):
+        c_reg_convex(Triangle())
+    with pytest.raises(TypeError, match="Triangle"):
+        distance_jets(Triangle(), np.full((3, 2), 0.5), 2)
 
 
 def distance_factor(domain, x):
@@ -49,7 +83,6 @@ def test_distance_factor_values():
     assert distance_factor(UNIT_SQUARE, [0.5, 0.5]) == pytest.approx(1.0 / 16.0)
     assert distance_factor(UNIT_DISK, [0.0, 0.0]) == 1.0
     assert distance_factor(UNIT_SQUARE, [0.0, 0.7]) == 0.0
-    assert distance_factor(Interval(0.0, 1.0), [0.25]) == pytest.approx(0.1875)
     # the space-time factor t * L(x) vanishes on the initial slice
     box = SpaceTimeBox(0.2, UNIT_SQUARE)
     assert distance_factor(box, [0.1, 0.5, 0.5]) == pytest.approx(0.1 / 16.0)
@@ -58,7 +91,7 @@ def test_distance_factor_values():
 
 def test_distance_factor_sign():
     # Gauss nodes lie strictly inside their domain
-    for dom in (UNIT_SQUARE, UNIT_DISK, Interval(-1.0, 2.0), SpaceTimeBox(0.2, UNIT_SQUARE)):
+    for dom in (UNIT_SQUARE, UNIT_DISK, SpaceTimeBox(0.2, UNIT_SQUARE)):
         nodes = build_rule(dom, "interior", 6).nodes
         assert np.all(distance_jets(dom, nodes, 0)[:, 0] > 0.0), dom
 
@@ -68,7 +101,6 @@ def test_distance_jets_match_closed_form():
     # order-k slots are the leading slots of the order-3 layout)
     t, x, y = sp.symbols("t x y")
     cases = (
-        (Interval(0.0, 1.0), x * (1 - x), (x,)),
         (UNIT_SQUARE, x * (1 - x) * y * (1 - y), (x, y)),
         (UNIT_DISK, 1 - x**2 - y**2, (x, y)),
         (SpaceTimeBox(0.2, UNIT_SQUARE), t * x * (1 - x) * y * (1 - y), (t, x, y)),

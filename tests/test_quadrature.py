@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rescert.fields import AnalyticField, harmonic_mode
-from rescert.geometry import Disk, Interval, Rectangle, SpaceTimeBox
+from rescert.geometry import Disk, Rectangle, SpaceTimeBox
 from rescert.jets import cos, exp, sin
 from rescert.problems import get_problem
 from rescert.quadrature import (build_rule, boundary_misfit, h_half_surrogate,
@@ -18,15 +18,19 @@ UNIT_DISK = Disk((0.0, 0.0), 1.0)
 
 
 def test_gauss_monomial_exactness():
-    # degree 2n-1 integrated exactly on the interval
-    for n in (2, 3, 5, 8):
-        rule = build_rule(Interval(0.0, 1.0), "interior", n)
-        for k in range(2 * n):
-            got = integrate_values(rule, rule.nodes[:, 0] ** k)
-            assert abs(got - 1.0 / (k + 1)) < 1e-13 / (k + 1) + 1e-15
+    # degree 2n-1 in each direction integrated exactly on the unit square
+    for n in (2, 5, 8):
+        rule = build_rule(UNIT_SQUARE, "interior", n)
+        x, y = rule.nodes.T
+        for a in range(2 * n):
+            for b in range(2 * n):
+                want = 1.0 / ((a + 1) * (b + 1))
+                got = integrate_values(rule, x**a * y**b)
+                assert abs(got - want) < 1e-13 * want + 1e-15, (n, a, b)
 
-    rule = build_rule(Interval(0.0, 1.0), "interior", 5)
-    assert integrate_values(rule, rule.nodes[:, 0] ** 9) == pytest.approx(0.1, rel=1e-14)
+    rule = build_rule(UNIT_SQUARE, "interior", 5)
+    x, y = rule.nodes.T
+    assert integrate_values(rule, x**9 * y**9) == pytest.approx(0.01, rel=1e-14)
 
 
 def test_gauss_tables_are_shared_read_only_and_unchanged():
@@ -56,10 +60,9 @@ def test_tensor_rule_exactness():
 
 
 def test_weights_sum_to_measure():
-    # a boundary rule sums to the closed-form boundary measure: two endpoints
-    # (counting measure), the unit square's perimeter, the unit circle's length
+    # a boundary rule sums to the closed-form boundary measure: the unit
+    # square's perimeter, the unit circle's length
     cases = [
-        (Interval(0.0, 1.0), "interior", None), (Interval(0.0, 1.0), "boundary", 2.0),
         (UNIT_SQUARE, "interior", None), (UNIT_SQUARE, "boundary", 4.0),
         (UNIT_DISK, "interior", None), (UNIT_DISK, "boundary", 2.0 * math.pi),
         (SpaceTimeBox(0.2, UNIT_SQUARE), "interior", None),
@@ -94,7 +97,7 @@ def test_square_integrand():
 
 
 def test_integrate_rejects_nonfinite():
-    rule = build_rule(Interval(0.0, 1.0), "interior", 4)
+    rule = build_rule(UNIT_SQUARE, "interior", 4)
     with pytest.raises(ValueError, match="node"):
         integrate_values(rule, np.full(rule.n_nodes, np.nan))
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rescert.fields import AnalyticField
-from rescert.geometry import Interval
+from rescert.geometry import Rectangle
 from rescert.losses import build_objective, make_config
 from rescert.problems import PdeProblem, default_spec, get_problem
 from rescert import network
@@ -14,17 +14,27 @@ from rescert.training import (FD_REL_STEP, FD_REL_TOL, AdamSchedule, DivergenceE
 
 
 def toy_problem():
-    """-v'' = 2 on (0,1), zero boundary values, solution x(1-x).
+    """-Laplace(v) = 2(x(1-x) + y(1-y)) on the unit square, zero boundary
+    values, solution L = x(1-x) y(1-y), the distance factor itself.
 
-    With a single linear layer (widths (1,1)) the ansatz is
-    v = x(1-x) (w + b) reshaped by the input scaling, and the loss reduces to
-    the exact quadratic 4(1-b)^2 + 12 w^2 in the two parameters.
+    With a single linear layer (widths (2, 1)) the ansatz is
+    v = L (w1 x1' + w2 x2' + b), x' the inputs after the input scaling, and
+    the residual has degree 3 in each direction, so the 8-point rule
+    integrates the loss exactly: it is the quadratic
+    (22/45)(1-b)^2 + (58/105)(w1^2 + w2^2) in the three parameters.
     """
     return PdeProblem(
-        name="toy", kind="poisson", domain=Interval(0.0, 1.0),
-        rhs=AnalyticField(lambda s: 2.0, 1),
-        exact=AnalyticField(lambda s: s[0] * (1 - s[0]), 1),
+        name="toy", kind="poisson", domain=Rectangle((0.0, 0.0), (1.0, 1.0)),
+        rhs=AnalyticField(lambda s: 2.0 * (s[0] * (1 - s[0]) + s[1] * (1 - s[1])), 2),
+        exact=AnalyticField(lambda s: s[0] * (1 - s[0]) * s[1] * (1 - s[1]), 2),
     )
+
+
+TOY_LOSS_AT_ZERO = 22.0 / 45.0
+
+
+def toy_surface(w1, w2, b):
+    return TOY_LOSS_AT_ZERO * (1 - b) ** 2 + 58.0 / 105.0 * (w1**2 + w2**2)
 
 
 def toy_setup():
@@ -41,31 +51,33 @@ def loss_of(spec, problem, cfg):
 
 def test_toy_loss_surface():
     problem, spec, cfg = toy_setup()
-    assert spec.params.n_params == 2  # one weight, one bias
-    assert loss_of(spec, problem, cfg) == pytest.approx(4.0, rel=1e-12)
+    assert spec.params.n_params == 3  # two weights, one bias
+    assert loss_of(spec, problem, cfg) == pytest.approx(TOY_LOSS_AT_ZERO, rel=1e-12)
     g = build_objective(spec, problem, cfg).value_and_grad(spec.params.flatten())[1]()
     assert g[0] == pytest.approx(0.0, abs=1e-12)
-    assert g[1] == pytest.approx(-8.0, rel=1e-12)
-    # the surface is 4(1-b)^2 + 12 w^2; probe a few parameter points
-    for w, b in [(0.5, 0.0), (-0.3, 1.0), (0.2, 2.0)]:
-        got = loss_of(spec.with_params(np.array([w, b])), problem, cfg)
-        assert got == pytest.approx(4 * (1 - b) ** 2 + 12 * w**2, rel=1e-12)
+    assert g[1] == pytest.approx(0.0, abs=1e-12)
+    assert g[2] == pytest.approx(-2.0 * TOY_LOSS_AT_ZERO, rel=1e-12)
+    # probe a few parameter points of the surface
+    for w1, w2, b in [(0.5, 0.0, 0.0), (-0.3, 0.2, 1.0), (0.2, -0.1, 2.0),
+                      (1.0, 1.0, -1.0)]:
+        got = loss_of(spec.with_params(np.array([w1, w2, b])), problem, cfg)
+        assert got == pytest.approx(toy_surface(w1, w2, b), rel=1e-12)
 
 
 def test_toy_gradient_fd_audit():
     problem, spec, cfg = toy_setup()
-    report = fd_check(spec, problem, cfg, n_coords=2, seed=0)
+    report = fd_check(spec, problem, cfg, n_coords=3, seed=0)
     # quadratic loss: central differences are exact up to rounding
     assert report.max_discrepancy < 1e-10
     assert report.max_absolute_near_zero < 1e-10
     assert report.passed()
-    # the w coordinate has zero gradient at the origin -> absolute comparison
+    # the w coordinates have zero gradient at the origin -> absolute comparison
     kinds = {row.index: row.relative for row in report.rows if row.kind == "coordinate"}
-    assert kinds[0] is False
-    assert kinds[1] is True
-    # the rounding floor eps * |L| / h of each coordinate row, at L = 4, theta = 0
-    for row in report.rows[:2]:
-        assert row.floor == np.finfo(float).eps * 4.0 / FD_REL_STEP
+    assert kinds == {0: False, 1: False, 2: True}
+    # the rounding floor eps * |L| / h of each coordinate row, at theta = 0
+    loss = loss_of(spec, problem, cfg)
+    for row in report.rows[:3]:
+        assert row.floor == np.finfo(float).eps * loss / FD_REL_STEP
 
 
 def test_toy_adam_converges():
@@ -74,9 +86,9 @@ def test_toy_adam_converges():
     seen = []
     state = train(objective, schedule=AdamSchedule(steps=200, lr=0.1, record_every=50),
                   on_checkpoint=lambda step, flat, loss: seen.append((step, loss)))
-    assert abs(state.params[1] - 1.0) < 1e-3
+    assert abs(state.params[2] - 1.0) < 1e-3
     assert state.loss < 1e-5
-    assert seen[0] == (0, pytest.approx(4.0, rel=1e-12))
+    assert seen[0] == (0, pytest.approx(TOY_LOSS_AT_ZERO, rel=1e-12))
     assert [s for s, _ in seen] == [0, 50, 100, 150, 200]  # schedule.steps steps taken
     # the best loss is the loss of the returned parameters, and no record is lower
     assert objective.value(state.params) == state.loss
@@ -89,7 +101,7 @@ def test_zero_steps_is_a_noop():
     seen = []
     state = train(build_objective(spec, problem, cfg), AdamSchedule(steps=0),
                   on_checkpoint=lambda step, flat, loss: seen.append((step, loss)))
-    assert seen == [(0, pytest.approx(4.0, rel=1e-12))]
+    assert seen == [(0, pytest.approx(TOY_LOSS_AT_ZERO, rel=1e-12))]
     assert state.loss == seen[0][1]
     assert np.array_equal(state.params, start)
 
@@ -173,7 +185,7 @@ def test_divergence_guard_trips():
               AdamSchedule(steps=10, lr=1e4, record_every=5))
     except DivergenceError as err:
         assert err.step == 1
-        assert err.loss > 1e6 * 4.0
+        assert err.loss > 1e6 * TOY_LOSS_AT_ZERO
 
 
 def test_fd_check_on_real_problem():
