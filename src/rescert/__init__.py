@@ -7,7 +7,7 @@ hand-derived gradients, full-batch Adam, and the certification layer that
 turns a training loss into a Sobolev-norm error bound.
 """
 
-from .ansatz import AnsatzSpec, build_spec
+from .ansatz import AnsatzSpec
 from .certify import (BoundViolation, CertifiedReport, c_div_form, c_heat,
                       c_reg_convex, certified_h2_bound, parabolic_bound)
 from .experiments import (ConfigError, ExperimentConfig, fit_ratio_slope,
@@ -34,7 +34,7 @@ __all__ = [
     "LossConfig", "NetworkParams", "PdeProblem",
     "QuadratureRule", "Rectangle", "SpaceTimeBox", "TaylorJet",
     "TrainState", "build_objective", "build_rule",
-    "build_spec", "builtin_problems", "c_div_form", "c_heat", "c_reg_convex",
+    "builtin_problems", "c_div_form", "c_heat", "c_reg_convex",
     "certified_h2_bound", "coeff_layout", "default_spec", "fd_check",
     "fit_ratio_slope", "forward_jets", "get_problem", "h_half_surrogate",
     "harmonic_failure_records", "harmonic_mode", "integrate_values",

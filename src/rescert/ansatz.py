@@ -1,8 +1,8 @@
 """Hard-constrained ansatz fields.
 
 exact_bc:      v = L * u_net + G, so v restricts to the Dirichlet data
-               exactly: L vanishes where the data are prescribed and G
-               extends them.
+               exactly: L vanishes where the data are prescribed and the
+               problem's lift G extends them.
 unconstrained: v = u_net; the data only enter through penalties.
 
 On a space-time box (t, x...) the same rule makes the initial and lateral
@@ -12,19 +12,22 @@ The map from network jets to ansatz jets is linear at every node (the
 Leibniz rule applied to a fixed factor), which the loss assembly exploits.
 exact_bc builds it the same way at every jet order, 0 (plain values)
 included: the factor is the domain's batched distance factor and the offset
-is the lift's jets (zero without a lift).  Only exact_bc takes a lift.
+is the lift's jets (zero where the problem has no lift).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import geometry, network
-from .geometry import Domain
 from .jets import coeff_layout, product_terms
 from .network import NetworkParams
+
+if TYPE_CHECKING:
+    from .problems import PdeProblem
 
 MODES = ("exact_bc", "unconstrained")
 
@@ -49,25 +52,20 @@ def compose_jets(P, base, U) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AnsatzSpec:
-    """Network plus the boundary-conforming composition it is used in."""
+    """Network plus the composition that gives it its problem's data."""
 
     params: NetworkParams
-    domain: Domain
+    problem: PdeProblem
     mode: str = "exact_bc"
-    lift: object = None  # G: jet-evaluable extension of the Dirichlet data
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown ansatz mode {self.mode!r}")
-        if self.params.widths[0] != self.domain.dim:
-            raise ValueError(
-                f"network input width {self.params.widths[0]} does not match "
-                f"domain dimension {self.domain.dim}"
-            )
+        if self.params.widths[0] != self.problem.domain.dim:
+            raise ValueError(f"network input width {self.params.widths[0]} does not "
+                             f"match domain dimension {self.problem.domain.dim}")
         if self.params.widths[-1] != 1:
             raise ValueError("ansatz networks are scalar valued")
-        if self.lift is not None and self.mode != "exact_bc":
-            raise ValueError(f"{self.mode} ansatz does not take a lift")
 
     # -- parameter plumbing --------------------------------------------------
 
@@ -76,7 +74,7 @@ class AnsatzSpec:
 
     def input_scaling(self):
         """Affine map onto [-1, 1]^d from the domain bounding box."""
-        lo, hi = self.domain.bounding_box()
+        lo, hi = self.problem.domain.bounding_box()
         scale = 2.0 / (hi - lo)
         shift = -(hi + lo) / (hi - lo)
         return scale, shift
@@ -89,16 +87,15 @@ class AnsatzSpec:
         P is None in unconstrained mode (identity).
         """
         X = np.asarray(X, dtype=float)
-        size = coeff_layout(self.domain.dim, order).size
+        domain, lift = self.problem.domain, self.problem.lift
+        size = coeff_layout(domain.dim, order).size
         if self.mode == "unconstrained":
             return None, np.zeros((X.shape[0], size))
-        L = geometry.distance_jets(self.domain, X, order)
-        P = product_matrix_batch(L, self.domain.dim, order)
-        if self.lift is not None:
-            base = np.asarray(self.lift.jets(X, order), dtype=float)
-        else:
-            base = np.zeros((X.shape[0], size))
-        return P, base
+        L = geometry.distance_jets(domain, X, order)
+        P = product_matrix_batch(L, domain.dim, order)
+        if lift is None:
+            return P, np.zeros((X.shape[0], size))
+        return P, np.asarray(lift.jets(X, order), dtype=float)
 
     # -- evaluation --------------------------------------------------------------
 
@@ -113,10 +110,3 @@ class AnsatzSpec:
         """Plain values of v (order-0 pass)."""
         return self.jets(X, 0)[:, 0]
 
-
-def build_spec(domain: Domain, mode: str = "exact_bc", lift=None,
-               hidden=(16, 16), seed: int = 0) -> AnsatzSpec:
-    """Fresh Xavier-initialised spec with the default two-hidden-layer net."""
-    widths = (domain.dim,) + tuple(hidden) + (1,)
-    params = NetworkParams.xavier(widths, seed=seed)
-    return AnsatzSpec(params=params, domain=domain, mode=mode, lift=lift)

@@ -127,8 +127,8 @@ def parse_config_text(text: str, command: Optional[str] = None) -> ExperimentCon
 
 def load_config(path, command: Optional[str] = None) -> ExperimentConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as err:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
     return parse_config_text(text, command)
 
@@ -271,7 +271,7 @@ def run_certified(config: ExperimentConfig, out_dir, parallel: int = 1):
     seeds = list(config.seeds)
     if parallel > 1 and len(seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only this path forks
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=min(parallel, len(seeds))) as pool:
             runs = list(pool.map(_certified_single_seed, [config] * len(seeds), seeds))
     else:
         runs = [_certified_single_seed(config, s) for s in seeds]
@@ -420,7 +420,7 @@ def run_penalty_vs_exact(config: ExperimentConfig, out_dir):
         best = spec.with_params(state.params)
         errors = sobolev_errors_upto(objective.ansatz_jets(state.params), problem.exact,
                                      cfg.interior, s_max=2)
-        misfit = boundary_misfit(best, problem.boundary, boundary_rule)
+        misfit = boundary_misfit(best, problem.lift, boundary_rule)
         if method == "exact_bc":
             report = certify.certified_h2_bound(state.loss, problem.domain, problem,
                                                 measured_error=errors[2])

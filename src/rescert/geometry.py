@@ -81,10 +81,9 @@ class SpaceTimeBox:
     def __post_init__(self):
         if not 0 < self.horizon < inf:
             raise ValueError(f"time horizon must be finite and positive, got {self.horizon}")
-        if isinstance(self.spatial, SpaceTimeBox):
-            raise ValueError("spatial part of a space-time box must be a spatial domain")
-        if self.spatial.dim + 1 > 3:
-            raise ValueError("space-time jets support at most two spatial dimensions")
+        if not isinstance(self.spatial, (Rectangle, Disk)):
+            raise ValueError(f"spatial part of a space-time box must be a Rectangle or "
+                             f"a Disk, got spatial = {self.spatial!r}")
 
     @property
     def dim(self) -> int:

@@ -30,10 +30,10 @@ pass writes: every pass allocates its own output.
 Variants: interior (residual of an exact-boundary ansatz, for every problem
 kind; on a space-time box it is the heat residual), penalty (interior
 residual plus tau * boundary misfit), sobolev_k1 (residual plus its
-gradient, one extra derivative order).  ``build_objective`` refuses a spec
-that does not fit its problem: the spec must live on the problem's domain,
-and an exact_bc spec must carry the problem's own lift, or its boundary
-values are not the problem's and the certificate does not hold.
+gradient, one extra derivative order).  ``build_objective`` refuses what is
+not its problem's, as the certificate would not hold: a spec built for
+another problem, or a rule (interior; boundary for the penalty, whose data
+are the lift's trace) that does not cover the problem's domain.
 """
 
 from __future__ import annotations
@@ -224,27 +224,29 @@ def build_objective(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig) -> O
         rows, const = residual_rows(problem, rule.nodes, order, with_gradient)
         return _compose_block(spec, rule, order, rows, const)
 
-    if spec.domain != problem.domain:
-        raise ValueError(f"the ansatz lives on {spec.domain}, problem {problem.name} "
-                         f"on {problem.domain}")
-    if spec.mode == "exact_bc" and spec.lift is not problem.lift:
-        raise ValueError(f"an exact_bc ansatz for {problem.name} needs the problem's "
-                         f"own lift, or its boundary values are not {problem.name}'s")
+    if spec.problem != problem:
+        raise ValueError(f"the ansatz was built for {spec.problem.name}, not "
+                         f"{problem.name}: a spec belongs to one problem")
     v = cfg.variant
     if v != "penalty" and spec.mode != "exact_bc":
         raise ValueError(f"{v} loss requires an exact-boundary ansatz")
+    if v == "penalty" and problem.kind == "heat":
+        raise ValueError("penalty loss covers spatial problems")
+    if v == "sobolev_k1" and problem.kind != "poisson":
+        raise ValueError("sobolev_k1 loss is assembled for poisson problems")
+    for rule, target in ((cfg.interior, "interior"),
+                         *([(cfg.boundary, "boundary")] if v == "penalty" else [])):
+        if (rule.domain, rule.target) != (problem.domain, target):
+            raise ValueError(f"{problem.name}'s {target} rule must cover {problem.domain}, "
+                             f"not {rule.domain} with target {rule.target!r}")
     if v == "interior":
         return Objective(spec, [residual_block(cfg.interior, 2)])
     if v == "penalty":
-        if problem.kind == "heat":
-            raise ValueError("penalty loss covers spatial problems")
-        # boundary misfit v - g: one order-0 row per boundary node
+        # boundary misfit v - g, g the lift's trace: one order-0 row per boundary node
         b = cfg.boundary
-        g = (problem.boundary.values(b.nodes) if problem.boundary is not None
+        g = (problem.lift.values(b.nodes) if problem.lift is not None
              else np.zeros(b.n_nodes))
         misfit = _compose_block(spec, b, 0, np.ones((b.n_nodes, 1, 1)), -g[:, None], cfg.tau)
         return Objective(spec, [residual_block(cfg.interior, 2), misfit])
     # sobolev_k1
-    if problem.kind != "poisson":
-        raise ValueError("sobolev_k1 loss is assembled for poisson problems")
     return Objective(spec, [residual_block(cfg.interior, 3, with_gradient=True)])

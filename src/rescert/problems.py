@@ -1,13 +1,14 @@
 """Dirichlet model problems with manufactured solutions.
 
-Each problem fixes a domain, a right-hand side f, boundary data g (with a
-closed-form lift where g is nonzero) and, when available, the exact solution
-used for error measurement.  A heat problem lives on a space-time box and
-carries its initial data u0 as the lift, u0 extended in time; its lateral
-data are zero.  A problem is refused at construction unless its
-certificate's proof (``certify``) holds for it: an elliptic_divA problem
-declares a >= ellipticity > 0 and |grad a| <= coeff_grad_bound, and a heat
-problem's u0 vanishes on the spatial boundary.  Every field is an
+Each problem fixes a domain, a right-hand side f, Dirichlet data stated once
+as a closed-form lift (g is its trace; no lift means g = 0) and, when
+available, the exact solution used for error measurement.  A heat problem
+lives on a space-time box and carries its initial data u0 as the lift, u0
+extended in time; its lateral data are zero.  A problem is refused at
+construction unless its certificate's proof (``certify``) holds for it: an
+elliptic_divA problem declares a >= ellipticity > 0 and |grad a| <=
+coeff_grad_bound, a heat problem's u0 vanishes on the spatial boundary, and
+u* takes the lift's data (heat: at t = 0) to 1e-12.  Every field is an
 ``AnalyticField`` jet expression; f is written by hand next to u*, not
 derived at build time, and the tests check that each u* solves its PDE.
 Residual conventions (assembled as jet rows by ``losses.residual_rows``):
@@ -26,10 +27,11 @@ from typing import Optional
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, build_spec
+from .ansatz import AnsatzSpec
 from .fields import AnalyticField
 from .geometry import Disk, Domain, Rectangle, SpaceTimeBox
 from .jets import cos, exp, sin
+from .network import NetworkParams
 from .quadrature import build_rule
 
 KINDS = ("poisson", "elliptic_divA", "heat")
@@ -41,8 +43,7 @@ class PdeProblem:
     kind: str
     domain: Domain
     rhs: AnalyticField                       # f
-    boundary: Optional[AnalyticField] = None  # g; None means zero data
-    lift: Optional[AnalyticField] = None      # closed-form extension of g (heat: of u0)
+    lift: Optional[AnalyticField] = None      # extends g (heat: u0); None: g = 0
     coeff: Optional[AnalyticField] = None     # a of A = a I, elliptic_divA only
     ellipticity: Optional[float] = None       # uniform lower bound of a
     coeff_grad_bound: Optional[float] = None  # uniform upper bound of |grad a|
@@ -51,34 +52,42 @@ class PdeProblem:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
-        if self.kind == "heat":
+        heat = self.kind == "heat"
+        if heat:
             if not isinstance(self.domain, SpaceTimeBox):
                 raise ValueError("heat problems need a space-time domain")
             if self.lift is None:
                 raise ValueError("heat problems need initial data u0 as the lift")
-            if self.boundary is not None:
-                raise ValueError("heat problems are restricted to zero boundary data")
             nodes = build_rule(self.domain.spatial, "boundary", 8).nodes
             u0 = self.lift.values(np.column_stack([np.zeros(len(nodes)), nodes]))
-            if (worst := np.max(np.abs(u0))) > 1e-12:
+            if not (worst := np.max(np.abs(u0))) <= 1e-12:  # NaN fails too
                 raise ValueError(f"heat problems need u0 = 0 on the spatial boundary, "
                                  f"where |u0| reaches {worst:.3e}: the certificate's "
                                  "proof needs a zero lateral error")
-        else:
-            if isinstance(self.domain, SpaceTimeBox):
-                raise ValueError(f"{self.kind} problems need a spatial domain")
+        elif isinstance(self.domain, SpaceTimeBox):
+            raise ValueError(f"{self.kind} problems need a spatial domain")
         required = (self.coeff, self.ellipticity, self.coeff_grad_bound)
         if self.kind == "elliptic_divA" and (None in required or not self.ellipticity > 0):
             raise ValueError("elliptic_divA problems need a coefficient a and the bounds "
                              "their certificate rests on: a >= ellipticity > 0 and "
                              "|grad a| <= coeff_grad_bound")
+        if self.exact is not None:  # u* takes the data the lift states
+            if heat:  # on the initial slice t = 0
+                nodes = build_rule(self.domain.spatial, "interior", 8).nodes
+                X = np.column_stack([np.zeros(len(nodes)), nodes])
+            else:
+                X = build_rule(self.domain, "boundary", 8).nodes
+            g = self.lift.values(X) if self.lift is not None else 0.0
+            if not (gap := np.max(np.abs(self.exact.values(X) - g))) <= 1e-12:
+                raise ValueError(f"{self.name}'s exact solution differs from its "
+                                 f"{'initial' if heat else 'boundary'} data by {gap:.3e}")
 
 
 def default_spec(problem: PdeProblem, hidden=(16, 16), seed: int = 0,
                  mode: str = "exact_bc") -> AnsatzSpec:
-    """Ansatz on the problem's domain; exact_bc takes the problem's lift."""
-    lift = problem.lift if mode == "exact_bc" else None
-    return build_spec(problem.domain, mode=mode, lift=lift, hidden=hidden, seed=seed)
+    """Fresh Xavier-initialised spec for the problem, hidden layers as given."""
+    widths = (problem.domain.dim,) + tuple(hidden) + (1,)
+    return AnsatzSpec(NetworkParams.xavier(widths, seed=seed), problem, mode)
 
 
 def _sinsin(s):
@@ -133,8 +142,7 @@ def builtin_problems() -> dict[str, PdeProblem]:
     harmonic = AnalyticField(lambda s: s[0] * s[0] - s[1] * s[1], 2)
     p5 = PdeProblem(
         name="P5", kind="poisson", domain=unit_square,
-        rhs=AnalyticField(lambda s: 0.0, 2), boundary=harmonic, lift=harmonic,
-        exact=harmonic,
+        rhs=AnalyticField(lambda s: 0.0, 2), lift=harmonic, exact=harmonic,
     )
 
     return {p.name: p for p in (p1, p2, p3, p4, p5)}

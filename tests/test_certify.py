@@ -12,7 +12,6 @@ from rescert import certify
 from rescert.certify import (BoundViolation, CertifiedReport,
                              PROVENANCE_CONVEX, c_div_form, c_heat, c_reg_convex,
                              certified_h2_bound, parabolic_bound)
-from rescert.ansatz import build_spec
 from rescert.fields import AnalyticField
 from rescert.experiments import ExperimentConfig, run_penalty_vs_exact
 from rescert.geometry import Disk, Rectangle, SpaceTimeBox
@@ -104,6 +103,32 @@ def test_problems_refuse_what_their_proofs_exclude():
     u0 = AnalyticField(lambda s: 1.0 + sin(math.pi * s[0]) * sin(math.pi * s[1]), 2)
     with pytest.raises(ValueError, match="u0 = 0 on the spatial boundary.*1.000e"):
         replace(p4, lift=u0.time_extended())
+
+
+def test_problems_refuse_an_exact_solution_off_their_data():
+    # the H2 certificate holds for networks that take the problem's data;
+    # a P5 whose lift is u* + 0.1 used to build, and a network trained on it
+    # (hidden 8,8, 300 steps) was certified at 0.0056 with an H2 error of 0.100
+    p1, p4, p5 = get_problem("P1"), get_problem("P4"), get_problem("P5")
+    shifted = AnalyticField(lambda s: s[0] * s[0] - s[1] * s[1] + 0.1, 2)
+    with pytest.raises(ValueError, match="P5's exact solution differs from its "
+                                         "boundary data by 1.000e-01"):
+        replace(p5, lift=shifted)
+    with pytest.raises(ValueError, match="P1's exact solution .* boundary data by 1.000e-01"):
+        replace(p1, lift=AnalyticField(lambda s: 0.1, 2))
+    # heat: u0 = sin sin / 2 vanishes laterally, but u*(0) = sin sin is not u0
+    half = AnalyticField(lambda s: 0.5 * sin(math.pi * s[0]) * sin(math.pi * s[1]), 2)
+    with pytest.raises(ValueError, match="P4's exact solution differs from its initial data"):
+        replace(p4, lift=half.time_extended())
+    # a NaN is no match: both checks used to let it through
+    nan = AnalyticField(lambda s: 0.0 * s[0] + math.nan, 2)
+    with pytest.raises(ValueError, match="boundary data by nan"):
+        replace(p5, lift=nan)
+    with pytest.raises(ValueError, match="u0 = 0 on the spatial boundary.*nan"):
+        replace(p4, lift=nan.time_extended(), exact=None)
+    # the built-in problems take their data to rounding, so they rebuild
+    for name in ("P1", "P2", "P3", "P4", "P5"):
+        replace(get_problem(name))
 
 
 def test_h2_bound_on_square():
@@ -205,7 +230,7 @@ def test_h2_bound_holds_on_large_square():
         name="big", kind="poisson", domain=domain,
         rhs=AnalyticField(lambda s: math.pi**2 / 50 * u(s), 2),
         exact=AnalyticField(u, 2))
-    spec = build_spec(domain, hidden=(4,), seed=0)
+    spec = default_spec(problem, hidden=(4,), seed=0)
     spec = spec.with_params(np.zeros(spec.params.n_params))
     cfg = make_config(problem, "interior", n=24)
     loss = build_objective(spec, problem, cfg).value(spec.params.flatten())

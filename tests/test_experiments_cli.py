@@ -118,6 +118,35 @@ def test_run_certified_is_deterministic_and_parallel_safe(tmp_path):
             assert a == (out / "c" / name).read_bytes()
 
 
+def test_run_certified_starts_no_more_workers_than_seeds(tmp_path, monkeypatch):
+    # a fork pool starts all max_workers at its first submit, so --parallel 64
+    # on two seeds used to fork 64 processes; the fake pool maps serially
+    import concurrent.futures
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = ExperimentConfig(problem="P5", hidden=(4,), quad_n=4, steps=2, lr=1e-2,
+                           record_every=1, seeds=(0, 1))
+    run_certified(cfg, tmp_path / "a", parallel=64)
+    run_certified(replace(cfg, seeds=(0, 1, 2)), tmp_path / "b", parallel=2)
+    run_certified(replace(cfg, seeds=(0,)), tmp_path / "c", parallel=64)  # no pool
+    assert asked == [2, 2]
+
+
 def test_spatial_drivers_refuse_heat_problem(tmp_path):
     # certify-run certifies every kind on the interior loss; compare-bc and
     # the sobolev_k1 loss stay spatial (sobolev_k1: poisson only)
@@ -625,6 +654,17 @@ def test_cli_config_errors(tmp_path, capsys):
     assert cli.main(["certify-run", "--config", nope,
                      "--out", str(tmp_path / "o9")]) == 4
     assert "P9" in capsys.readouterr().err
+
+
+def test_cli_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    # a UTF-16 file used to end in a UnicodeDecodeError traceback and exit 1
+    bad = tmp_path / "utf16.cfg"
+    bad.write_bytes(b"\xff\xfe" + "problem = P1\n".encode("utf-16-le"))
+    code = cli.main(["certify-run", "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert f"config error: cannot read config {bad}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_usage_errors():

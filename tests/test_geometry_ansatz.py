@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from rescert.ansatz import AnsatzSpec, build_spec
+from rescert.ansatz import AnsatzSpec
 from rescert.fields import AnalyticField
 from rescert.certify import c_reg_convex
 from rescert.geometry import (Disk, Rectangle, SpaceTimeBox, distance_jet,
                               distance_jets)
 from rescert.jets import TaylorJet, coeff_layout, sin
 from rescert.network import NetworkParams
-from rescert.problems import get_problem, default_spec
+from rescert.problems import PdeProblem, default_spec, get_problem
 from rescert.quadrature import build_rule
 from sympy_oracle import sympy_jet
 
@@ -36,8 +36,11 @@ def test_domain_validation():
         Disk((0.0, 0.0), 0.0)
     with pytest.raises(ValueError):
         SpaceTimeBox(-0.1, UNIT_SQUARE)
-    with pytest.raises(ValueError):
-        SpaceTimeBox(1.0, SpaceTimeBox(1.0, UNIT_SQUARE))
+    # the spatial part is a Rectangle or a Disk; anything else used to die
+    # later with an AttributeError on .dim
+    for spatial in (SpaceTimeBox(1.0, UNIT_SQUARE), "square", None, (0.0, 1.0)):
+        with pytest.raises(ValueError, match="spatial"):
+            SpaceTimeBox(1.0, spatial)
     # non-finite or misshapen geometry is refused at construction, naming
     # the field, before a rule gets non-finite nodes or a constant divides
     # by an infinite radius
@@ -138,7 +141,7 @@ def test_exact_bc_boundary_values():
         spec = default_spec(problem, hidden=(8, 8), seed=13)
         rule = build_rule(problem.domain, "boundary", 20)
         vals = spec.values(rule.nodes)
-        g = (problem.boundary.values(rule.nodes) if problem.boundary is not None
+        g = (problem.lift.values(rule.nodes) if problem.lift is not None
              else np.zeros(rule.n_nodes))
         assert np.max(np.abs(vals - g)) < 1e-12
 
@@ -197,7 +200,10 @@ def test_ansatz_jets_match_finite_differences():
 
 
 def test_input_scaling_maps_bbox():
-    spec = build_spec(Rectangle((2.0, -1.0), (4.0, 3.0)), hidden=(4,), seed=0)
+    problem = PdeProblem(name="shifted", kind="poisson",
+                         domain=Rectangle((2.0, -1.0), (4.0, 3.0)),
+                         rhs=AnalyticField(lambda s: 0.0, 2))
+    spec = default_spec(problem, hidden=(4,), seed=0)
     scale, shift = spec.input_scaling()
     lo = np.array([2.0, -1.0]); hi = np.array([4.0, 3.0])
     assert np.allclose(lo * scale + shift, [-1.0, -1.0])
@@ -205,20 +211,14 @@ def test_input_scaling_maps_bbox():
 
 
 def test_spec_validation():
+    p1 = get_problem("P1")
     with pytest.raises(ValueError):
-        build_spec(UNIT_SQUARE, mode="nonsense")
+        default_spec(p1, mode="nonsense")
     params = NetworkParams.xavier((3, 4, 1), seed=0)
     with pytest.raises(ValueError):
-        AnsatzSpec(params=params, domain=UNIT_SQUARE, mode="exact_bc")  # dim mismatch
+        AnsatzSpec(params=params, problem=p1, mode="exact_bc")  # dim mismatch
     with pytest.raises(ValueError, match="mode"):  # heat takes exact_bc
-        build_spec(SpaceTimeBox(0.5, UNIT_SQUARE), mode="parabolic_exact")
-    # a lift outside exact_bc would be ignored, so it is refused
-    g = AnalyticField(lambda s: s[0] + s[1], 2)
-    with pytest.raises(ValueError, match="lift"):
-        build_spec(UNIT_SQUARE, mode="unconstrained", lift=g)
-    with pytest.raises(ValueError, match="lift"):
-        build_spec(SpaceTimeBox(0.5, UNIT_SQUARE), mode="unconstrained",
-                   lift=g.time_extended())
+        default_spec(get_problem("P4"), mode="parabolic_exact")
 
 
 def test_time_extended_field_jets():
