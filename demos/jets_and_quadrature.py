@@ -24,19 +24,20 @@ from rescert.jets import seed_point, sin, tanh
 x0 = np.array([0.7, -0.3])
 a = seed_point(x0, order=2)          # jets of the coordinate functions
 u = tanh(a[0] * a[1])                # jet arithmetic composes derivatives
+slot = coeff_layout(2, 2).position     # the packed slot of a derivative
 
 xs, ys = sp.symbols("x y")
 expr = sp.tanh(xs * ys)
 print("tanh(x*y) at (0.7, -0.3):")
-print(f"  value    jet {u.d():+.12f}   sympy {float(expr.subs({xs: 0.7, ys: -0.3})):+.12f}")
+print(f"  value    jet {u.coeffs[slot(())]:+.12f}   sympy {float(expr.subs({xs: 0.7, ys: -0.3})):+.12f}")
 dxy = float(sp.diff(expr, xs, ys).subs({xs: 0.7, ys: -0.3}))
-print(f"  d2/dxdy  jet {u.d(0, 1):+.12f}   sympy {dxy:+.12f}")
+print(f"  d2/dxdy  jet {u.coeffs[slot((0, 1))]:+.12f}   sympy {dxy:+.12f}")
 
 # -- the Laplacian of a whole network, exactly --------------------------------------
 
 params = NetworkParams.xavier((2, 16, 16, 1), seed=0)
 X = np.array([[0.25, 0.5], [0.5, 0.5], [0.75, 0.5]])
-jets = forward_jets(params, X, order=2, scale=np.ones(2), shift=np.zeros(2))
+jets = forward_jets(params, X, order=2, scale=np.ones(2), shift=np.zeros(2))[0]
 lap = jets @ coeff_layout(2, 2).laplacian_row()  # the Laplacian is a row on the jets
 print("\nnetwork Laplacian at three points:", np.array2string(lap, precision=6))
 
@@ -46,7 +47,7 @@ for k, p in enumerate(X):
     fd = 0.0
     for i in range(2):
         e = np.zeros(2); e[i] = h
-        vals = [forward_jets(params, np.array([q]), 0, np.ones(2), np.zeros(2))[0, 0]
+        vals = [forward_jets(params, np.array([q]), 0, np.ones(2), np.zeros(2))[0][0, 0]
                 for q in (p + e, p, p - e)]
         fd += (vals[0] - 2 * vals[1] + vals[2]) / h**2
     print(f"  point {k}: jet {lap[k]:+.8f}   finite differences {fd:+.8f}")

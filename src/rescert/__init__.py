@@ -16,7 +16,7 @@ from .experiments import (ConfigError, ExperimentConfig, fit_ratio_slope,
                           run_fd_check, run_penalty_vs_exact)
 from .fields import AnalyticField, harmonic_mode
 from .geometry import Disk, Rectangle, SpaceTimeBox
-from .jets import TaylorJet, coeff_layout, seed_point, seed_variable
+from .jets import TaylorJet, coeff_layout, seed_point
 from .losses import LossConfig, build_objective, make_config
 from .network import NetworkParams, forward_jets
 from .problems import PdeProblem, builtin_problems, default_spec, get_problem
@@ -41,6 +41,6 @@ __all__ = [
     "load_config", "make_config", "parabolic_bound",
     "parse_config_text", "run_certified",
     "run_failure_demo", "run_fd_check", "run_penalty_vs_exact",
-    "seed_point", "seed_variable",
+    "seed_point",
     "sobolev_errors_upto", "train", "x_norm_error",
 ]

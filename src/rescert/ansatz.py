@@ -103,7 +103,7 @@ class AnsatzSpec:
         """Packed jets of the ansatz field v at a batch of nodes."""
         X = np.asarray(X, dtype=float)
         scale, shift = self.input_scaling()
-        U = network.forward_jets(self.params, X, order, scale, shift)
+        U = network.forward_jets(self.params, X, order, scale, shift)[0]
         return compose_jets(*self.composition(X, order), U)
 
     def values(self, X) -> np.ndarray:

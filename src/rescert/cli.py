@@ -76,8 +76,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load(args)
-        if Path(args.out).exists() and not Path(args.out).is_dir():
-            raise experiments.ConfigError(f"--out {args.out} exists and is not a directory")
+        # the nearest existing part of --out must be a directory; nothing is
+        # created until a command writes, so a config error leaves no directory
+        out = Path(args.out).absolute()
+        if not (base := next(p for p in (out, *out.parents) if p.exists())).is_dir():
+            raise experiments.ConfigError(f"cannot create --out {args.out}: "
+                                          f"{base} is not a directory")
 
         if args.command == "certify-run":
             runs = experiments.run_certified(config, args.out, parallel=args.parallel)

@@ -9,14 +9,15 @@ Jets are slot-major: ``coeffs`` has shape (C, ...), slot c first, so a jet at
 one point holds C numbers and a batch of jets at N points holds (C, N), each
 slot one contiguous block.  Sums, products (Leibniz rule) and the elementary
 functions act slot by slot and therefore run on single points and batches
-alike; ``TaylorJet.d(*idx)`` reads one derivative at every point.
+alike.  ``seed_point`` is the one way to seed coordinates.
 ``_faa_di_bruno`` composes a jet with a univariate function given its
 derivatives; the elementary functions here and the network's tanh layers
 both use it, with one tanh derivative table.
 
 The layout is the one place that knows how a derivative quantity is read
-off packed jets: ``CoeffLayout.multiplicity`` weights squared Frobenius
-norms and contractions with symmetric tensors, and ``laplacian_row`` and
+off packed jets: one derivative is ``coeffs[layout.position(idx)]`` at
+every point, ``CoeffLayout.multiplicity`` weights squared Frobenius norms
+and contractions with symmetric tensors, and ``laplacian_row`` and
 ``grad_laplacian_rows`` are the linear functionals behind every residual.
 """
 
@@ -146,8 +147,8 @@ class TaylorJet:
     at a batch of points.
 
     ``coeffs`` has shape (C, ...): the packed slots of ``coeff_layout(dim,
-    order)`` first, then any batch axes.  Arithmetic, the elementary
-    functions and ``d`` work on both.
+    order)`` first, then any batch axes.  Arithmetic and the elementary
+    functions work on both.
     """
 
     __slots__ = ("dim", "order", "coeffs")
@@ -166,19 +167,6 @@ class TaylorJet:
 
     def __setattr__(self, name, value):
         raise AttributeError("TaylorJet is immutable")
-
-    def d(self, *idx: int):
-        """One derivative at every point, by multi-index: ``j.d()`` is the
-        value, ``j.d(0, 1)`` is d2/dx dy."""
-        if len(idx) > self.order:
-            raise ValueError(
-                f"derivative of order {len(idx)} not carried by an order-{self.order} jet"
-            )
-        for i in idx:
-            if not 0 <= i < self.dim:
-                raise ValueError(f"coordinate index {i} out of range for dim {self.dim}")
-        lay = coeff_layout(self.dim, self.order)
-        return self.coeffs[lay.position(idx)]
 
     def __repr__(self):
         return f"TaylorJet(dim={self.dim}, order={self.order}, coeffs={self.coeffs!r})"
@@ -235,24 +223,20 @@ class TaylorJet:
 # -- seeds -----------------------------------------------------------------
 
 
-def seed_variable(i: int, x, order: int, dim: int) -> TaylorJet:
-    """Jet of the coordinate function x_i where it takes the value x (a number,
-    or an array of values for a batch)."""
-    if not 0 <= i < dim:
-        raise ValueError(f"variable index {i} out of range for dim {dim}")
-    c = np.zeros((coeff_layout(dim, order).size,) + np.shape(x))
-    c[0] = x
-    if order >= 1:
-        c[1 + i] = 1.0
-    return TaylorJet(dim, order, c)
-
-
 def seed_point(x, order: int) -> list[TaylorJet]:
     """Coordinate jets for every component of a point x (d,), or of every
-    point of a batch x (N, d)."""
+    point of a batch x (N, d): jet i is the coordinate function x_i, taking
+    the value x[..., i]."""
     x = np.asarray(x, dtype=float)
     dim = x.shape[-1]
-    return [seed_variable(i, x[..., i], order, dim) for i in range(dim)]
+    seeds = []
+    for i in range(dim):
+        c = np.zeros((coeff_layout(dim, order).size,) + x.shape[:-1])
+        c[0] = x[..., i]
+        if order >= 1:
+            c[1 + i] = 1.0
+        seeds.append(TaylorJet(dim, order, c))
+    return seeds
 
 
 # -- elementary functions (Faa di Bruno with univariate derivative tables) --

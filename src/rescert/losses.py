@@ -9,9 +9,10 @@ once, per-node row vectors C and offsets d with
     loss = sum_nodes w * |r|^2,
 
 after which evaluation is a jet forward pass and the parameter gradient is
-one reverse sweep with cotangent 2 w r C on the output jets.
-``Objective.value_and_grad`` runs only the forward pass and returns the
-loss with a pullback that runs the reverse sweep, so ``training.train``
+one reverse sweep with cotangent 2 w r C on the output jets.  One
+routine runs every block's forward pass: ``Objective.value`` returns its
+loss, and ``Objective.value_and_grad`` returns the same loss with a
+pullback that runs the reverse sweep over that pass, so ``training.train``
 checks the loss for divergence, keeps the best one and certifies it at a
 checkpoint before it pays for the gradient its Adam step needs.  The rows and
 offsets come from the problem's fields, all read through ``jets``/``values``:
@@ -24,7 +25,7 @@ first block, with the read-only parameter vector of their pass, so that
 optimiser step just evaluated without a second forward pass.  The memo is
 used only when the vector asked for is bit for bit the remembered one; any
 other vector, including the same array mutated in place, gets a fresh pass.
-It holds the array ``network.forward_jets`` returned, which no later forward
+It holds the jets ``network.forward_jets`` returned, which no later forward
 pass writes: every pass allocates its own output.
 
 Variants: interior (residual of an exact-boundary ansatz, for every problem
@@ -151,33 +152,29 @@ class Objective:
         self._scale, self._shift = spec.input_scaling()
         self._last = None  # (params.flat, network jets on blocks[0])
 
-    def _residuals(self, params, block, need_cache=False):
-        out = network.forward_jets(params, block.nodes, block.order,
-                                   self._scale, self._shift, need_cache)
-        jets, cache = out if need_cache else (out, None)
-        if block is self.blocks[0]:
-            self._last = (params.flat, jets)
-        r = np.einsum("nmc,nc->nm", block.cmat, jets) + block.dvec
-        return r, cache
+    def _forward(self, flat):
+        """Every block's forward pass at flat, with the memo of the first:
+        (loss, params, [(block, residuals, cache)]) for the reverse sweep."""
+        params = self.spec.params.with_flat(flat)
+        sweeps, parts = [], []
+        for block in self.blocks:
+            jets, cache = network.forward_jets(params, block.nodes, block.order,
+                                               self._scale, self._shift)
+            if block is self.blocks[0]:
+                self._last = (params.flat, jets)
+            r = np.einsum("nmc,nc->nm", block.cmat, jets) + block.dvec
+            parts.append(block.weights * np.sum(r * r, axis=1))
+            sweeps.append((block, r, cache))
+        return kahan_sum(np.concatenate(parts)), params, sweeps
 
     def value(self, flat) -> float:
-        params = self.spec.params.with_flat(flat)
-        parts = []
-        for block in self.blocks:
-            r, _ = self._residuals(params, block)
-            parts.append(block.weights * np.sum(r * r, axis=1))
-        return kahan_sum(np.concatenate(parts))
+        return self._forward(flat)[0]
 
     def value_and_grad(self, flat):
         """(loss, pullback) at flat: the forward pass runs now, and
         ``pullback()`` runs every block's reverse sweep, returns the flat
         gradient and drops the forward caches.  A second call raises."""
-        params = self.spec.params.with_flat(flat)
-        sweeps, parts = [], []
-        for block in self.blocks:
-            r, cache = self._residuals(params, block, need_cache=True)
-            parts.append(block.weights * np.sum(r * r, axis=1))
-            sweeps.append((block, r, cache))
+        loss, params, sweeps = self._forward(flat)
 
         def pullback():
             if not sweeps:
@@ -190,7 +187,7 @@ class Objective:
                 grad += network.backward_jets(params, cache, out_bar, block.order)
             return grad
 
-        return kahan_sum(np.concatenate(parts)), pullback
+        return loss, pullback
 
     def ansatz_jets(self, flat) -> np.ndarray:
         """Jets (N, C) of the ansatz v at parameters flat, on the first
@@ -204,7 +201,7 @@ class Objective:
             U = self._last[1]
         else:
             U = network.forward_jets(self.spec.params.with_flat(flat), block.nodes,
-                                     block.order, self._scale, self._shift)
+                                     block.order, self._scale, self._shift)[0]
         return compose_jets(block.P, block.base, U)
 
 

@@ -2,7 +2,9 @@
 
 One batched forward pass propagates packed derivative jets (order 0 to 3)
 through every layer, so the network value, gradient, Hessian and third
-derivatives at all nodes come out together.  The companion backward pass
+derivatives at all nodes come out together.  ``forward_jets`` is that one
+pass: it returns the jets with the per-layer intermediates, and a caller
+that needs only the jets takes the first.  The companion backward pass
 reverse-accumulates a cotangent on the output jets into a gradient with
 respect to every weight and bias; there is no general-purpose tape, just the
 fixed layer -> jet-activation -> layer structure.
@@ -100,13 +102,6 @@ def input_jets(X, order: int, scale, shift) -> np.ndarray:
     return A
 
 
-def _tanh_jet_forward(Z, lay):
-    """Jets of tanh(Z), plus (t, f1, f2, f3): tanh and its first three
-    derivatives at Z[0], which the backward pass reuses."""
-    derivs = _tanh_table(Z[0])
-    return _faa_di_bruno(Z, derivs, lay), derivs
-
-
 def _tanh_jet_backward(Z, derivs, Ybar, lay, order):
     """Cotangent on Z from the cotangent Ybar on the jets of tanh(Z)."""
     t, f1, f2, f3 = derivs
@@ -157,13 +152,13 @@ def _linear(A, W, b=None):
     return Z
 
 
-def forward_jets(params: NetworkParams, X, order: int, scale, shift, need_cache=False):
-    """Packed output jets (N, C) of the scalar network at every node.
+def forward_jets(params: NetworkParams, X, order: int, scale, shift):
+    """Packed output jets (N, C) of the scalar network at every node, and the
+    per-layer intermediates ``backward_jets`` consumes: each layer's input
+    jets and, for tanh layers, the pre-activation jets and tanh's first
+    three derivatives at their values.
 
     The layers run on slot-major (C, N, width) jets; see ``input_jets``.
-    With need_cache=True also returns the per-layer intermediates consumed by
-    ``backward_jets``: each layer's input jets and, for tanh layers, the
-    pre-activation jets and the activation derivatives.
     """
     d = params.widths[0]
     X = np.asarray(X, dtype=float)
@@ -176,16 +171,13 @@ def forward_jets(params: NetworkParams, X, order: int, scale, shift, need_cache=
     for l, (W, b) in enumerate(zip(params.weights, params.biases)):
         Z = _linear(A, W, b)
         if l == last:
-            if need_cache:
-                cache.append((A, None, None))
+            cache.append((A, None, None))
             A = Z
         else:
-            Y, derivs = _tanh_jet_forward(Z, lay)
-            if need_cache:
-                cache.append((A, Z, derivs))
-            A = Y
-    out = np.ascontiguousarray(A[:, :, 0].T)
-    return (out, cache) if need_cache else out
+            derivs = _tanh_table(Z[0])
+            cache.append((A, Z, derivs))
+            A = _faa_di_bruno(Z, derivs, lay)
+    return np.ascontiguousarray(A[:, :, 0].T), cache
 
 
 def backward_jets(params: NetworkParams, cache, out_bar, order: int) -> np.ndarray:

@@ -7,10 +7,13 @@ lives on a space-time box and carries its initial data u0 as the lift, u0
 extended in time; its lateral data are zero.  A problem is refused at
 construction unless its certificate's proof (``certify``) holds for it: an
 elliptic_divA problem declares a >= ellipticity > 0 and |grad a| <=
-coeff_grad_bound, a heat problem's u0 vanishes on the spatial boundary, and
-u* takes the lift's data (heat: at t = 0) to 1e-12.  Every field is an
-``AnalyticField`` jet expression; f is written by hand next to u*, not
-derived at build time, and the tests check that each u* solves its PDE.
+coeff_grad_bound, bounds that a and grad a must not break on sample nodes
+(sampling refuses a contradiction but does not prove a bound); a heat
+problem's u0 vanishes on the spatial boundary; and u* takes the lift's
+data to 1e-12 (heat: at t = 0, and zero on the lateral boundary).  Every
+field is an ``AnalyticField`` jet expression; f is written by hand next to
+u*, not derived at build time, and the tests check that each u* solves its
+PDE.
 Residual conventions (assembled as jet rows by ``losses.residual_rows``):
 
     poisson        r = Laplace(v) + f
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import pi, sqrt
+from math import inf, pi, sqrt
 from typing import Optional
 
 import numpy as np
@@ -32,7 +35,7 @@ from .fields import AnalyticField
 from .geometry import Disk, Domain, Rectangle, SpaceTimeBox
 from .jets import cos, exp, sin
 from .network import NetworkParams
-from .quadrature import build_rule
+from .quadrature import TARGETS, build_rule
 
 KINDS = ("poisson", "elliptic_divA", "heat")
 
@@ -66,21 +69,36 @@ class PdeProblem:
                                  "proof needs a zero lateral error")
         elif isinstance(self.domain, SpaceTimeBox):
             raise ValueError(f"{self.kind} problems need a spatial domain")
-        required = (self.coeff, self.ellipticity, self.coeff_grad_bound)
-        if self.kind == "elliptic_divA" and (None in required or not self.ellipticity > 0):
-            raise ValueError("elliptic_divA problems need a coefficient a and the bounds "
-                             "their certificate rests on: a >= ellipticity > 0 and "
-                             "|grad a| <= coeff_grad_bound")
+        if self.kind == "elliptic_divA":
+            lo, hi = self.ellipticity, self.coeff_grad_bound
+            if None in (self.coeff, lo, hi) or not (lo > 0 and 0 <= hi < inf):
+                raise ValueError("elliptic_divA problems need a coefficient a and the bounds "
+                                 "their certificate rests on: a >= ellipticity > 0 and "
+                                 "|grad a| <= coeff_grad_bound, finite")
+            # a and |grad a| on 8-point rules: refuses bounds they break, proves none
+            X = np.concatenate([build_rule(self.domain, t, 8).nodes for t in TARGETS])
+            a = self.coeff.jets(X, 1)
+            a_min, grad_max = np.min(a[:, 0]), np.max(np.linalg.norm(a[:, 1:], axis=1))
+            if not (a_min >= lo and grad_max <= hi):  # NaN fails too
+                raise ValueError(f"{self.name}'s coefficient breaks its bounds: a reaches "
+                                 f"{a_min:.7g} (ellipticity {lo:.7g}) and |grad a| "
+                                 f"{grad_max:.7g} (coeff_grad_bound {hi:.7g})")
         if self.exact is not None:  # u* takes the data the lift states
             if heat:  # on the initial slice t = 0
-                nodes = build_rule(self.domain.spatial, "interior", 8).nodes
-                X = np.column_stack([np.zeros(len(nodes)), nodes])
+                X = build_rule(self.domain.spatial, "interior", 8).nodes
+                X = np.column_stack([np.zeros(len(X)), X])
             else:
                 X = build_rule(self.domain, "boundary", 8).nodes
             g = self.lift.values(X) if self.lift is not None else 0.0
             if not (gap := np.max(np.abs(self.exact.values(X) - g))) <= 1e-12:
                 raise ValueError(f"{self.name}'s exact solution differs from its "
                                  f"{'initial' if heat else 'boundary'} data by {gap:.3e}")
+            if heat:  # zero on the spatial boundary nodes at 8 Gauss times in (0, T)
+                t = 0.5 * self.domain.horizon * (np.polynomial.legendre.leggauss(8)[0] + 1.0)
+                X = np.column_stack([np.repeat(t, len(nodes)), np.tile(nodes, (len(t), 1))])
+                if not (gap := np.max(np.abs(self.exact.values(X)))) <= 1e-12:
+                    raise ValueError(f"{self.name}'s exact solution is not zero on the "
+                                     f"lateral boundary, where |u*| reaches {gap:.3e}")
 
 
 def default_spec(problem: PdeProblem, hidden=(16, 16), seed: int = 0,

@@ -15,7 +15,7 @@ from rescert.certify import (BoundViolation, CertifiedReport,
 from rescert.fields import AnalyticField
 from rescert.experiments import ExperimentConfig, run_penalty_vs_exact
 from rescert.geometry import Disk, Rectangle, SpaceTimeBox
-from rescert.jets import sin
+from rescert.jets import exp, sin
 from rescert.losses import build_objective, make_config
 from rescert.problems import PdeProblem, default_spec, get_problem
 from rescert.quadrature import sobolev_errors_upto, x_norm_error
@@ -103,6 +103,41 @@ def test_problems_refuse_what_their_proofs_exclude():
     u0 = AnalyticField(lambda s: 1.0 + sin(math.pi * s[0]) * sin(math.pi * s[1]), 2)
     with pytest.raises(ValueError, match="u0 = 0 on the spatial boundary.*1.000e"):
         replace(p4, lift=u0.time_extended())
+
+
+def test_problems_refuse_coefficient_bounds_their_coefficient_breaks():
+    # P3 with ellipticity 2 used to build, though a = 1 + (x^2 + y^2)/2 falls
+    # to 1: c_div_form gave 0.591 for 1.338, and a network trained on it
+    # (hidden 16,16, n=12, 1500 steps) was certified at 0.0313 with an H2
+    # error of 0.0405 on a 64 x 64 rule
+    p3 = get_problem("P3")
+    with pytest.raises(ValueError, match=r"P3's coefficient breaks its bounds: a reaches "
+                                         r"1\.000197 \(ellipticity 2\) and \|grad a\| "
+                                         r"1\.400244 \(coeff_grad_bound 1\.414214\)"):
+        replace(p3, ellipticity=2.0)
+    with pytest.raises(ValueError, match="coeff_grad_bound 1.3"):
+        replace(p3, coeff_grad_bound=1.3)
+    nan = AnalyticField(lambda s: 0.0 * s[0] + math.nan, 2)
+    with pytest.raises(ValueError, match="a reaches nan"):
+        replace(p3, coeff=nan)
+    for bounds in (dict(coeff_grad_bound=-1.0), dict(coeff_grad_bound=math.inf),
+                   dict(coeff_grad_bound=math.nan), dict(ellipticity=math.nan)):
+        with pytest.raises(ValueError, match="ellipticity > 0 and .*coeff_grad_bound, finite"):
+            replace(p3, **bounds)
+    # bounds the samples keep build, as P3's own do
+    replace(p3, ellipticity=1.0001, coeff_grad_bound=1.401)
+
+
+def test_heat_problems_refuse_an_exact_solution_off_the_lateral_data():
+    # u* + t still matches u0 at t = 0, so it used to build against zero
+    # lateral data; P4's own u* reads 1.1e-16 there
+    p4 = get_problem("P4")
+    shifted = AnalyticField(
+        lambda s: exp(-2 * math.pi**2 * s[0]) * sin(math.pi * s[1]) * sin(math.pi * s[2])
+        + s[0], 3)
+    with pytest.raises(ValueError, match="P4's exact solution is not zero on the lateral "
+                                         "boundary, where \\|u\\*\\| reaches 1.960e-01"):
+        replace(p4, exact=shifted, rhs=AnalyticField(lambda s: 1.0, 3))
 
 
 def test_problems_refuse_an_exact_solution_off_their_data():

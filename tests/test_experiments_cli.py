@@ -20,7 +20,7 @@ from rescert.experiments import (ConfigError, ExperimentConfig, canonical_text,
                                  run_penalty_vs_exact)
 from rescert.losses import build_objective, make_config
 from rescert.problems import default_spec, get_problem
-from rescert.quadrature import sobolev_errors_upto, x_norm_error
+from rescert.quadrature import h_half_surrogate, sobolev_errors_upto, x_norm_error
 from rescert.training import AdamSchedule
 
 TINY = ExperimentConfig(problem="P5", hidden=(4,), quad_n=6, steps=10, lr=1e-2,
@@ -273,6 +273,22 @@ def test_compare_bc_penalty_trailer_is_not_a_certificate(compare_bc):
     assert block[3].startswith("surrogate:   ")
     for word in ("bound:", "headroom:", "holds:", "certified:"):
         assert not any(word in l for l in block), word
+
+
+@pytest.mark.parametrize("problem", ["P1", "P2", "P5"])
+def test_compare_bc_surrogate_is_the_spec_route_bitwise(tmp_path, problem):
+    # each method's sqrt(l2 * h1) of the errors it measured is the surrogate
+    # of its best network on the shared interior rule, without another pass
+    config = ExperimentConfig(problem=problem, hidden=(6,), quad_n=6, steps=8, lr=1e-2,
+                              tau=10.0)
+    results = run_penalty_vs_exact(config, tmp_path)
+    p = get_problem(problem)
+    rule = make_config(p, "interior", config.quad_n).interior
+    for _, _, best, (l2, h1, _), _, _, _ in results:
+        assert math.sqrt(l2 * h1) == h_half_surrogate(best, p.exact, rule)
+    trailer = (tmp_path / f"compare_bc_{problem}.csv").read_text().splitlines()
+    (l2, h1, _) = results[1][3]
+    assert f"# surrogate:   {math.sqrt(l2 * h1)!r}  (H^(1/2)-scale error surrogate)" in trailer
 
 
 def test_certify_run_certifies_heat_with_the_derived_constant(tmp_path, monkeypatch):
@@ -786,7 +802,22 @@ def test_cli_out_that_is_a_file_fails_before_training(tmp_path, capsys, monkeypa
     cfg = write_cfg(tmp_path, problem="P5", hidden="4", quad_n=4, steps=2)
     code = cli.main(["certify-run", "--config", cfg, "--out", str(afile)])
     assert code == 4
-    assert f"--out {afile} exists and is not a directory" in capsys.readouterr().err
+    assert f"cannot create --out {afile}: {afile} is not a directory" in \
+        capsys.readouterr().err
+    assert afile.read_text() == "keep\n"
+
+
+def test_cli_out_below_a_file_fails_before_training(tmp_path, capsys, monkeypatch):
+    # it used to train the whole run, then die with a NotADirectoryError traceback
+    monkeypatch.setattr(experiments, "run_certified",
+                        lambda *a, **k: pytest.fail("run_certified was called"))
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    cfg = write_cfg(tmp_path, problem="P5", hidden="4", quad_n=4, steps=2)
+    code = cli.main(["certify-run", "--config", cfg, "--out", str(afile / "sub")])
+    assert code == 4
+    assert f"cannot create --out {afile / 'sub'}: {afile} is not a directory" in \
+        capsys.readouterr().err
     assert afile.read_text() == "keep\n"
 
 

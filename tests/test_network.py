@@ -30,12 +30,13 @@ def test_forward_matches_scalar_jets(dim, order):
     X = rng.uniform(-0.9, 0.9, size=(4, dim))
     scale = np.ones(dim)
     shift = np.zeros(dim)
-    out = forward_jets(params, X, order, scale, shift)
+    out = forward_jets(params, X, order, scale, shift)[0]
     lay = coeff_layout(dim, order)
     for k in range(X.shape[0]):
         ref = scalar_reference(params, X[k], order)
         for c, mi in enumerate(lay.multi_indices):
-            assert out[k, c] == pytest.approx(ref.d(*mi), rel=1e-12, abs=1e-12)
+            assert out[k, c] == pytest.approx(ref.coeffs[lay.position(mi)], rel=1e-12,
+                                              abs=1e-12)
 
 
 def test_forward_respects_input_scaling():
@@ -43,14 +44,15 @@ def test_forward_respects_input_scaling():
     X = np.array([[2.5, -3.0]])
     scale = np.array([0.5, 2.0])
     shift = np.array([-0.25, 6.0])
-    out = forward_jets(params, X, 2, scale, shift)
+    out = forward_jets(params, X, 2, scale, shift)[0]
     ref = scalar_reference(params, X[0] * scale + shift, 2)
+    pos = coeff_layout(2, 2).position
     # chain rule through the affine map: d/dx_i picks up scale_i
-    assert out[0, 0] == pytest.approx(ref.d(), rel=1e-13)
-    assert out[0, 1] == pytest.approx(ref.d(0) * 0.5, rel=1e-12)
-    assert out[0, 2] == pytest.approx(ref.d(1) * 2.0, rel=1e-12)
-    assert out[0, 3] == pytest.approx(ref.d(0, 0) * 0.25, rel=1e-12)
-    assert out[0, 5] == pytest.approx(ref.d(1, 1) * 4.0, rel=1e-12)
+    assert out[0, 0] == pytest.approx(ref.coeffs[pos(())], rel=1e-13)
+    assert out[0, 1] == pytest.approx(ref.coeffs[pos((0,))] * 0.5, rel=1e-12)
+    assert out[0, 2] == pytest.approx(ref.coeffs[pos((1,))] * 2.0, rel=1e-12)
+    assert out[0, 3] == pytest.approx(ref.coeffs[pos((0, 0))] * 0.25, rel=1e-12)
+    assert out[0, 5] == pytest.approx(ref.coeffs[pos((1, 1))] * 4.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("dim,order", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
@@ -65,14 +67,14 @@ def test_backward_matches_finite_differences(dim, order):
     lay = coeff_layout(dim, order)
     out_bar = rng.standard_normal((5, lay.size))
 
-    jets_out, cache = forward_jets(params, X, order, scale, shift, need_cache=True)
+    jets_out, cache = forward_jets(params, X, order, scale, shift)
     grad = backward_jets(params, cache, out_bar, order)
     theta = params.flatten()
     assert grad.shape == theta.shape
 
     def objective(flat):
         p = params.with_flat(flat)
-        return float(np.sum(out_bar * forward_jets(p, X, order, scale, shift)))
+        return float(np.sum(out_bar * forward_jets(p, X, order, scale, shift)[0]))
 
     # spot-check 15 random coordinates
     idx = rng.choice(theta.size, size=15, replace=False)

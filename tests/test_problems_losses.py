@@ -231,7 +231,7 @@ def test_penalty_loss_is_affine_in_tau():
     # slope == squared boundary misfit, evaluated directly from the raw network
     brule = build_rule(p5.domain, "boundary", 12)
     scale, shift = spec.input_scaling()
-    vals = forward_jets(spec.params, brule.nodes, 0, scale, shift)[:, 0]
+    vals = forward_jets(spec.params, brule.nodes, 0, scale, shift)[0][:, 0]
     g = p5.lift.values(brule.nodes)
     misfit_sq = float(np.sum(brule.weights * (vals - g) ** 2))
     assert slope12 == pytest.approx(misfit_sq, rel=1e-12)
@@ -267,6 +267,20 @@ def test_objective_gradient_matches_value():
     h = 1e-6
     fd = (obj.value(flat + h * d) - obj.value(flat - h * d)) / (2 * h)
     assert float(g @ d) == pytest.approx(fd, rel=1e-6, abs=1e-10)
+
+
+@pytest.mark.parametrize("name,variant", [("P1", "interior"), ("P5", "penalty"),
+                                          ("P1", "sobolev_k1"), ("P4", "interior")])
+def test_value_is_the_loss_of_value_and_grad_bitwise(name, variant):
+    # one forward routine serves both: the same pass gives the same bits
+    problem = get_problem(name)
+    spec = default_spec(problem, hidden=(6, 5), seed=4,
+                        mode="unconstrained" if variant == "penalty" else "exact_bc")
+    cfg = make_config(problem, variant, n=6, tau=10.0 if variant == "penalty" else None)
+    obj = build_objective(spec, problem, cfg)
+    rng = np.random.default_rng(11)
+    for flat in (spec.params.flatten(), rng.standard_normal(spec.params.n_params)):
+        assert obj.value(flat) == obj.value_and_grad(flat)[0]
 
 
 # -- configuration validation -----------------------------------------------------
