@@ -14,8 +14,7 @@ import numpy as np
 import sympy as sp
 
 from rescert import (AnalyticField, NetworkParams, build_rule, coeff_layout,
-                     forward_jets, h_half_surrogate, integrate_values,
-                     sobolev_errors_upto)
+                     forward_jets, integrate_values, sobolev_errors_upto)
 from rescert.geometry import Disk, Rectangle
 from rescert.jets import seed_point, sin, tanh
 
@@ -69,12 +68,13 @@ for domain, target, name in [
 
 # -- Sobolev norms against a closed form ----------------------------------------------
 
-# a closed-form field is a jet expression on the coordinate seeds
+# a closed-form field is a jet expression on the coordinate seeds; the norms
+# take an error's order-2 jets on the rule's nodes, here u's against zero
 u = AnalyticField(lambda s: sin(math.pi * s[0]) * sin(math.pi * s[1]), 2)
 square = build_rule(Rectangle((0.0, 0.0), (1.0, 1.0)), "interior", 24)
-h2 = sobolev_errors_upto(u, None, square, 2)[2]
+l2, h1, h2 = sobolev_errors_upto(u.jets(square.nodes, 2), square)
 closed = math.sqrt(0.25 + math.pi**2 / 2 + math.pi**4)
 print(f"\nH2 norm of sin(pi x)sin(pi y): quadrature {h2:.12f} closed form {closed:.12f}")
 
-surrogate = h_half_surrogate(u, None, square)
+surrogate = math.sqrt(l2 * h1)
 print(f"H^(1/2)-scale surrogate sqrt(||u|| ||u||_H1): {surrogate:.12f}")

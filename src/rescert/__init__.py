@@ -20,8 +20,8 @@ from .jets import TaylorJet, coeff_layout, seed_point
 from .losses import LossConfig, build_objective, make_config
 from .network import NetworkParams, forward_jets
 from .problems import PdeProblem, builtin_problems, default_spec, get_problem
-from .quadrature import (QuadratureRule, build_rule, h_half_surrogate,
-                         integrate_values, sobolev_errors_upto, x_norm_error)
+from .quadrature import (QuadratureRule, build_rule, integrate_values,
+                         sobolev_errors_upto, x_norm_error)
 from .training import (AdamSchedule, DivergenceError, FdCheckReport, TrainState,
                        fd_check, train)
 
@@ -36,7 +36,7 @@ __all__ = [
     "TrainState", "build_objective", "build_rule",
     "builtin_problems", "c_div_form", "c_heat", "c_reg_convex",
     "certified_h2_bound", "coeff_layout", "default_spec", "fd_check",
-    "fit_ratio_slope", "forward_jets", "get_problem", "h_half_surrogate",
+    "fit_ratio_slope", "forward_jets", "get_problem",
     "harmonic_failure_records", "harmonic_mode", "integrate_values",
     "load_config", "make_config", "parabolic_bound",
     "parse_config_text", "run_certified",

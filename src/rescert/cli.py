@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 a certified bound was violated, 3 training
-diverged, 4 configuration or usage error.
+Exit codes: 0 success, 1 a failed fd-check, 2 a certified bound was
+violated, 3 training diverged, 4 configuration or usage error.
 """
 
 from __future__ import annotations

@@ -40,8 +40,7 @@ from .geometry import Disk
 from .jets import coeff_layout
 from .losses import build_objective, make_config
 from .problems import PdeProblem, default_spec, get_problem
-from .quadrature import (build_rule, boundary_misfit, h_half_surrogate,
-                         sobolev_errors_upto, x_norm_error)
+from .quadrature import build_rule, boundary_misfit, sobolev_errors_upto, x_norm_error
 from .training import AdamSchedule, fd_check, train
 
 
@@ -98,7 +97,7 @@ _FIELD_NAMES = tuple(f.name for f in fields(ExperimentConfig))
 def _convert(key: str, raw: str):
     try:
         if key in _INT_TUPLES:
-            return tuple(int(p) for p in raw.replace(" ", "").split(",") if p)
+            return tuple(int(p) for p in raw.split(",")) if raw else ()
         return type(getattr(ExperimentConfig(), key))(raw)  # int, float or str
     except ValueError as err:
         raise ConfigError(f"bad value for {key!r}: {raw!r} ({err})") from None
@@ -239,12 +238,12 @@ def _certified_single_seed(config: ExperimentConfig, seed: int) -> CertifiedRun:
 
     def certificate(step, flat, trained_loss):
         loss = interior.value(flat) if k1 else trained_loss
+        e = interior.ansatz_jets(flat) - exact
         if heat:
-            errors = (x_norm_error(interior.ansatz_jets(flat), exact, cfg.interior),)
+            errors = (x_norm_error(e, cfg.interior),)
             report = certify.parabolic_bound(loss, problem, measured_error=errors[0])
         else:
-            l2, h1, h2 = sobolev_errors_upto(interior.ansatz_jets(flat), exact,
-                                             cfg.interior, s_max=2)
+            l2, h1, h2 = sobolev_errors_upto(e, cfg.interior)
             errors = (h2, h1, l2)
             report = certify.certified_h2_bound(loss, problem.domain, problem,
                                                 measured_error=h2)
@@ -344,10 +343,10 @@ def harmonic_failure_records(n_list, tau: float, quad_n: int):
         residual_sq = quadrature.integrate_values(interior, lap**2)
         l2_sq = quadrature.integrate_values(interior, jets[:, 0] ** 2)
         grad_sq = quadrature.integrate_values(interior, jets[:, 1] ** 2 + jets[:, 2] ** 2)
-        bnd_sq = boundary_misfit(mode, None, boundary) ** 2
+        bnd_sq = boundary_misfit(mode.values(boundary.nodes), boundary) ** 2
         loss_tau = residual_sq + tau * bnd_sq
         h1 = math.sqrt(l2_sq + grad_sq)
-        surrogate = h_half_surrogate(mode, None, interior)
+        l2, h1_err, _ = sobolev_errors_upto(jets, interior)  # the error is the mode
 
         l2_exact = math.pi / (2.0 * n + 2.0)
         grad_exact = math.pi * n
@@ -368,7 +367,7 @@ def harmonic_failure_records(n_list, tau: float, quad_n: int):
             h1_norm_exact=h1_exact,
             h1_ratio=h1 / math.sqrt(loss_tau),
             h1_ratio_exact=h1_exact / math.sqrt(loss_exact),
-            h_half_surrogate=surrogate,
+            h_half_surrogate=math.sqrt(l2 * h1_err),  # between the L2 and H1 norms
             h_half_surrogate_exact=math.sqrt(math.sqrt(l2_exact) * math.sqrt(l2_exact + grad_exact)),
         ))
     return records
@@ -409,6 +408,7 @@ def run_penalty_vs_exact(config: ExperimentConfig, out_dir):
     problem = _training_problem(config, "compare-bc", _SPATIAL_KINDS)
     seed = _single_seed(config, "compare-bc")
     boundary_rule = build_rule(problem.domain, "boundary", config.quad_n)
+    g = problem.lift.values(boundary_rule.nodes) if problem.lift is not None else 0.0
     # u*'s jets on the interior rule that both methods train and measure on
     exact = problem.exact.jets(build_rule(problem.domain, "interior", config.quad_n).nodes, 2)
     results, trailer = [], []
@@ -420,16 +420,16 @@ def run_penalty_vs_exact(config: ExperimentConfig, out_dir):
         objective = build_objective(spec, problem, cfg)
         state = _train_run(config, objective)[1]
         best = spec.with_params(state.params)
-        errors = sobolev_errors_upto(objective.ansatz_jets(state.params), exact,
-                                     cfg.interior, s_max=2)
-        misfit = boundary_misfit(best, problem.lift, boundary_rule)
+        errors = sobolev_errors_upto(objective.ansatz_jets(state.params) - exact,
+                                     cfg.interior)
+        misfit = boundary_misfit(best.values(boundary_rule.nodes) - g, boundary_rule)
         if method == "exact_bc":
             report = certify.certified_h2_bound(state.loss, problem.domain, problem,
                                                 measured_error=errors[2])
             value, block = report.bound, report.text_block().splitlines()
         else:
             report, value = None, (1.0 + tau ** -0.5) * math.sqrt(state.loss)
-            surrogate = math.sqrt(errors[0] * errors[1])  # h_half_surrogate of the errors
+            surrogate = math.sqrt(errors[0] * errors[1])  # sqrt(||e||_L2 ||e||_H1)
             block = ["certificate: none (a boundary penalty certifies nothing above H^(1/2))",
                      f"loss:        {state.loss!r}",
                      f"indicator:   {value!r}  ((1 + tau^(-1/2)) * sqrt(loss), not a bound)",

@@ -12,7 +12,7 @@ initial slice and on the lateral boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite, pi
+from math import inf, isfinite
 from typing import Union
 
 import numpy as np
@@ -38,10 +38,6 @@ class Rectangle:
     def dim(self) -> int:
         return 2
 
-    @property
-    def measure(self) -> float:
-        return (self.hi[0] - self.lo[0]) * (self.hi[1] - self.lo[1])
-
     def bounding_box(self):
         return np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
 
@@ -60,10 +56,6 @@ class Disk:
     @property
     def dim(self) -> int:
         return 2
-
-    @property
-    def measure(self) -> float:
-        return pi * self.radius**2
 
     def bounding_box(self):
         c = np.asarray(self.center, dtype=float)
@@ -88,10 +80,6 @@ class SpaceTimeBox:
     @property
     def dim(self) -> int:
         return 1 + self.spatial.dim
-
-    @property
-    def measure(self) -> float:
-        return self.horizon * self.spatial.measure
 
     def bounding_box(self):
         lo, hi = self.spatial.bounding_box()

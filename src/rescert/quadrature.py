@@ -7,11 +7,11 @@ node count exactly.  A rule covers a domain's interior or its boundary; the
 interior of a space-time box is the cylinder (0, T) x Omega.  All
 reductions are correctly rounded sums (``math.fsum``), so their results do
 not depend on the node order and repeated runs are bit-identical.  There is one integral,
-``integrate_values(rule, f(rule.nodes))``, and one family of Sobolev
-distances, ``sobolev_errors_upto(v, ref, rule, s)[s]`` for H^0 ... H^s.
-Norms read derivatives off the packed jets through ``jets.CoeffLayout``:
-squared tensors weighted by ``multiplicity``; the heat distance
-``x_norm_error`` adds the time derivative.
+``integrate_values(rule, f(rule.nodes))``.  Each error norm takes the error
+on the rule's nodes, formed by its caller: order-2 jets (N, C) for
+``sobolev_errors_upto`` (L2, H1, H2) and the heat norm ``x_norm_error``,
+values (N,) for ``boundary_misfit``.  Norms read derivatives off the packed
+jets through ``jets.CoeffLayout``: squared tensors weighted by ``multiplicity``.
 """
 
 from __future__ import annotations
@@ -153,66 +153,41 @@ def integrate_values(rule: QuadratureRule, values) -> float:
     return kahan_sum(rule.weights * values)
 
 
-# -- Sobolev norms of differences --------------------------------------------
+# -- norms of errors ---------------------------------------------------------
 
 
-def _jets_on(field, nodes, order) -> np.ndarray:
-    """A field's (N, C) jets on the nodes; an array is taken as those jets,
-    precomputed, once its shape is checked."""
-    if not isinstance(field, np.ndarray):
-        return np.asarray(field.jets(nodes, order), dtype=float)
-    want = (nodes.shape[0], coeff_layout(nodes.shape[1], order).size)
-    if field.shape != want:
-        raise ValueError(f"precomputed jets have shape {field.shape}, the rule's "
-                         f"order-{order} jets {want}")
-    return np.asarray(field, dtype=float)
+def _error_jets(e, rule: QuadratureRule):
+    """The error's order-2 jets (N, C), checked against the rule, and their layout."""
+    lay = coeff_layout(rule.nodes.shape[1], 2)
+    e = np.asarray(e, dtype=float)
+    if e.shape != (rule.n_nodes, lay.size):
+        raise ValueError(f"error jets have shape {e.shape}, the rule's order-2 jets "
+                         f"{(rule.n_nodes, lay.size)}")
+    return e, lay
 
 
-def _jet_difference(v, ref, nodes, order) -> np.ndarray:
-    J = _jets_on(v, nodes, order)
-    if ref is not None:
-        J = J - _jets_on(ref, nodes, order)
-    return J
-
-
-def sobolev_errors_upto(v, ref, rule: QuadratureRule, s_max: int = 2):
-    """(H^0, ..., H^s_max) distances between two jet-evaluable fields from a
-    single jet evaluation; ref=None measures v against zero.  Either field
-    may be given as its precomputed (N, C) jets on the rule's nodes, of order
-    s_max.  The order-k density is the squared Frobenius norm of the k-th
-    derivative tensor."""
-    if s_max not in (0, 1, 2):
-        raise ValueError(f"Sobolev distances cover s_max in {{0, 1, 2}}, got {s_max}")
-    lay = coeff_layout(rule.nodes.shape[1], s_max)
-    sq = lay.multiplicity * _jet_difference(v, ref, rule.nodes, s_max) ** 2
+def sobolev_errors_upto(e, rule: QuadratureRule):
+    """(L2, H1, H2) norms of an error given by its order-2 jets e (N, C) on
+    the rule's nodes, such as ``v_jets - exact_jets``.  The order-k density
+    is the squared Frobenius norm of the k-th derivative tensor."""
+    e, lay = _error_jets(e, rule)
+    sq = lay.multiplicity * e**2
     order_of_slot = np.array([len(mi) for mi in lay.multi_indices])
     out = []
     density = np.zeros(rule.n_nodes)
-    for s in range(s_max + 1):
+    for s in range(3):
         density = density + np.sum(sq[:, order_of_slot == s], axis=1)
         out.append(float(np.sqrt(integrate_values(rule, density))))
     return tuple(out)
 
 
-def h_half_surrogate(v, ref, rule: QuadratureRule) -> float:
-    """Interpolation surrogate sqrt(||e||_L2 * ||e||_H1).
-
-    This is a computable stand-in for the H^(1/2) norm, not the fractional
-    norm itself; it is log-convexly wedged between the L2 and H1 norms.
-    """
-    l2, h1 = sobolev_errors_upto(v, ref, rule, s_max=1)
-    return float(np.sqrt(l2 * h1))
-
-
-def x_norm_error(v, ref, rule: QuadratureRule) -> float:
-    """Parabolic energy distance ||d_t e||_{L2(L2)} + ||e||_{L2(H2)} on the
-    rule of a space-time box, (t, x...) nodes: the H2 part sums the slots
-    that carry no time index.  Either field may be given as its precomputed
-    order-2 (N, C) jets on the rule's nodes."""
+def x_norm_error(e, rule: QuadratureRule) -> float:
+    """Parabolic energy norm ||d_t e||_{L2(L2)} + ||e||_{L2(H2)} of an error
+    given by its order-2 jets e (N, C) on the rule of a space-time box,
+    (t, x...) nodes: the H2 part sums the slots that carry no time index."""
     if not isinstance(rule.domain, SpaceTimeBox):
         raise ValueError("x_norm_error needs a rule on a space-time box")
-    lay = coeff_layout(rule.nodes.shape[1], 2)
-    e = _jet_difference(v, ref, rule.nodes, 2)
+    e, lay = _error_jets(e, rule)
     spatial = np.array([0 not in mi for mi in lay.multi_indices])
     h2_sq = np.sum((lay.multiplicity * e**2)[:, spatial], axis=1)
     a = integrate_values(rule, e[:, lay.position((0,))] ** 2)
@@ -220,11 +195,9 @@ def x_norm_error(v, ref, rule: QuadratureRule) -> float:
     return float(np.sqrt(a) + np.sqrt(b))
 
 
-def boundary_misfit(v, g, rule: QuadratureRule) -> float:
-    """L2 boundary misfit ||v - g|| on a boundary rule; g=None means zero data."""
+def boundary_misfit(e, rule: QuadratureRule) -> float:
+    """L2 norm of a boundary misfit given by its values e (N,) on a boundary
+    rule, such as ``v.values(X) - g.values(X)``."""
     if rule.target != "boundary":
         raise ValueError("boundary_misfit needs a boundary rule")
-    vals = np.asarray(v.values(rule.nodes), dtype=float)
-    if g is not None:
-        vals = vals - np.asarray(g.values(rule.nodes), dtype=float)
-    return float(np.sqrt(integrate_values(rule, vals**2)))
+    return float(np.sqrt(integrate_values(rule, np.asarray(e, dtype=float) ** 2)))

@@ -73,7 +73,8 @@ def test_divergence_form_constant_holds_for_the_zero_network():
     spec = _zero_network(p3)
     cfg = make_config(p3, "interior", n=64)
     loss = build_objective(spec, p3, cfg).value(spec.params.flatten())
-    h2 = sobolev_errors_upto(spec, p3.exact, cfg.interior, s_max=2)[2]
+    X = cfg.interior.nodes
+    h2 = sobolev_errors_upto(spec.jets(X, 2) - p3.exact.jets(X, 2), cfg.interior)[2]
     assert h2 / math.sqrt(loss) == pytest.approx(0.756, abs=5e-4)
     rep = certified_h2_bound(loss, p3.domain, p3, measured_error=h2)
     assert h2 <= rep.bound  # without the headroom
@@ -86,7 +87,8 @@ def test_heat_constant_holds_for_the_lift():
     spec = _zero_network(p4)
     cfg = make_config(p4, "interior", n=32)
     loss = build_objective(spec, p4, cfg).value(spec.params.flatten())
-    xerr = x_norm_error(spec, p4.exact, cfg.interior)
+    X = cfg.interior.nodes
+    xerr = x_norm_error(spec.jets(X, 2) - p4.exact.jets(X, 2), cfg.interior)
     assert xerr / math.sqrt(loss) == pytest.approx(1.170, abs=5e-4)
     rep = parabolic_bound(loss, p4, measured_error=xerr)
     assert xerr <= rep.bound  # without the headroom
@@ -269,7 +271,8 @@ def test_h2_bound_holds_on_large_square():
     spec = spec.with_params(np.zeros(spec.params.n_params))
     cfg = make_config(problem, "interior", n=24)
     loss = build_objective(spec, problem, cfg).value(spec.params.flatten())
-    h2 = sobolev_errors_upto(spec, problem.exact, cfg.interior, s_max=2)[2]
+    X = cfg.interior.nodes
+    h2 = sobolev_errors_upto(spec.jets(X, 2) - problem.exact.jets(X, 2), cfg.interior)[2]
     assert h2 == pytest.approx(5.5596, rel=1e-4)
     rep = certified_h2_bound(loss, domain, problem, measured_error=h2)
     assert rep.certified and rep.constant_provenance == PROVENANCE_CONVEX

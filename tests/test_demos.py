@@ -1,6 +1,10 @@
-"""The demos run end to end against the installed API."""
+"""The demos run end to end against the installed API, and the README's
+code imports only names the package has."""
 
+import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +39,17 @@ def test_jets_and_quadrature_demo_runs(tmp_path):
                                   "parabolic_heat.py"])
 def test_demo_runs(tmp_path, name):
     run_demo(name, tmp_path)
+
+
+def test_readme_code_imports_exist():
+    # a rename that leaves the README's Quick start stale fails here
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    imports = [(node.module, alias.name)
+               for block in re.findall(r"```python\n(.*?)```", text, re.S)
+               for node in ast.walk(ast.parse(block))
+               if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "rescert"
+               for alias in node.names]
+    assert imports, "no README code block imports from rescert"
+    missing = [f"{module}.{name}" for module, name in imports
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []

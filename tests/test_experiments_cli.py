@@ -20,7 +20,7 @@ from rescert.experiments import (ConfigError, ExperimentConfig, canonical_text,
                                  run_penalty_vs_exact)
 from rescert.losses import build_objective, make_config
 from rescert.problems import default_spec, get_problem
-from rescert.quadrature import h_half_surrogate, sobolev_errors_upto, x_norm_error
+from rescert.quadrature import sobolev_errors_upto, x_norm_error
 from rescert.training import AdamSchedule
 
 TINY = ExperimentConfig(problem="P5", hidden=(4,), quad_n=6, steps=10, lr=1e-2,
@@ -207,6 +207,17 @@ def test_harmonic_records_match_closed_forms():
     assert 0.3 < slope < 0.7
 
 
+def test_harmonic_surrogate_matches_its_closed_form():
+    # mode 16 on 18 nodes per direction: sqrt(||u||_L2 ||u||_H1) read off the
+    # order-2 jets, with ||u||^2 = pi/34 and ||grad u||^2 = 16 pi
+    (r,) = harmonic_failure_records((16,), tau=1.0, quad_n=18)
+    l2sq = math.pi / 34.0
+    assert r.h_half_surrogate_exact == pytest.approx((l2sq * (l2sq + 16.0 * math.pi)) ** 0.25,
+                                                     rel=1e-15)
+    assert r.h_half_surrogate == pytest.approx(r.h_half_surrogate_exact, rel=1e-9)
+    assert math.sqrt(r.l2_norm_sq) <= r.h_half_surrogate <= r.h1_norm
+
+
 def test_harmonic_records_validation():
     with pytest.raises(ConfigError, match="tau"):
         harmonic_failure_records((2,), tau=0.0, quad_n=8)
@@ -277,15 +288,16 @@ def test_compare_bc_penalty_trailer_is_not_a_certificate(compare_bc):
 
 @pytest.mark.parametrize("problem", ["P1", "P2", "P5"])
 def test_compare_bc_surrogate_is_the_spec_route_bitwise(tmp_path, problem):
-    # each method's sqrt(l2 * h1) of the errors it measured is the surrogate
-    # of its best network on the shared interior rule, without another pass
+    # each method's errors are those of its best network on the shared
+    # interior rule, without another pass, and the surrogate is sqrt(l2 * h1)
     config = ExperimentConfig(problem=problem, hidden=(6,), quad_n=6, steps=8, lr=1e-2,
                               tau=10.0)
     results = run_penalty_vs_exact(config, tmp_path)
     p = get_problem(problem)
     rule = make_config(p, "interior", config.quad_n).interior
-    for _, _, best, (l2, h1, _), _, _, _ in results:
-        assert math.sqrt(l2 * h1) == h_half_surrogate(best, p.exact, rule)
+    X = rule.nodes
+    for _, _, best, errors, _, _, _ in results:
+        assert errors == sobolev_errors_upto(best.jets(X, 2) - p.exact.jets(X, 2), rule)
     trailer = (tmp_path / f"compare_bc_{problem}.csv").read_text().splitlines()
     (l2, h1, _) = results[1][3]
     assert f"# surrogate:   {math.sqrt(l2 * h1)!r}  (H^(1/2)-scale error surrogate)" in trailer
@@ -449,7 +461,8 @@ def test_certify_run_norms_equal_the_spec_route_bitwise(tmp_path, monkeypatch, p
     rule = make_config(p, "interior", config.quad_n).interior
 
     def old_route(flat):
-        return sobolev_errors_upto(spec.with_params(flat), p.exact, rule, s_max=2)
+        X = rule.nodes
+        return sobolev_errors_upto(spec.with_params(flat).jets(X, 2) - p.exact.jets(X, 2), rule)
 
     assert len(flats) == len(run.rows)
     for flat, (_, _, _, h2, h1, l2) in zip(flats, run.rows):
@@ -469,7 +482,8 @@ def test_certify_run_heat_norms_equal_the_spec_route_bitwise(tmp_path, monkeypat
     rule = make_config(p4, "interior", config.quad_n).interior
 
     def old_route(flat):
-        return x_norm_error(spec.with_params(flat), p4.exact, rule)
+        X = rule.nodes
+        return x_norm_error(spec.with_params(flat).jets(X, 2) - p4.exact.jets(X, 2), rule)
 
     assert [r[3] for r in rows] == [old_route(flat) for flat in flats]
     assert report.measured_error == old_route(state.params)
@@ -492,7 +506,9 @@ def test_certify_run_k1_rows_equal_the_spec_route_bitwise(tmp_path, monkeypatch)
     c_reg = certify.c_reg_convex(p1.domain)
 
     def old_route(flat):
-        l2, h1, h2 = sobolev_errors_upto(spec.with_params(flat), p1.exact, rule, s_max=2)
+        X = rule.nodes
+        l2, h1, h2 = sobolev_errors_upto(spec.with_params(flat).jets(X, 2) - p1.exact.jets(X, 2),
+                                         rule)
         return interior.value(flat), h2, h1, l2, k1.value(flat)
 
     assert [r[0] for r in run.rows] == [0, 2, 4, 6] and len(flats) == 4
@@ -781,6 +797,24 @@ def test_cli_out_of_range_config_is_config_error(tmp_path, capsys, kv, fragment)
     assert code == 4
     err = capsys.readouterr().err
     assert "config error" in err and fragment in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("raw", ["16 16", "16,,16", "16,"])
+@pytest.mark.parametrize("key, command", [("hidden", "certify-run"), ("seeds", "certify-run"),
+                                          ("n_list", "failure-demo")])
+def test_cli_int_tuple_entry_that_is_not_one_integer_is_config_error(tmp_path, capsys,
+                                                                      monkeypatch, raw, key,
+                                                                      command):
+    # spaces were stripped before the split: "16 16" parsed as (1616,), and
+    # "16,,16" and "16," dropped their empty entries
+    monkeypatch.setattr(experiments, "train", lambda *a, **k: pytest.fail("trained"))
+    base = {k: v for k, v in dict(problem="P5", hidden="4", quad_n=4, steps=0).items()
+            if k in experiments.COMMAND_KEYS[command]}
+    cfg = write_cfg(tmp_path, **{**base, key: raw})
+    code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 4
+    assert f"config error: bad value for '{key}': '{raw}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

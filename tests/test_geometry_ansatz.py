@@ -22,10 +22,11 @@ UNIT_DISK = Disk((0.0, 0.0), 1.0)
 
 
 def test_domain_measures():
-    assert UNIT_SQUARE.measure == 1.0
-    assert UNIT_DISK.measure == pytest.approx(np.pi)
+    # the interior rules' weights sum to the closed-form measures 1, pi and 0.2
     box = SpaceTimeBox(0.2, UNIT_SQUARE)
-    assert box.measure == pytest.approx(0.2)
+    for domain, measure in ((UNIT_SQUARE, 1.0), (UNIT_DISK, np.pi), (box, 0.2)):
+        weights = build_rule(domain, "interior", 6).weights
+        assert float(np.sum(weights)) == pytest.approx(measure, rel=1e-12)
     assert box.dim == 3
 
 

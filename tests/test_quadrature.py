@@ -9,12 +9,16 @@ from rescert.fields import AnalyticField, harmonic_mode
 from rescert.geometry import Disk, Rectangle, SpaceTimeBox
 from rescert.jets import cos, exp, sin
 from rescert.problems import get_problem
-from rescert.quadrature import (build_rule, boundary_misfit, h_half_surrogate,
-                                integrate_values, kahan_sum, sobolev_errors_upto,
-                                x_norm_error)
+from rescert.quadrature import (build_rule, boundary_misfit, integrate_values, kahan_sum,
+                                sobolev_errors_upto, x_norm_error)
 
 UNIT_SQUARE = Rectangle((0.0, 0.0), (1.0, 1.0))
 UNIT_DISK = Disk((0.0, 0.0), 1.0)
+
+
+def order2(field, rule):
+    """A field's order-2 jets on the rule's nodes: its error against zero."""
+    return field.jets(rule.nodes, 2)
 
 
 def test_gauss_monomial_exactness():
@@ -60,19 +64,18 @@ def test_tensor_rule_exactness():
 
 
 def test_weights_sum_to_measure():
-    # a boundary rule sums to the closed-form boundary measure: the unit
-    # square's perimeter, the unit circle's length
+    # each rule sums to its target's closed-form measure: the unit square's
+    # area and perimeter, the unit disk's area and circle's length, and the
+    # volume 0.2 of (0, 0.2) x unit square
     cases = [
-        (UNIT_SQUARE, "interior", None), (UNIT_SQUARE, "boundary", 4.0),
-        (UNIT_DISK, "interior", None), (UNIT_DISK, "boundary", 2.0 * math.pi),
-        (SpaceTimeBox(0.2, UNIT_SQUARE), "interior", None),
+        (UNIT_SQUARE, "interior", 1.0), (UNIT_SQUARE, "boundary", 4.0),
+        (UNIT_DISK, "interior", math.pi), (UNIT_DISK, "boundary", 2.0 * math.pi),
+        (SpaceTimeBox(0.2, UNIT_SQUARE), "interior", 0.2),
     ]
-    for domain, target, boundary_measure in cases:
+    for domain, target, measure in cases:
         rule = build_rule(domain, target, 9)
         assert np.all(rule.weights > 0)
-        total = kahan_sum(rule.weights)
-        measure = domain.measure if boundary_measure is None else boundary_measure
-        assert total == pytest.approx(measure, rel=1e-12)
+        assert kahan_sum(rule.weights) == pytest.approx(measure, rel=1e-12)
 
 
 def test_disk_integrals():
@@ -113,64 +116,62 @@ def test_sobolev_error_closed_forms():
     sinsin = AnalyticField(lambda s: sin(math.pi * s[0]) * sin(math.pi * s[1]), 2)
     rule = build_rule(UNIT_SQUARE, "interior", 24)
     want = math.sqrt(0.25 + math.pi**2 / 2.0 + math.pi**4)
-    got = sobolev_errors_upto(sinsin, None, rule, 2)[2]
+    got = sobolev_errors_upto(order2(sinsin, rule), rule)[2]
     assert got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx(10.1289, abs=5e-5)
 
     mode = harmonic_mode(4)
     drule = build_rule(UNIT_DISK, "interior", 10)
     want = math.sqrt(math.pi / 10.0 + 4.0 * math.pi)
-    assert sobolev_errors_upto(mode, None, drule, 1)[1] == pytest.approx(want, rel=1e-10)
+    assert sobolev_errors_upto(order2(mode, drule), drule)[1] == pytest.approx(want, rel=1e-10)
 
     # v = ref gives 0 in every norm
-    assert sobolev_errors_upto(sinsin, sinsin, rule, 2) == (0.0, 0.0, 0.0)
+    e = order2(sinsin, rule) - order2(sinsin, rule)
+    assert sobolev_errors_upto(e, rule) == (0.0, 0.0, 0.0)
 
 
 def test_sobolev_monotone_in_s():
     f = AnalyticField(lambda s: exp(s[0]) * cos(s[1]) + s[0] * s[1], 2)
     g = AnalyticField(lambda s: s[0] * s[0] * s[0] - s[1], 2)
     rule = build_rule(UNIT_SQUARE, "interior", 12)
-    h0, h1, h2 = sobolev_errors_upto(f, g, rule, s_max=2)
+    h0, h1, h2 = sobolev_errors_upto(order2(f, rule) - order2(g, rule), rule)
     assert h0 <= h1 <= h2
-    with pytest.raises(ValueError, match="s_max"):
-        sobolev_errors_upto(f, g, rule, 3)
 
 
 def test_quadrature_convergence_beyond_24():
     f = AnalyticField(lambda s: exp(s[0]) * sin(3 * s[1]), 2)
     r24 = build_rule(UNIT_SQUARE, "interior", 24)
     r48 = build_rule(UNIT_SQUARE, "interior", 48)
-    a = sobolev_errors_upto(f, None, r24, 2)[2]
-    b = sobolev_errors_upto(f, None, r48, 2)[2]
+    a = sobolev_errors_upto(order2(f, r24), r24)[2]
+    b = sobolev_errors_upto(order2(f, r48), r48)[2]
     assert abs(a - b) / b < 1e-8
 
 
-def test_h_half_surrogate_wedged():
-    f = AnalyticField(lambda s: s[0] * s[0] * s[1] + cos(s[0]), 2)
-    rule = build_rule(UNIT_SQUARE, "interior", 16)
-    h0, h1 = sobolev_errors_upto(f, None, rule, s_max=1)
-    s = h_half_surrogate(f, None, rule)
-    assert h0 <= s <= h1
-    assert s == pytest.approx(math.sqrt(h0 * h1), rel=1e-13)
-
-    mode = harmonic_mode(16)
-    drule = build_rule(UNIT_DISK, "interior", 18)
-    l2sq = math.pi / 34.0
-    want = (l2sq) ** 0.25 * (l2sq + 16.0 * math.pi) ** 0.25
-    assert h_half_surrogate(mode, None, drule) == pytest.approx(want, rel=1e-9)
+@pytest.mark.parametrize("norm, domain", [(sobolev_errors_upto, UNIT_SQUARE),
+                                           (x_norm_error, SpaceTimeBox(0.2, UNIT_SQUARE))])
+def test_norms_refuse_jets_of_the_wrong_order_or_node_count(norm, domain):
+    rule = build_rule(domain, "interior", 4)
+    n, d = rule.nodes.shape
+    want = {1: 1 + d, 2: (d + 1) * (d + 2) // 2}
+    for shape in ((n, want[1]), (n - 1, want[2]), (n,)):
+        with pytest.raises(ValueError) as err:
+            norm(np.zeros(shape), rule)
+        assert str(shape) in str(err.value) and str((n, want[2])) in str(err.value)
+    norm(np.zeros((n, want[2])), rule)
 
 
 def test_x_norm_zero_for_exact_heat_solution():
     u = AnalyticField(lambda s: exp(-2 * math.pi**2 * s[0]) * sin(math.pi * s[1])
                       * sin(math.pi * s[2]), 3)
     rule = build_rule(SpaceTimeBox(0.2, UNIT_SQUARE), "interior", 8)
-    assert x_norm_error(u, u, rule) == 0.0
+    assert x_norm_error(order2(u, rule) - order2(u, rule), rule) == 0.0
     # against zero reference it is a positive number
-    assert x_norm_error(u, None, rule) > 1.0
+    assert x_norm_error(order2(u, rule), rule) > 1.0
     # a spatial rule has no time axis to split off
     sinsin = AnalyticField(lambda s: sin(math.pi * s[0]) * sin(math.pi * s[1]), 2)
+    square = build_rule(UNIT_SQUARE, "interior", 4)
     with pytest.raises(ValueError, match="space-time"):
-        x_norm_error(sinsin, None, build_rule(UNIT_SQUARE, "interior", 4))
+        x_norm_error(order2(sinsin, square), square)
 
 
 def test_x_norm_closed_form_on_heat_solution():
@@ -183,17 +184,20 @@ def test_x_norm_closed_form_on_heat_solution():
     k = (1.0 - math.exp(-4.0 * math.pi**2 * T)) / (4.0 * math.pi**2)
     want = math.sqrt(math.pi**4 * k) + math.sqrt((0.25 + math.pi**2 / 2 + math.pi**4) * k)
     rule = build_rule(p4.domain, "interior", 12)
-    assert x_norm_error(p4.exact, None, rule) == pytest.approx(want, rel=1e-13)
+    assert x_norm_error(order2(p4.exact, rule), rule) == pytest.approx(want, rel=1e-13)
 
 
 def test_boundary_misfit():
     g = AnalyticField(lambda s: s[0] * s[0] - s[1] * s[1], 2)
     rule = build_rule(UNIT_SQUARE, "boundary", 12)
-    assert boundary_misfit(g, g, rule) == 0.0
+    g_values = g.values(rule.nodes)
+    assert boundary_misfit(g_values - g_values, rule) == 0.0
     # ||x1^2 - x2^2||^2 over the unit-square boundary = 4 * int_0^1 (t^2-1)^2? no:
     # bottom/top edges give (x^2 - 0)^2 and (x^2-1)^2, left/right symmetric.
     want_sq = 2 * (1.0 / 5.0) + 2 * (1.0 / 5.0 - 2.0 / 3.0 + 1.0)
-    assert boundary_misfit(g, None, rule) == pytest.approx(math.sqrt(want_sq), rel=1e-12)
+    assert boundary_misfit(g_values, rule) == pytest.approx(math.sqrt(want_sq), rel=1e-12)
+    with pytest.raises(ValueError, match=r"expected 48 values, got shape \(47,\)"):
+        boundary_misfit(g_values[1:], rule)
 
 
 def test_build_rule_validation():
