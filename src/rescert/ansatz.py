@@ -12,7 +12,7 @@ The map from network jets to ansatz jets is linear at every node (the
 Leibniz rule applied to a fixed factor), which the loss assembly exploits.
 exact_bc builds it the same way at every jet order, 0 (plain values)
 included: the factor is the domain's batched distance factor and the offset
-is the lift's jets (zero where the problem has no lift).
+is the lift's jets.  unconstrained's map is the identity with a zero offset.
 """
 
 from __future__ import annotations
@@ -44,9 +44,7 @@ def product_matrix_batch(factor_jets: np.ndarray, dim: int, order: int) -> np.nd
 
 def compose_jets(P, base, U) -> np.ndarray:
     """Ansatz jets P @ U + base from network jets U (N, C), for a
-    composition (P, base) on the same nodes; P None is the identity."""
-    if P is None:
-        return U + base
+    composition (P, base) on the same nodes."""
     return np.einsum("ncd,nd->nc", P, U) + base
 
 
@@ -82,20 +80,17 @@ class AnsatzSpec:
     # -- composition data ------------------------------------------------------
 
     def composition(self, X, order: int):
-        """Per-node linear map (P, base) with v_jets = P @ u_jets + base.
-
-        P is None in unconstrained mode (identity).
-        """
+        """Per-node linear map (P, base) with v_jets = P @ u_jets + base;
+        in unconstrained mode P is a read-only identity and base is zero."""
         X = np.asarray(X, dtype=float)
-        domain, lift = self.problem.domain, self.problem.lift
-        size = coeff_layout(domain.dim, order).size
+        domain = self.problem.domain
         if self.mode == "unconstrained":
-            return None, np.zeros((X.shape[0], size))
+            size = coeff_layout(domain.dim, order).size
+            return (np.broadcast_to(np.eye(size), (X.shape[0], size, size)),
+                    np.zeros((X.shape[0], size)))
         L = geometry.distance_jets(domain, X, order)
         P = product_matrix_batch(L, domain.dim, order)
-        if lift is None:
-            return P, np.zeros((X.shape[0], size))
-        return P, np.asarray(lift.jets(X, order), dtype=float)
+        return P, self.problem.lift.jets(X, order)
 
     # -- evaluation --------------------------------------------------------------
 

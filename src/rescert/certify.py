@@ -49,6 +49,14 @@ class CertifiedReport:
     constant_provenance = PROVENANCE_CONVEX
     certified = True
 
+    def __post_init__(self):
+        loss = float(self.loss)
+        if not 0.0 <= loss < inf:
+            raise ValueError(f"loss must be finite and nonnegative, got {loss}")
+        if not 0.0 < self.constant < inf:
+            raise ValueError(f"constant must be finite and positive, got {self.constant}")
+        object.__setattr__(self, "loss", loss)
+
     @property
     def bound(self) -> float:
         return self.constant * sqrt(self.loss)
@@ -85,13 +93,6 @@ class CertifiedReport:
             lines.append(f"measured:    {self.measured_error!r}  "
                          f"(holds: {self.bound_holds()})")
         return "\n".join(lines)
-
-
-def _check_loss(loss: float) -> float:
-    loss = float(loss)
-    if not 0.0 <= loss < inf:
-        raise ValueError(f"loss must be finite and nonnegative, got {loss}")
-    return loss
 
 
 def _lambda1(domain: Domain) -> float:
@@ -181,7 +182,7 @@ def certified_h2_bound(loss: float, domain: Domain, problem: PdeProblem,
         c = c_reg_convex(domain)
     else:
         c = c_div_form(domain, problem.ellipticity, problem.coeff_grad_bound)
-    return CertifiedReport(norm_label=NORM_H2, loss=_check_loss(loss), constant=c,
+    return CertifiedReport(norm_label=NORM_H2, loss=loss, constant=c,
                            measured_error=measured_error)
 
 
@@ -193,5 +194,5 @@ def parabolic_bound(loss: float, problem: PdeProblem,
     if problem.kind != "heat":
         raise ValueError(f"parabolic_bound covers heat problems, {problem.name} "
                          f"is {problem.kind}")
-    return CertifiedReport(norm_label=NORM_X_PARABOLIC, loss=_check_loss(loss),
+    return CertifiedReport(norm_label=NORM_X_PARABOLIC, loss=loss,
                            constant=c_heat(problem.domain), measured_error=measured_error)

@@ -346,7 +346,6 @@ def harmonic_failure_records(n_list, tau: float, quad_n: int):
         bnd_sq = boundary_misfit(mode.values(boundary.nodes), boundary) ** 2
         loss_tau = residual_sq + tau * bnd_sq
         h1 = math.sqrt(l2_sq + grad_sq)
-        l2, h1_err, _ = sobolev_errors_upto(jets, interior)  # the error is the mode
 
         l2_exact = math.pi / (2.0 * n + 2.0)
         grad_exact = math.pi * n
@@ -367,7 +366,7 @@ def harmonic_failure_records(n_list, tau: float, quad_n: int):
             h1_norm_exact=h1_exact,
             h1_ratio=h1 / math.sqrt(loss_tau),
             h1_ratio_exact=h1_exact / math.sqrt(loss_exact),
-            h_half_surrogate=math.sqrt(l2 * h1_err),  # between the L2 and H1 norms
+            h_half_surrogate=math.sqrt(math.sqrt(l2_sq) * h1),  # between the L2 and H1 norms
             h_half_surrogate_exact=math.sqrt(math.sqrt(l2_exact) * math.sqrt(l2_exact + grad_exact)),
         ))
     return records
@@ -408,7 +407,7 @@ def run_penalty_vs_exact(config: ExperimentConfig, out_dir):
     problem = _training_problem(config, "compare-bc", _SPATIAL_KINDS)
     seed = _single_seed(config, "compare-bc")
     boundary_rule = build_rule(problem.domain, "boundary", config.quad_n)
-    g = problem.lift.values(boundary_rule.nodes) if problem.lift is not None else 0.0
+    g = problem.lift.values(boundary_rule.nodes)
     # u*'s jets on the interior rule that both methods train and measure on
     exact = problem.exact.jets(build_rule(problem.domain, "interior", config.quad_n).nodes, 2)
     results, trailer = [], []
@@ -449,7 +448,7 @@ def run_penalty_vs_exact(config: ExperimentConfig, out_dir):
 # -- gradient audit -------------------------------------------------------------------
 
 
-def run_fd_check(config: ExperimentConfig, out_dir, n_coords: int = 20):
+def run_fd_check(config: ExperimentConfig, out_dir):
     """Finite-difference audit of the loss gradient for the configured variant:
     one CSV row per coordinate and per direction (see ``training.fd_check``)."""
     problem = _resolve_problem(config.problem)
@@ -459,7 +458,7 @@ def run_fd_check(config: ExperimentConfig, out_dir, n_coords: int = 20):
         spec = default_spec(problem, hidden=config.hidden, seed=seed, mode=mode)
         cfg = make_config(problem, config.variant, config.quad_n,
                           tau=config.tau if config.variant == "penalty" else None)
-        report = fd_check(spec, problem, cfg, n_coords=n_coords, seed=seed)
+        report = fd_check(spec, problem, cfg, seed=seed)
     except ValueError as err:
         raise ConfigError(f"cannot assemble the {config.variant!r} loss for "
                           f"{problem.name}: {err}") from None

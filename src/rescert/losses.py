@@ -2,8 +2,8 @@
 
 At every node the strong-form residual is a fixed linear functional of the
 ansatz jets, and the ansatz jets are a fixed linear map of the network jets
-(Leibniz rule with the distance factor).  Each loss therefore precomputes,
-once, per-node row vectors C and offsets d with
+(Leibniz rule with the distance factor, or the identity).  Each loss
+therefore precomputes, once, per-node row vectors C and offsets d with
 
     residual components r = C @ (network jets) + d,
     loss = sum_nodes w * |r|^2,
@@ -133,8 +133,8 @@ class _Block:
     order: int
     cmat: np.ndarray     # (N, M, C) rows acting on network jets
     dvec: np.ndarray     # (N, M) residual offsets
-    P: Optional[np.ndarray]  # the composition v_jets = P @ u_jets + base folded
-    base: np.ndarray         # into cmat and dvec (P None: identity)
+    P: np.ndarray        # the composition v_jets = P @ u_jets + base folded
+    base: np.ndarray     # into cmat and dvec
 
 
 class Objective:
@@ -209,7 +209,7 @@ def _compose_block(spec, rule, order, rows, const, weight=1.0):
     """Block of residuals rows . (v jets) + const on the rule's nodes, with
     the ansatz composition v = P u + base folded into the rows."""
     P, base = spec.composition(rule.nodes, order)
-    cmat = rows if P is None else np.einsum("nmc,ncd->nmd", rows, P)
+    cmat = np.einsum("nmc,ncd->nmd", rows, P)
     dvec = const + np.einsum("nmc,nc->nm", rows, base)
     return _Block(rule.nodes, weight * rule.weights, order, cmat, dvec, P, base)
 
@@ -241,8 +241,7 @@ def build_objective(spec: AnsatzSpec, problem: PdeProblem, cfg: LossConfig) -> O
     if v == "penalty":
         # boundary misfit v - g, g the lift's trace: one order-0 row per boundary node
         b = cfg.boundary
-        g = (problem.lift.values(b.nodes) if problem.lift is not None
-             else np.zeros(b.n_nodes))
+        g = problem.lift.values(b.nodes)
         misfit = _compose_block(spec, b, 0, np.ones((b.n_nodes, 1, 1)), -g[:, None], cfg.tau)
         return Objective(spec, [residual_block(cfg.interior, 2), misfit])
     # sobolev_k1

@@ -144,11 +144,10 @@ def _tanh_jet_backward(Z, derivs, Ybar, lay, order):
     return Zbar
 
 
-def _linear(A, W, b=None):
+def _linear(A, W, b):
     c, n, i = A.shape
     Z = (A.reshape(c * n, i) @ W.T).reshape(c, n, W.shape[0])
-    if b is not None:
-        Z[0] += b
+    Z[0] += b
     return Z
 
 

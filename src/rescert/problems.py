@@ -1,11 +1,12 @@
 """Dirichlet model problems with manufactured solutions.
 
 Each problem fixes a domain, a right-hand side f, Dirichlet data stated once
-as a closed-form lift (g is its trace; no lift means g = 0) and, when
-available, the exact solution used for error measurement.  A heat problem
-lives on a space-time box and carries its initial data u0 as the lift, u0
-extended in time; its lateral data are zero.  A problem is refused at
-construction unless its certificate's proof (``certify``) holds for it: an
+as a closed-form lift (g is its trace; a problem built without a lift gets
+the zero field) and, when available, the exact solution used for error
+measurement.  A heat problem lives on a space-time box and carries its
+initial data u0 (zero without a lift) as the lift, u0 extended in time; its
+lateral data are zero.  A problem is refused at construction unless its
+certificate's proof (``certify``) holds for it: an
 elliptic_divA problem declares a >= ellipticity > 0 and |grad a| <=
 coeff_grad_bound, bounds that a and grad a must not break on sample nodes
 (sampling refuses a contradiction but does not prove a bound); a heat
@@ -46,7 +47,7 @@ class PdeProblem:
     kind: str
     domain: Domain
     rhs: AnalyticField                       # f
-    lift: Optional[AnalyticField] = None      # extends g (heat: u0); None: g = 0
+    lift: Optional[AnalyticField] = None      # extends g (heat: u0); None: the zero field
     coeff: Optional[AnalyticField] = None     # a of A = a I, elliptic_divA only
     ellipticity: Optional[float] = None       # uniform lower bound of a
     coeff_grad_bound: Optional[float] = None  # uniform upper bound of |grad a|
@@ -55,12 +56,12 @@ class PdeProblem:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
+        if self.lift is None:
+            object.__setattr__(self, "lift", AnalyticField(lambda s: 0.0, self.domain.dim))
         heat = self.kind == "heat"
         if heat:
             if not isinstance(self.domain, SpaceTimeBox):
                 raise ValueError("heat problems need a space-time domain")
-            if self.lift is None:
-                raise ValueError("heat problems need initial data u0 as the lift")
             nodes = build_rule(self.domain.spatial, "boundary", 8).nodes
             u0 = self.lift.values(np.column_stack([np.zeros(len(nodes)), nodes]))
             if not (worst := np.max(np.abs(u0))) <= 1e-12:  # NaN fails too
@@ -89,8 +90,7 @@ class PdeProblem:
                 X = np.column_stack([np.zeros(len(X)), X])
             else:
                 X = build_rule(self.domain, "boundary", 8).nodes
-            g = self.lift.values(X) if self.lift is not None else 0.0
-            if not (gap := np.max(np.abs(self.exact.values(X) - g))) <= 1e-12:
+            if not (gap := np.max(np.abs(self.exact.values(X) - self.lift.values(X)))) <= 1e-12:
                 raise ValueError(f"{self.name}'s exact solution differs from its "
                                  f"{'initial' if heat else 'boundary'} data by {gap:.3e}")
             if heat:  # zero on the spatial boundary nodes at 8 Gauss times in (0, T)

@@ -242,6 +242,20 @@ def test_violation_is_the_one_predicate():
     assert CertifiedReport("H2", 1.0, 2.0).violation() == ""  # unmeasured
 
 
+def test_report_refuses_numbers_it_cannot_certify():
+    # a NaN loss used to print "bound: nan" and "certified: True" with an
+    # empty violation(), a negative constant a negative certified bound, and
+    # a negative loss failed only when .bound was read (math domain error)
+    for loss in (math.nan, -1.0, math.inf):
+        with pytest.raises(ValueError, match="loss must be finite and nonnegative"):
+            CertifiedReport("H2", loss, 1.0)
+    for constant in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="constant must be finite and positive"):
+            CertifiedReport("H2", 1.0, constant)
+    rep = CertifiedReport("H2", np.float64(0.25), 2.0)  # a numpy loss prints as a float
+    assert type(rep.loss) is float and "loss:        0.25\n" in rep.text_block()
+
+
 def test_report_text():
     p2 = get_problem("P2")
     rep = certified_h2_bound(0.25, Disk((0.0, 0.0), 1.0), p2, measured_error=0.5)

@@ -3,7 +3,10 @@ protocol (hash line, repr floats, no timestamps), determinism across
 reruns and worker counts, and the documented exit codes."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -116,6 +119,33 @@ def test_run_certified_is_deterministic_and_parallel_safe(tmp_path):
             a = (out / "a" / name).read_bytes()
             assert a == (out / "b" / name).read_bytes()
             assert a == (out / "c" / name).read_bytes()
+
+
+def test_certify_run_output_is_byte_identical_across_blas_threads(tmp_path):
+    # byte-identical reruns hold for any BLAS thread count, not only for one;
+    # P1 runs on the 576 nodes of the quad_n 24 rule, so its matmuls are
+    # large enough for a threaded BLAS to split them
+    src = Path(__file__).resolve().parents[1] / "src"
+    texts = {"P1": "problem = P1\nhidden = 16, 16\nquad_n = 24\nsteps = 60\n"
+                   "record_every = 20\nseeds = 0, 1\n",
+             "P4": "problem = P4\nhidden = 16, 16\nquad_n = 6\nsteps = 30\n"
+                   "record_every = 10\n"}
+    for problem, text in texts.items():
+        (tmp_path / f"{problem}.cfg").write_text(text)
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{problem}_threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+            done = subprocess.run([sys.executable, "-m", "rescert", "certify-run", "--config",
+                                   str(tmp_path / f"{problem}.cfg"), "--out", str(out)],
+                                  env=env, capture_output=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            files = sorted(f for f in out.rglob("*") if f.is_file())
+            trees.append((done.stdout, {str(f.relative_to(out)): f.read_bytes()
+                                        for f in files}))
+        assert len(trees[0][1]) == (3 if problem == "P1" else 2)
+        assert trees[0] == trees[1], f"{problem}'s outputs depend on the BLAS thread count"
 
 
 def test_run_certified_starts_no_more_workers_than_seeds(tmp_path, monkeypatch):
@@ -346,12 +376,13 @@ def test_certify_run_k1_tracks_both_residuals(tmp_path):
 def test_run_fd_check_penalty_uses_unconstrained_ansatz(tmp_path):
     cfg = ExperimentConfig(problem="P5", variant="penalty", hidden=(4,),
                            quad_n=5, seeds=(0,), tau=10.0)
-    report = run_fd_check(cfg, tmp_path, n_coords=8)
+    report = run_fd_check(cfg, tmp_path)
     assert report.passed()
     lines = (tmp_path / "fd_check_P5_penalty.csv").read_text().splitlines()
     assert lines[1] == "kind,index,analytic,numeric,discrepancy,mode,rounding_floor"
     rows = [line.split(",") for line in lines[2:] if not line.startswith("#")]
-    assert [r[0] for r in rows] == (["coordinate"] * 8 + ["random"] * 8
+    # hidden (4,) has 17 parameters, fewer than the 20 coordinates fd_check probes
+    assert [r[0] for r in rows] == (["coordinate"] * 17 + ["random"] * 8
                                     + ["weights", "bias"] * 2)
     for r in rows:  # every number is written as a plain float repr
         assert [float(x) for x in r[2:5] + r[6:]] and r[5] in ("relative", "absolute")

@@ -1,12 +1,12 @@
 """Domains, distance factors, lifts, and the hard-constrained ansatz."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from rescert.ansatz import AnsatzSpec
+from rescert.ansatz import AnsatzSpec, compose_jets
 from rescert.fields import AnalyticField
 from rescert.certify import c_reg_convex
 from rescert.geometry import (Disk, Rectangle, SpaceTimeBox, distance_jet,
@@ -239,3 +239,34 @@ def test_time_extended_field_jets():
         for c, mi in enumerate(lay.multi_indices):
             if 0 in mi:
                 assert np.all(jets[:, c] == 0.0)
+
+
+def test_a_problem_without_a_lift_reads_zero_data():
+    problem = PdeProblem(name="Z", kind="poisson", domain=UNIT_SQUARE,
+                         rhs=AnalyticField(lambda s: 1.0, 2))
+    X = build_rule(UNIT_SQUARE, "interior", 4).nodes
+    assert np.array_equal(problem.lift.values(X), np.zeros(len(X)))
+    assert np.array_equal(problem.lift.jets(X, 2), np.zeros((len(X), 6)))
+
+
+def test_a_heat_problem_without_a_lift_starts_from_zero():
+    # u0 = 0 is valid initial data; it used to be refused as a missing lift
+    heat = PdeProblem(name="H0", kind="heat", domain=SpaceTimeBox(0.2, UNIT_SQUARE),
+                      rhs=AnalyticField(lambda s: 0.0, 3))
+    X = build_rule(UNIT_SQUARE, "interior", 4).nodes
+    X0 = np.column_stack([np.zeros(len(X)), X])
+    assert np.array_equal(default_spec(heat, hidden=(4,)).values(X0), np.zeros(len(X)))
+    # P4's u*(0) = sin(pi x) sin(pi y) is not that initial data
+    with pytest.raises(ValueError, match="H0's exact solution differs from its initial data"):
+        replace(heat, exact=get_problem("P4").exact)
+
+
+def test_unconstrained_composition_is_a_read_only_identity():
+    spec = default_spec(get_problem("P1"), hidden=(4,), mode="unconstrained")
+    X = build_rule(UNIT_SQUARE, "interior", 4).nodes
+    P, base = spec.composition(X, 2)
+    assert P.shape == (len(X), 6, 6) and not P.flags.writeable
+    assert np.array_equal(P, np.broadcast_to(np.eye(6), P.shape))
+    assert np.array_equal(base, np.zeros((len(X), 6)))
+    U = np.random.default_rng(0).standard_normal((len(X), 6))
+    assert compose_jets(P, base, U).tobytes() == U.tobytes()
